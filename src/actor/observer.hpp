@@ -36,17 +36,26 @@ class ActorObserver {
   virtual void on_comm_begin() = 0;
   virtual void on_comm_end() = 0;
 
-  /// Observers that only need aggregate counts (metrics, sampling) can
-  /// return false here: the selector then skips the per-message
-  /// on_handler_begin/on_handler_end pairs on the batch-drain path and
-  /// reports each delivered batch once via on_handler_batch with an
-  /// explicit count. Trace-producing observers keep the default (true) so
-  /// PROC segments, PAPI attribution, and Chrome traces stay exact.
+  /// Observers that only need per-region totals and counts can return
+  /// false here: the selector then skips the per-message
+  /// on_handler_begin/on_handler_end pairs and brackets each drained batch
+  /// with on_handler_batch_begin / on_handler_batch instead. Observers that
+  /// stamp or attribute individual handlers (PAPI segments, Chrome
+  /// timelines) keep the default (true). Read once, in Selector::start().
   [[nodiscard]] virtual bool wants_per_message_events() const { return true; }
 
-  /// A batch of `count` messages of `bytes_per_msg` payload each was
-  /// dispatched on mailbox `mb` (only called when
-  /// wants_per_message_events() is false). Default no-op.
+  /// Batch-drain path only: the selector is about to run the first handler
+  /// of a non-empty batch drained from mailbox `mb`. The batch's handlers
+  /// form one PROC region, closed by on_handler_batch. Default no-op.
+  virtual void on_handler_batch_begin(int mb) { (void)mb; }
+
+  /// Batch-drain path only: closes the bracket on_handler_batch_begin
+  /// opened. `count` handlers of `bytes_per_msg` payload each ran on
+  /// mailbox `mb`; a handler that threw is counted, as the per-message path
+  /// still calls on_handler_end for it. The selector defers its sim-PAPI
+  /// message charges on this path and lands them before this call and
+  /// before every COMM region, so a clock read here or at on_comm_begin
+  /// sees the same counters the per-message path would. Default no-op.
   virtual void on_handler_batch(int mb, std::size_t count,
                                 std::size_t bytes_per_msg) {
     (void)mb;

@@ -106,12 +106,14 @@ class Selector {
             "Selector::start: every mailbox needs a process handler");
     }
     {
-      detail::CommRegion comm;
-      // Flow correlation is an observer decision made at conveyor-creation
-      // time: all PEs run the same profiler config, so this stays
-      // collective-consistent.
-      if (ActorObserver* o = actor_observer())
+      const auto comm = comm_region();
+      // Flow correlation and the dispatch path are observer decisions made
+      // at conveyor-creation time: all PEs run the same profiler config, so
+      // both stay collective-consistent.
+      if (ActorObserver* o = actor_observer()) {
         opts_.carry_flow_ids = o->wants_flow_ids();
+        per_message_ = o->wants_per_message_events();
+      }
       for (int k = 0; k < NMB; ++k)
         state_[static_cast<std::size_t>(k)].conveyor =
             convey::Conveyor::create(opts_);
@@ -142,18 +144,15 @@ class Selector {
     if (ActorObserver* o = actor_observer()) {
       if (st.conveyor->options().carry_flow_ids) flow = next_flow_id();
       o->on_send(mb_id, dst_pe, sizeof(MsgT), flow);
-      papi::account_message_construct(sizeof(MsgT));
-    } else {
-      // No observer: defer the (exactly linear) construct accounting and
-      // charge it once per batch. Flushed before any virtual-clock sync so
-      // the totals are identical to the per-message path.
-      ++pending_constructs_;
     }
+    if (per_message_)
+      papi::account_message_construct(sizeof(MsgT));
+    else
+      ++pending_constructs_;  // see flush_accounting()
 
     while (!st.conveyor->push(&msg, dst_pe, flow)) {
-      flush_construct_accounting();
       {
-        detail::CommRegion comm;
+        const auto comm = comm_region();
         // Progress EVERY mailbox, not just the blocked one: a peer may be
         // stuck inside a handler pushing to another mailbox of ours, and
         // only our advance() on that conveyor acks its ring slots. (A
@@ -172,9 +171,8 @@ class Selector {
     // segments inside the BLUE one) and receive queues stay small.
     if (++sends_since_poll_ >= kPollInterval) {
       sends_since_poll_ = 0;
-      flush_construct_accounting();
       {
-        detail::CommRegion comm;
+        const auto comm = comm_region();
         (void)st.conveyor->advance(false);
       }
       drain_handlers();
@@ -188,7 +186,6 @@ class Selector {
   void done(int mb_id) {
     check_mailbox(mb_id);
     if (!started_) throw std::logic_error("Selector::done before start()");
-    flush_construct_accounting();
     state_[static_cast<std::size_t>(mb_id)].user_done = true;
   }
 
@@ -240,7 +237,6 @@ class Selector {
   /// One progress round over all mailboxes; returns true when the whole
   /// selector has terminated. Registered as the finish-scope pump.
   bool pump() {
-    flush_construct_accounting();
     bool all_complete = true;
     std::uint64_t progress_stamp = 0;
     for (int k = 0; k < NMB; ++k) {
@@ -248,7 +244,7 @@ class Selector {
       if (st.complete) continue;
       bool still_running;
       {
-        detail::CommRegion comm;
+        const auto comm = comm_region();
         still_running = st.conveyor->advance(st.user_done);
         st.done_passed = st.user_done;
       }
@@ -281,7 +277,7 @@ class Selector {
     // wall-clock polling the network; advance the virtual clock to the
     // fleet maximum so the overall profile sees the wait as COMM.
     {
-      detail::CommRegion comm;
+      const auto comm = comm_region();
       papi::sync_virtual_clock();
     }
 
@@ -312,51 +308,77 @@ class Selector {
 
   /// Dispatch every record delivered to mailbox `k` straight off the
   /// conveyor's receive queue (zero per-item copy or queue bookkeeping).
-  /// With a trace-producing observer installed every record still gets its
-  /// begin/end hooks; otherwise handler accounting is charged once per
-  /// batch with an explicit count. Loops because handlers may advance()
-  /// and deliver more.
+  /// Loops because handlers may advance() and deliver more.
   void drain_mailbox(int k) {
-    MailboxState& st = state_[static_cast<std::size_t>(k)];
-    ActorObserver* o = actor_observer();
-    const bool per_message = o != nullptr && o->wants_per_message_events();
-    for (;;) {
-      std::size_t n;
-      if (per_message) {
-        n = st.conveyor->drain([&](const convey::Delivered& r) {
+    while ((per_message_ ? drain_each(k) : drain_batch(k)) != 0) {
+    }
+  }
+
+  /// Per-message path: every record gets its own begin/end hooks and its
+  /// handle charge as it runs.
+  std::size_t drain_each(int k) {
+    return state_[static_cast<std::size_t>(k)].conveyor->drain(
+        [&](const convey::Delivered& r) {
           MsgT msg;
           std::memcpy(&msg, r.payload, sizeof msg);
           dispatch(k, msg, r.src, r.flow);
         });
-      } else {
-        n = st.conveyor->drain([&](const convey::Delivered& r) {
-          MsgT msg;
-          std::memcpy(&msg, r.payload, sizeof msg);
-          in_dispatch_ = true;
-          try {
-            mb[static_cast<std::size_t>(k)].process(msg, r.src);
-          } catch (...) {
-            in_dispatch_ = false;
-            throw;
-          }
-          in_dispatch_ = false;
-          ++st.handled;
-        });
-        if (n != 0) {
-          papi::account_message_handle_n(sizeof(MsgT), n);
-          if (o != nullptr) o->on_handler_batch(k, n, sizeof(MsgT));
-        }
-      }
-      if (n == 0) break;
+  }
+
+  /// Batch-drain path: the batch is one PROC region, opened before its
+  /// first handler and closed with the number of handlers entered, also
+  /// when one of them throws. Handle charges are deferred like construct
+  /// charges.
+  std::size_t drain_batch(int k) {
+    MailboxState& st = state_[static_cast<std::size_t>(k)];
+    ActorObserver* o = actor_observer();
+    std::size_t entered = 0;
+    try {
+      st.conveyor->drain([&](const convey::Delivered& r) {
+        MsgT msg;
+        std::memcpy(&msg, r.payload, sizeof msg);
+        if (entered++ == 0 && o != nullptr) o->on_handler_batch_begin(k);
+        ++pending_handles_;
+        in_dispatch_ = true;
+        mb[static_cast<std::size_t>(k)].process(msg, r.src);
+        in_dispatch_ = false;
+        ++st.handled;
+      });
+    } catch (...) {
+      in_dispatch_ = false;
+      close_batch(o, k, entered);
+      throw;
+    }
+    close_batch(o, k, entered);
+    return entered;
+  }
+
+  void close_batch(ActorObserver* o, int k, std::size_t entered) {
+    if (entered == 0) return;
+    flush_accounting();
+    if (o != nullptr) o->on_handler_batch(k, entered, sizeof(MsgT));
+  }
+
+  /// On the batch-drain path construct and handle charges are deferred
+  /// (they are exactly linear) and land here, in bulk, before every COMM
+  /// region and every batch close. Every fold an observer makes and every
+  /// virtual-clock sync comes after one of those points, so each sees
+  /// exactly the counters the per-message path had charged by then.
+  void flush_accounting() {
+    if (pending_constructs_ != 0) {
+      papi::account_message_construct_n(sizeof(MsgT), pending_constructs_);
+      pending_constructs_ = 0;
+    }
+    if (pending_handles_ != 0) {
+      papi::account_message_handle_n(sizeof(MsgT), pending_handles_);
+      pending_handles_ = 0;
     }
   }
 
-  /// Land deferred construct charges (no-observer fast path) before any
-  /// progress or virtual-clock sync observes the counters.
-  void flush_construct_accounting() {
-    if (pending_constructs_ == 0) return;
-    papi::account_message_construct_n(sizeof(MsgT), pending_constructs_);
-    pending_constructs_ = 0;
+  /// Enter a COMM region with the deferred charges landed first.
+  [[nodiscard]] detail::CommRegion comm_region() {
+    flush_accounting();
+    return detail::CommRegion{};
   }
 
   void dispatch(int mb_id, const MsgT& msg, int from, std::uint64_t flow = 0) {
@@ -383,9 +405,12 @@ class Selector {
   convey::Options opts_;
   std::array<MailboxState, NMB> state_{};
   bool started_ = false;
+  /// Observer's wants_per_message_events(), read once in start().
+  bool per_message_ = false;
   bool in_dispatch_ = false;
   int sends_since_poll_ = 0;
   std::uint64_t pending_constructs_ = 0;
+  std::uint64_t pending_handles_ = 0;
   std::uint64_t last_progress_stamp_ = 0;
   std::uint64_t stalled_rounds_ = 0;
 };

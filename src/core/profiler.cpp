@@ -57,6 +57,8 @@ bool load_flag(const bool& cell) {
 }  // namespace
 
 Profiler::Profiler(Config cfg) : cfg_(std::move(cfg)) {
+  send_folds_ = cfg_.papi || cfg_.timeline || cfg_.metrics;
+  sends_read_ = send_folds_ || cfg_.logical || cfg_.supersteps;
   prev_actor_obs_ = actor::actor_observer();
   prev_transfer_obs_ = convey::transfer_observer();
   actor::set_actor_observer(this);
@@ -234,7 +236,12 @@ void Profiler::epoch_begin() {
   if (cfg_.timeline)
     d.events.push_back(
         TimelineEvent{TimelineEvent::Kind::BeginMain, d.t0, 0, 0});
-  d.last_papi = papi::snapshot();
+  if (cfg_.papi) {
+    const papi::Counters& raw = papi::counters();
+    for (int i = 0; i < cfg_.num_papi_events(); ++i)
+      d.last_papi[static_cast<std::size_t>(i)] = raw[static_cast<std::size_t>(
+          cfg_.papi_events[static_cast<std::size_t>(i)])];
+  }
   if (!d.rows.sized_for(topo_.num_pes())) d.rows.reset(topo_.num_pes());
 }
 
@@ -286,7 +293,9 @@ bool Profiler::epoch_active() const {
 // --------------------------------------------------------------- the fold
 
 void Profiler::fold(PeData& d) {
-  const std::uint64_t now = papi::cycles_now();
+  // One counter lookup serves the clock and every recorded PAPI event.
+  const papi::Counters& raw = papi::counters();
+  const std::uint64_t now = papi::cycles_now(raw);
   const std::uint64_t dt = now - d.last_cycles;
   store_u64(d.last_cycles, now);
 
@@ -300,31 +309,20 @@ void Profiler::fold(PeData& d) {
       case Region::Comm: add_u64(d.t_comm, dt); break;
     }
   }
+  if (!cfg_.papi) return;
 
-  if (cfg_.papi) {
-    const auto now_papi = papi::snapshot();
-    std::array<std::uint64_t, papi::kMaxEventsPerSet> delta{};
-    for (int i = 0; i < cfg_.num_papi_events(); ++i) {
-      const auto ev = static_cast<std::size_t>(
-          cfg_.papi_events[static_cast<std::size_t>(i)]);
-      delta[static_cast<std::size_t>(i)] = now_papi[ev] - d.last_papi[ev];
-    }
-    d.last_papi = now_papi;
-    // COMM deltas are intentionally discarded: the paper instruments only
-    // user code and "excludes the Conveyors and HClib-Actor system".
-    if (r == Region::Main && d.have_pending_main) {
-      RowAgg& row = d.main_rows[d.pending_main];
-      for (int i = 0; i < cfg_.num_papi_events(); ++i)
-        row.counters[static_cast<std::size_t>(i)] +=
-            delta[static_cast<std::size_t>(i)];
-    } else if (r == Region::Proc && d.cur_handler_mb >= 0) {
-      RowAgg& row = d.proc_rows[d.cur_handler_mb];
-      for (int i = 0; i < cfg_.num_papi_events(); ++i)
-        row.counters[static_cast<std::size_t>(i)] +=
-            delta[static_cast<std::size_t>(i)];
-    }
-  } else {
-    d.last_papi = papi::snapshot();
+  // COMM deltas are intentionally discarded: the paper instruments only
+  // user code and "excludes the Conveyors and HClib-Actor system".
+  RowAgg* row = r == Region::Main   ? d.main_row
+                : r == Region::Proc ? d.handler_row
+                                    : nullptr;
+  const int events = cfg_.num_papi_events();
+  for (int i = 0; i < events; ++i) {
+    const auto slot = static_cast<std::size_t>(i);
+    const std::uint64_t v =
+        raw[static_cast<std::size_t>(cfg_.papi_events[slot])];
+    if (row != nullptr) row->counters[slot] += v - d.last_papi[slot];
+    d.last_papi[slot] = v;
   }
 }
 
@@ -332,13 +330,15 @@ void Profiler::fold(PeData& d) {
 
 void Profiler::on_send(int mb, int dst_pe, std::size_t bytes,
                        std::uint64_t flow_id) {
-  if (!rt::in_spmd_region()) return;
+  if (!sends_read_ || !rt::in_spmd_region()) return;
   metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
                                      OverheadCategory::actor_send,
                                      rt::my_pe());
   PeData& d = pe_data();
   if (!d.in_epoch) return;
-  fold(d);
+  // A send does not change the region, so skipping the fold moves no cycle
+  // between buckets.
+  if (send_folds_) fold(d);
 
   const int me = rt::my_pe();
   if (cfg_.supersteps) {
@@ -373,17 +373,12 @@ void Profiler::on_send(int mb, int dst_pe, std::size_t bytes,
                                      static_cast<std::int32_t>(bytes),
                                      flow_id});
   }
-  if (cfg_.papi && d.region_stack.back() == Region::Main) {
-    d.pending_main = MainRowKey{mb, dst_pe};
-    d.have_pending_main = true;
-    RowAgg& row = d.main_rows[d.pending_main];
-    row.num++;
-    row.pkt_bytes = static_cast<std::uint32_t>(bytes);
-  } else if (cfg_.papi) {
-    // A send from inside a handler: counted, but its cost stays in PROC.
+  if (cfg_.papi) {
     RowAgg& row = d.main_rows[MainRowKey{mb, dst_pe}];
     row.num++;
     row.pkt_bytes = static_cast<std::uint32_t>(bytes);
+    // A send from inside a handler is counted, but its cost stays in PROC.
+    if (d.region_stack.back() == Region::Main) d.main_row = &row;
   }
 }
 
@@ -398,7 +393,6 @@ void Profiler::on_handler_begin(int mb, int src_pe, std::size_t bytes,
   if (!d.in_epoch) return;
   fold(d);
   d.region_stack.push_back(Region::Proc);
-  d.cur_handler_mb = mb;
   if (cfg_.supersteps) ++d.msgs_handled_total;
   if (cfg_.metrics) {
     const int me = rt::my_pe();
@@ -409,6 +403,7 @@ void Profiler::on_handler_begin(int mb, int src_pe, std::size_t bytes,
     RowAgg& row = d.proc_rows[mb];
     row.num++;
     row.pkt_bytes = static_cast<std::uint32_t>(bytes);
+    d.handler_row = &row;
   }
   if (cfg_.timeline &&
       (cfg_.max_events_per_pe == 0 ||
@@ -428,12 +423,48 @@ void Profiler::on_handler_end(int mb) {
   fold(d);
   if (d.region_stack.size() > 1 && d.region_stack.back() == Region::Proc)
     d.region_stack.pop_back();
-  d.cur_handler_mb = -1;
+  d.handler_row = nullptr;
   if (cfg_.timeline &&
       (cfg_.max_events_per_pe == 0 ||
        d.events.size() < cfg_.max_events_per_pe))
     d.events.push_back(
         TimelineEvent{TimelineEvent::Kind::EndProc, d.last_cycles, mb, 0});
+}
+
+void Profiler::on_handler_batch_begin(int mb) {
+  (void)mb;
+  if (!rt::in_spmd_region()) return;
+  metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
+                                     OverheadCategory::actor_handler,
+                                     rt::my_pe());
+  PeData& d = pe_data();
+  if (!d.in_epoch) return;
+  fold(d);
+  d.region_stack.push_back(Region::Proc);
+}
+
+// Also reached without a preceding on_handler_batch_begin (a decorator that
+// forwards only this hook): the fold then charges the batch to the region
+// that was open, and only a PROC top is popped.
+void Profiler::on_handler_batch(int mb, std::size_t count,
+                                std::size_t bytes_per_msg) {
+  (void)mb;
+  (void)bytes_per_msg;
+  if (!rt::in_spmd_region()) return;
+  metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
+                                     OverheadCategory::actor_handler,
+                                     rt::my_pe());
+  PeData& d = pe_data();
+  if (!d.in_epoch) return;
+  fold(d);
+  if (d.region_stack.size() > 1 && d.region_stack.back() == Region::Proc)
+    d.region_stack.pop_back();
+  if (cfg_.supersteps) d.msgs_handled_total += count;
+  if (cfg_.metrics) {
+    const int me = rt::my_pe();
+    registry_.add(me, ids_.actor_handlers, count);
+    registry_.add(me, ids_.queue_depth, -static_cast<std::int64_t>(count));
+  }
 }
 
 void Profiler::on_comm_begin() {

@@ -97,6 +97,16 @@ class Profiler final : public actor::ActorObserver,
   void on_handler_end(int mb) override;
   void on_comm_begin() override;
   void on_comm_end() override;
+  /// Only PAPI segment attribution and the timeline look at individual
+  /// handlers. Every other kind reads per-region totals and counts, which
+  /// one PROC region per drained batch reproduces exactly, so those configs
+  /// take the selector's cheaper batch-drain path.
+  [[nodiscard]] bool wants_per_message_events() const override {
+    return cfg_.papi || cfg_.timeline;
+  }
+  void on_handler_batch_begin(int mb) override;
+  void on_handler_batch(int mb, std::size_t count,
+                        std::size_t bytes_per_msg) override;
   /// Flow ids are only worth their wire bytes when the Chrome timeline
   /// that renders them is being recorded.
   [[nodiscard]] bool wants_flow_ids() const override { return cfg_.timeline; }
@@ -297,16 +307,17 @@ class Profiler final : public actor::ActorObserver,
     bool in_epoch = false;
     std::vector<Region> region_stack;
     std::uint64_t last_cycles = 0;
-    std::array<std::uint64_t, static_cast<std::size_t>(papi::Event::kCount)>
-        last_papi{};
+    /// The configured PAPI events at the last fold, by Config slot.
+    std::array<std::uint64_t, papi::kMaxEventsPerSet> last_papi{};
     std::uint64_t t_main = 0, t_proc = 0, t_comm = 0, t0 = 0, t_total = 0;
 
-    // PAPI segment attribution.
-    bool have_pending_main = false;
-    MainRowKey pending_main{};
+    // PAPI segment attribution. The fold charges MAIN deltas to the row of
+    // the latest send from MAIN and PROC deltas to the running handler's
+    // row; map nodes never move, so the cached pointers stay valid.
     std::map<MainRowKey, RowAgg> main_rows;
     std::map<int, RowAgg> proc_rows;  // mailbox -> handler aggregate
-    int cur_handler_mb = -1;
+    RowAgg* main_row = nullptr;
+    RowAgg* handler_row = nullptr;
 
     std::vector<LogicalSendRecord> logical_events;
     CommRows rows;                   // per-dst counts, all four channels
@@ -357,6 +368,11 @@ class Profiler final : public actor::ActorObserver,
   void tick();
 
   Config cfg_;
+  /// Derived from cfg_ once: whether any consumer reads sends, and whether
+  /// one of those needs the clock folded at the send (PAPI segment rows,
+  /// timeline stamps, fresh buckets for the metrics sampler).
+  bool sends_read_ = false;
+  bool send_folds_ = false;
   shmem::Topology topo_;
   /// Guards the one-time world setup in ensure_world(): under the threads
   /// backend every PE's first observer callback races to initialize. The

@@ -23,7 +23,7 @@ namespace ap::metrics {
 /// Where the profiler spends its own cycles.
 enum class OverheadCategory : int {
   actor_send,     ///< ActorObserver::on_send (fold + logical record)
-  actor_handler,  ///< on_handler_begin/on_handler_end
+  actor_handler,  ///< handler begin/end and the batch bracket hooks
   comm_region,    ///< on_comm_begin/on_comm_end (the region folds)
   transfer,       ///< TransferObserver::on_transfer/on_advance
   rma,            ///< RmaObserver callbacks (shmem layer metrics)

@@ -40,4 +40,11 @@ inline std::uint64_t rdtsc_now() {
 
 std::uint64_t cycles_now();
 
+/// cycles_now() for a caller that already holds the PE's counters.
+inline std::uint64_t cycles_now(const Counters& raw) {
+  return cycle_source() == CycleSource::rdtsc
+             ? rdtsc_now()
+             : raw[static_cast<std::size_t>(Event::TOT_CYC)];
+}
+
 }  // namespace ap::papi

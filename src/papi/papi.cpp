@@ -12,8 +12,6 @@ namespace ap::papi {
 
 namespace {
 
-constexpr std::size_t kN = static_cast<std::size_t>(Event::kCount);
-
 struct EventSet {
   bool live = false;     // created and not destroyed
   bool running = false;  // between start() and stop()
@@ -24,7 +22,7 @@ struct EventSet {
 };
 
 struct PeCounters {
-  std::array<std::uint64_t, kN> raw{};
+  Counters raw{};
   std::vector<EventSet> sets;
   int running_sets = 0;  // concurrent-event limit spans sets
   // Sub-miss residues (1/1024 units) so per-call integer rounding does not
@@ -56,8 +54,8 @@ PeCounters& pe_counters() {
   return g_pes[idx];
 }
 
-std::uint64_t& raw(Event e) {
-  return pe_counters().raw[static_cast<std::size_t>(e)];
+std::uint64_t& at(Counters& raw, Event e) {
+  return raw[static_cast<std::size_t>(e)];
 }
 
 /// How many of `total` concurrently running events exist on this PE.
@@ -68,32 +66,35 @@ int total_running_events(const PeCounters& pc) {
   return n;
 }
 
-/// Charge `n` identical operations in one call. Every per-event amount is
-/// the single-call rounded value multiplied by n, so one charge_n(n, ...)
-/// is byte-identical to n charge(...) calls — the property the runtime's
-/// once-per-batch accounting depends on.
-void charge_n(std::uint64_t n, std::uint64_t ins, std::uint64_t loads,
-              std::uint64_t stores, std::uint64_t branches,
-              std::uint64_t l1_dcm, std::uint64_t l2_dcm) {
-  raw(Event::TOT_INS) += n * ins;
-  raw(Event::LD_INS) += n * loads;
-  raw(Event::SR_INS) += n * stores;
-  raw(Event::LST_INS) += n * (loads + stores);
-  raw(Event::BR_INS) += n * branches;
-  raw(Event::BR_MSP) += n * (branches * g_model.br_msp_per_1024 / 1024);
-  raw(Event::L1_DCM) += n * l1_dcm;
-  raw(Event::L2_DCM) += n * l2_dcm;
+/// Charge `n` identical operations in one call, plus `extra_cycles` of
+/// network time once. Every per-event amount is the single-call rounded
+/// value multiplied by n, so one charge_n(n, ...) is byte-identical to n
+/// charge(...) calls — the property the runtime's once-per-batch
+/// accounting depends on. Callers resolve the PE's counters once.
+void charge_n(Counters& raw, std::uint64_t n, std::uint64_t ins,
+              std::uint64_t loads, std::uint64_t stores,
+              std::uint64_t branches, std::uint64_t l1_dcm,
+              std::uint64_t l2_dcm, std::uint64_t extra_cycles = 0) {
   const CostModel& m = g_model;
+  at(raw, Event::TOT_INS) += n * ins;
+  at(raw, Event::LD_INS) += n * loads;
+  at(raw, Event::SR_INS) += n * stores;
+  at(raw, Event::LST_INS) += n * (loads + stores);
+  at(raw, Event::BR_INS) += n * branches;
+  at(raw, Event::BR_MSP) += n * (branches * m.br_msp_per_1024 / 1024);
+  at(raw, Event::L1_DCM) += n * l1_dcm;
+  at(raw, Event::L2_DCM) += n * l2_dcm;
   const std::uint64_t cyc = ins * 16 / (m.ipc_x16 == 0 ? 16 : m.ipc_x16) +
                             l1_dcm * m.l1_penalty_cycles +
                             l2_dcm * m.l2_penalty_cycles;
-  raw(Event::TOT_CYC) += n * cyc;
+  at(raw, Event::TOT_CYC) += n * cyc + extra_cycles;
 }
 
 void charge(std::uint64_t ins, std::uint64_t loads, std::uint64_t stores,
             std::uint64_t branches, std::uint64_t l1_dcm,
-            std::uint64_t l2_dcm) {
-  charge_n(1, ins, loads, stores, branches, l1_dcm, l2_dcm);
+            std::uint64_t l2_dcm, std::uint64_t extra_cycles = 0) {
+  charge_n(pe_counters().raw, 1, ins, loads, stores, branches, l1_dcm, l2_dcm,
+           extra_cycles);
 }
 
 }  // namespace
@@ -127,7 +128,7 @@ void set_cost_model(const CostModel& m) { g_model = m; }
 
 void account(Event e, std::uint64_t n) {
   if (e == Event::kCount) return;
-  raw(e) += n;
+  at(pe_counters().raw, e) += n;
 }
 
 void account_message_construct_n(std::size_t bytes, std::uint64_t n) {
@@ -135,8 +136,9 @@ void account_message_construct_n(std::size_t bytes, std::uint64_t n) {
   const std::uint64_t payload_ins =
       bytes * m.ins_per_payload_byte_num / m.ins_per_payload_byte_den;
   const std::uint64_t ins = m.ins_per_message_construct + payload_ins;
-  charge_n(n, ins, /*loads=*/2 + bytes / 16, /*stores=*/3 + bytes / 8,
-           m.branches_per_message, /*l1=*/0, /*l2=*/0);
+  charge_n(pe_counters().raw, n, ins, /*loads=*/2 + bytes / 16,
+           /*stores=*/3 + bytes / 8, m.branches_per_message, /*l1=*/0,
+           /*l2=*/0);
 }
 
 void account_message_construct(std::size_t bytes) {
@@ -148,8 +150,9 @@ void account_message_handle_n(std::size_t bytes, std::uint64_t n) {
   const std::uint64_t payload_ins =
       bytes * m.ins_per_payload_byte_num / m.ins_per_payload_byte_den;
   const std::uint64_t ins = m.ins_per_message_handle + payload_ins;
-  charge_n(n, ins, /*loads=*/3 + bytes / 8, /*stores=*/1 + bytes / 16,
-           m.branches_per_message, /*l1=*/0, /*l2=*/0);
+  charge_n(pe_counters().raw, n, ins, /*loads=*/3 + bytes / 8,
+           /*stores=*/1 + bytes / 16, m.branches_per_message, /*l1=*/0,
+           /*l2=*/0);
 }
 
 void account_message_handle(std::size_t bytes) {
@@ -180,36 +183,31 @@ void account_random_access(std::size_t footprint, std::uint64_t n) {
     l2 = acc / 1024;
     pc.l2_residue = acc % 1024;
   }
-  charge(2 * n, n, 0, n, l1, l2);
+  charge_n(pc.raw, 1, 2 * n, n, 0, n, l1, l2);
 }
 
 void account_local_flush(std::size_t bytes) {
   (void)bytes;
-  charge(20, 4, 4, 4, 0, 0);
-  raw(Event::TOT_CYC) += g_model.net_local_flush_cycles;
+  charge(20, 4, 4, 4, 0, 0, g_model.net_local_flush_cycles);
 }
 
 void account_remote_put(std::size_t bytes) {
-  charge(40, 6, 6, 6, 1, 0);
-  raw(Event::TOT_CYC) += g_model.net_put_fixed_cycles +
-                         bytes * g_model.net_put_cycles_per_byte_x16 / 16;
+  charge(40, 6, 6, 6, 1, 0,
+         g_model.net_put_fixed_cycles +
+             bytes * g_model.net_put_cycles_per_byte_x16 / 16);
 }
 
 void account_quiet(std::size_t outstanding_puts) {
-  charge(30, 4, 2, 6, 0, 0);
-  raw(Event::TOT_CYC) += g_model.net_quiet_fixed_cycles +
-                         outstanding_puts * g_model.net_quiet_cycles_per_put;
+  charge(30, 4, 2, 6, 0, 0,
+         g_model.net_quiet_fixed_cycles +
+             outstanding_puts * g_model.net_quiet_cycles_per_put);
 }
 
 void account_signal_put() {
-  charge(15, 2, 2, 2, 0, 0);
-  raw(Event::TOT_CYC) += g_model.net_signal_put_cycles;
+  charge(15, 2, 2, 2, 0, 0, g_model.net_signal_put_cycles);
 }
 
-void account_poll() {
-  charge(12, 4, 0, 4, 0, 0);
-  raw(Event::TOT_CYC) += g_model.net_poll_cycles;
-}
+void account_poll() { charge(12, 4, 0, 4, 0, 0, g_model.net_poll_cycles); }
 
 void sync_virtual_clock() {
   if (cycle_source() != CycleSource::virtual_) return;
@@ -226,7 +224,7 @@ void sync_virtual_clock() {
     }
     mx = std::max(mx, g_fleet_max.load(std::memory_order_relaxed));
   }
-  std::uint64_t& mine = raw(Event::TOT_CYC);
+  std::uint64_t& mine = at(pe_counters().raw, Event::TOT_CYC);
   mine = std::max(mine, mx);
 }
 
@@ -239,7 +237,7 @@ std::uint64_t counter_value(Event e) {
   return pe_counters().raw[static_cast<std::size_t>(e)];
 }
 
-std::array<std::uint64_t, kN> snapshot() { return pe_counters().raw; }
+const Counters& counters() { return pe_counters().raw; }
 
 void reset_all() {
   g_pes.clear();

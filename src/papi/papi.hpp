@@ -35,6 +35,10 @@ enum class Event : int {
 
 inline constexpr int kNumEvents = static_cast<int>(Event::kCount);
 
+/// One PE's raw counters, indexed by Event.
+using Counters =
+    std::array<std::uint64_t, static_cast<std::size_t>(kNumEvents)>;
+
 /// "PAPI_TOT_INS"-style canonical name.
 std::string_view name(Event e);
 /// Parse a canonical name; nullopt for unknown events.
@@ -133,8 +137,10 @@ void set_shared_clock(bool on);
 
 /// Current PE's raw counter (monotone within a launch).
 std::uint64_t counter_value(Event e);
-/// Snapshot of all raw counters of the current PE.
-std::array<std::uint64_t, static_cast<std::size_t>(Event::kCount)> snapshot();
+/// Every raw counter of the current PE from one lookup, for a reader that
+/// needs several (the clock and the recorded PAPI events). Read it before
+/// the next papi call: a PE's first charge may move the table.
+const Counters& counters();
 /// Zero every counter of every PE and drop all event sets (between runs).
 void reset_all();
 

@@ -5,9 +5,14 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "actor/selector.hpp"
+#include "core/profiler.hpp"
+#include "papi/papi.hpp"
 #include "runtime/finish.hpp"
 #include "runtime/scheduler.hpp"
 #include "shmem/shmem.hpp"
@@ -16,6 +21,7 @@ namespace {
 
 namespace shmem = ap::shmem;
 namespace actor = ap::actor;
+namespace prof = ap::prof;
 using ap::rt::LaunchConfig;
 
 LaunchConfig cfg_of(int pes, int ppn = 0) {
@@ -317,6 +323,307 @@ TEST(Selector, ObserverSeesEverySendAndHandler) {
   EXPECT_EQ(obs.handler_ends, 60);
   EXPECT_GT(obs.comm_begins, 0);
   EXPECT_EQ(obs.comm_begins, obs.comm_ends);  // balanced regions
+}
+
+// ------------------------------------------- profiler dispatch-path choice
+
+/// Forwards every ActorObserver call to a Profiler and counts the handler
+/// hooks, so a test sees which dispatch path the selector took for it.
+class HookCounter final : public actor::ActorObserver {
+ public:
+  explicit HookCounter(prof::Profiler& inner) : inner_(inner) {
+    actor::set_actor_observer(this);
+  }
+  ~HookCounter() override { actor::set_actor_observer(&inner_); }
+  HookCounter(const HookCounter&) = delete;
+  HookCounter& operator=(const HookCounter&) = delete;
+
+  std::uint64_t handler_begins = 0, handler_ends = 0;
+  std::uint64_t batch_begins = 0, batch_closes = 0, batch_msgs = 0;
+  /// Closes without an open batch, or begins inside an open one.
+  std::uint64_t unbalanced = 0;
+
+  void on_send(int mb, int dst, std::size_t bytes, std::uint64_t f) override {
+    inner_.on_send(mb, dst, bytes, f);
+  }
+  void on_handler_begin(int mb, int src, std::size_t bytes,
+                        std::uint64_t f) override {
+    ++handler_begins;
+    inner_.on_handler_begin(mb, src, bytes, f);
+  }
+  void on_handler_end(int mb) override {
+    ++handler_ends;
+    inner_.on_handler_end(mb);
+  }
+  void on_comm_begin() override { inner_.on_comm_begin(); }
+  void on_comm_end() override { inner_.on_comm_end(); }
+  [[nodiscard]] bool wants_per_message_events() const override {
+    return inner_.wants_per_message_events();
+  }
+  void on_handler_batch_begin(int mb) override {
+    ++batch_begins;
+    // The handlers under test never send, so they never yield to another
+    // PE mid-batch: one flag covers every PE of the fiber backend.
+    if (open_) ++unbalanced;
+    open_ = true;
+    inner_.on_handler_batch_begin(mb);
+  }
+  void on_handler_batch(int mb, std::size_t count,
+                        std::size_t bytes) override {
+    ++batch_closes;
+    batch_msgs += count;
+    if (!open_) ++unbalanced;
+    open_ = false;
+    inner_.on_handler_batch(mb, count, bytes);
+  }
+  void on_actor_misuse(const char* what) override {
+    inner_.on_actor_misuse(what);
+  }
+  [[nodiscard]] bool wants_flow_ids() const override {
+    return inner_.wants_flow_ids();
+  }
+
+ private:
+  prof::Profiler& inner_;
+  bool open_ = false;
+};
+
+/// The decorator counts with plain fields and one open-batch flag, so the
+/// profiled runs below pin the single-threaded fiber backend.
+LaunchConfig fiber_cfg_of(int pes, int ppn = 0) {
+  LaunchConfig cfg = cfg_of(pes, ppn);
+  cfg.backend = ap::rt::Backend::fiber;
+  return cfg;
+}
+
+/// Every trace kind off; the caller turns on what it wants.
+prof::Config kinds_off() {
+  prof::Config c;
+  c.logical = c.papi = c.overall = c.physical = c.supersteps = false;
+  c.timeline = c.metrics = c.check = false;
+  return c;
+}
+
+/// Messages 4 PEs handle in run_profiled().
+constexpr std::uint64_t kProfiledMsgs = 4 * 300;
+
+/// A profiled all-to-all run on 4 PEs; returns how many messages the
+/// selectors handled.
+std::uint64_t run_profiled(prof::Profiler& profiler) {
+  std::vector<std::uint64_t> handled(4, 0);
+  shmem::run(fiber_cfg_of(4, 2), [&] {
+    actor::Actor<std::int64_t> a;
+    a.mb[0].process = [](std::int64_t, int) {};
+    profiler.epoch_begin();
+    ap::hclib::finish([&] {
+      a.start();
+      for (int i = 0; i < 300; ++i) a.send(i, (shmem::my_pe() + i) % 4);
+      a.done(0);
+    });
+    profiler.epoch_end();
+    handled[static_cast<std::size_t>(shmem::my_pe())] = a.handled(0);
+  });
+  return std::accumulate(handled.begin(), handled.end(), std::uint64_t{0});
+}
+
+/// Per-PE values of one metric, read from the Prometheus exposition.
+std::map<std::string, std::string> metric_by_pe(const prof::Profiler& p,
+                                                const std::string& name) {
+  std::stringstream ss;
+  p.write_metrics_prometheus(ss);
+  std::map<std::string, std::string> out;
+  std::string line;
+  while (std::getline(ss, line)) {
+    if (line.rfind(name + "{", 0) != 0) continue;
+    const std::size_t sp = line.rfind(' ');
+    out[line.substr(0, sp)] = line.substr(sp + 1);
+  }
+  return out;
+}
+
+TEST(ProfilerPath, CountOnlyConfigsTakeTheBatchDrainPath) {
+  std::vector<prof::Config> configs(6, kinds_off());
+  configs[0].overall = true;
+  configs[1].overall = configs[1].supersteps = configs[1].logical =
+      configs[1].physical = true;
+  configs[2].supersteps = true;
+  configs[3].metrics = true;
+  configs[4].check = true;
+  // configs[5]: every kind off.
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE("config " + std::to_string(i));
+    prof::Profiler profiler(configs[i]);
+    ASSERT_FALSE(profiler.wants_per_message_events());
+    HookCounter hooks(profiler);
+    const std::uint64_t handled = run_profiled(profiler);
+    EXPECT_EQ(handled, kProfiledMsgs);
+    EXPECT_EQ(hooks.handler_begins, 0u);
+    EXPECT_EQ(hooks.handler_ends, 0u);
+    EXPECT_GT(hooks.batch_begins, 0u);
+    EXPECT_EQ(hooks.batch_begins, hooks.batch_closes);
+    EXPECT_EQ(hooks.unbalanced, 0u);
+    EXPECT_EQ(hooks.batch_msgs, handled);
+  }
+}
+
+TEST(ProfilerPath, PapiAndTimelineKeepPerMessageHooks) {
+  std::vector<prof::Config> configs(2, kinds_off());
+  configs[0].papi = true;
+  configs[1].timeline = true;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE("config " + std::to_string(i));
+    prof::Profiler profiler(configs[i]);
+    ASSERT_TRUE(profiler.wants_per_message_events());
+    HookCounter hooks(profiler);
+    const std::uint64_t handled = run_profiled(profiler);
+    EXPECT_EQ(handled, kProfiledMsgs);
+    EXPECT_EQ(hooks.handler_begins, handled);
+    EXPECT_EQ(hooks.handler_ends, handled);
+    EXPECT_EQ(hooks.batch_begins, 0u);
+    EXPECT_EQ(hooks.batch_closes, 0u);
+  }
+}
+
+TEST(ProfilerPath, MetricsCountHandlersAlikeOnBothPaths) {
+  prof::Config batch = kinds_off();
+  batch.metrics = true;
+  prof::Config per_message = batch;
+  per_message.papi = true;
+  prof::Profiler on_batch(batch);
+  ASSERT_FALSE(on_batch.wants_per_message_events());
+  run_profiled(on_batch);
+  const auto handlers =
+      metric_by_pe(on_batch, "actorprof_actor_handlers_total");
+  const auto depth = metric_by_pe(on_batch, "actorprof_actor_queue_depth");
+  prof::Profiler on_each(per_message);
+  ASSERT_TRUE(on_each.wants_per_message_events());
+  run_profiled(on_each);
+  ASSERT_EQ(handlers.size(), 4u);
+  std::uint64_t total = 0;
+  for (const auto& [series, v] : handlers) total += std::stoull(v);
+  EXPECT_EQ(total, kProfiledMsgs);
+  EXPECT_EQ(handlers,
+            metric_by_pe(on_each, "actorprof_actor_handlers_total"));
+  ASSERT_EQ(depth.size(), 4u);
+  for (const auto& [series, v] : depth) EXPECT_EQ(v, "0") << series;
+  EXPECT_EQ(depth, metric_by_pe(on_each, "actorprof_actor_queue_depth"));
+}
+
+/// One PE sends itself ten messages; the handler throws on message 5, the
+/// caller catches it, then MAIN does a fixed amount of work before the
+/// epoch ends. Returns PE 0's overall record and superstep records.
+struct ThrowRun {
+  prof::OverallRecord overall;
+  std::vector<prof::SuperstepRecord> steps;
+  std::uint64_t handled = 0;
+  int handler_calls = 0;
+};
+
+ThrowRun run_throwing_handler(prof::Profiler& profiler) {
+  ThrowRun out;
+  shmem::run(fiber_cfg_of(1), [&] {
+    actor::Actor<std::int64_t> a;
+    a.mb[0].process = [&out](std::int64_t v, int) {
+      ++out.handler_calls;
+      ap::papi::account_loop_iters(50);
+      if (v == 5) throw std::runtime_error("handler failed");
+    };
+    profiler.epoch_begin();
+    EXPECT_THROW(ap::hclib::finish([&] {
+                   a.start();
+                   for (int i = 0; i < 10; ++i) a.send(i, 0);
+                   a.done(0);
+                 }),
+                 std::runtime_error);
+    ap::papi::account_loop_iters(1000);  // MAIN work after the catch
+    EXPECT_NO_THROW(profiler.epoch_end());
+    out.handled = a.handled(0);
+  });
+  out.overall = profiler.overall().at(0);
+  out.steps = profiler.supersteps(0);
+  return out;
+}
+
+TEST(ProfilerPath, HandlerThrowClosesTheBatchLikeThePerMessagePath) {
+  prof::Config batch = kinds_off();
+  batch.overall = batch.supersteps = true;
+  // PAPI, not the timeline: timeline flow ids widen the wire records and
+  // with them the modelled COMM cost.
+  prof::Config per_message = batch;
+  per_message.papi = true;
+
+  prof::Profiler on_batch(batch);
+  ThrowRun b;
+  {
+    HookCounter hooks(on_batch);
+    b = run_throwing_handler(on_batch);
+    EXPECT_EQ(hooks.handler_begins, 0u);
+    EXPECT_EQ(hooks.batch_begins, hooks.batch_closes);
+    EXPECT_EQ(hooks.unbalanced, 0u);
+    // The handler that threw is counted as entered.
+    EXPECT_EQ(hooks.batch_msgs, 6u);
+  }
+  EXPECT_EQ(b.handler_calls, 6);
+  EXPECT_EQ(b.handled, 5u);
+
+  // MAIN/PROC/COMM partition: the step buckets sum to the epoch total.
+  std::uint64_t main = 0, proc = 0, comm = 0, msgs = 0;
+  for (const prof::SuperstepRecord& s : b.steps) {
+    main += s.t_main;
+    proc += s.t_proc;
+    comm += s.t_comm;
+    msgs += s.msgs_handled;
+  }
+  EXPECT_EQ(main, b.overall.t_main);
+  EXPECT_EQ(proc, b.overall.t_proc);
+  EXPECT_EQ(main + proc + comm, b.overall.t_total);
+  EXPECT_GT(proc, 0u);
+  EXPECT_EQ(msgs, 6u);
+
+  // The per-message path charges the same cycles to the same regions.
+  prof::Profiler on_each(per_message);
+  ASSERT_TRUE(on_each.wants_per_message_events());
+  const ThrowRun e = run_throwing_handler(on_each);
+  EXPECT_EQ(e.overall.t_main, b.overall.t_main);
+  EXPECT_EQ(e.overall.t_proc, b.overall.t_proc);
+  EXPECT_EQ(e.overall.t_total, b.overall.t_total);
+}
+
+/// A decorator that forwards on_handler_batch but not the begin hook (as
+/// perfbench's seams do) must leave the profiler consistent.
+TEST(ProfilerPath, BatchCloseWithoutBeginIsHarmless) {
+  prof::Config c = kinds_off();
+  c.overall = true;
+  prof::Profiler profiler(c);
+  struct CloseOnly final : actor::ActorObserver {
+    prof::Profiler& p;
+    explicit CloseOnly(prof::Profiler& inner) : p(inner) {
+      actor::set_actor_observer(this);
+    }
+    ~CloseOnly() override { actor::set_actor_observer(&p); }
+    void on_send(int mb, int d, std::size_t b, std::uint64_t f) override {
+      p.on_send(mb, d, b, f);
+    }
+    void on_handler_begin(int, int, std::size_t, std::uint64_t) override {}
+    void on_handler_end(int) override {}
+    void on_comm_begin() override { p.on_comm_begin(); }
+    void on_comm_end() override { p.on_comm_end(); }
+    [[nodiscard]] bool wants_per_message_events() const override {
+      return p.wants_per_message_events();
+    }
+    void on_handler_batch(int mb, std::size_t n, std::size_t b) override {
+      p.on_handler_batch(mb, n, b);
+    }
+  };
+  {
+    CloseOnly seam(profiler);
+    EXPECT_NO_THROW(run_profiled(profiler));
+  }
+  for (const prof::OverallRecord& r : profiler.overall()) {
+    EXPECT_EQ(r.t_proc, 0u) << "PE " << r.pe;
+    EXPECT_LE(r.t_main + r.t_proc, r.t_total) << "PE " << r.pe;
+    EXPECT_GT(r.t_comm(), 0u) << "PE " << r.pe;
+  }
 }
 
 // ------------------------------------------------------------ sweeps

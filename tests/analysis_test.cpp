@@ -20,6 +20,7 @@
 #include "core/profiler.hpp"
 #include "core/trace_io.hpp"
 #include "shmem/shmem.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -222,7 +223,8 @@ void run_histogram_traced(const fs::path& dir, std::size_t updates) {
 }
 
 TEST(AnalysisPipeline, StepComponentsSumToTheOverallProfile) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "an_pipeline";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "an_pipeline";
   run_histogram_traced(dir, 2000);
   const auto t = prof::io::load_trace_dir(dir, kPes);
   ASSERT_EQ(t.steps.size(), static_cast<std::size_t>(kPes));
@@ -248,8 +250,9 @@ TEST(AnalysisPipeline, StepComponentsSumToTheOverallProfile) {
 }
 
 TEST(AnalysisPipeline, SameSeedGivesByteIdenticalAnalysisJson) {
-  const fs::path da = fs::path(::testing::TempDir()) / "an_det_a";
-  const fs::path db = fs::path(::testing::TempDir()) / "an_det_b";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path da = tmp / "an_det_a";
+  const fs::path db = tmp / "an_det_b";
   run_histogram_traced(da, 2000);
   run_histogram_traced(db, 2000);
   std::ostringstream ja, jb;
@@ -277,9 +280,10 @@ std::string slurp(const fs::path& p) {
 }
 
 TEST(AnalysisCli, AnalyzeReportsAndJsonSucceed) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "an_cli";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "an_cli";
   run_histogram_traced(dir, 2000);
-  const fs::path out = fs::path(::testing::TempDir()) / "an_cli_out.txt";
+  const fs::path out = tmp / "an_cli_out.txt";
 
   // PE count comes from the MANIFEST — no --num-pes needed.
   ASSERT_EQ(run_cli("analyze " + dir.string(), out), 0) << slurp(out);
@@ -292,11 +296,12 @@ TEST(AnalysisCli, AnalyzeReportsAndJsonSucceed) {
 }
 
 TEST(AnalysisCli, DiffExitCodesGateOnThreshold) {
-  const fs::path a = fs::path(::testing::TempDir()) / "an_cli_diff_a";
-  const fs::path b = fs::path(::testing::TempDir()) / "an_cli_diff_b";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path a = tmp / "an_cli_diff_a";
+  const fs::path b = tmp / "an_cli_diff_b";
   run_histogram_traced(a, 2000);
   run_histogram_traced(b, 8000);  // ~4x the virtual work: a clear regression
-  const fs::path out = fs::path(::testing::TempDir()) / "an_cli_diff.txt";
+  const fs::path out = tmp / "an_cli_diff.txt";
 
   // A run diffed against itself is clean.
   ASSERT_EQ(run_cli("diff " + a.string() + " " + a.string(), out), 0)

@@ -30,6 +30,7 @@
 #include "graph/rmat.hpp"
 #include "runtime/backend.hpp"
 #include "shmem/shmem.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -136,8 +137,9 @@ void run_histogram_traced(rt::Backend backend, const fs::path& dir) {
 }
 
 TEST(BackendEquivalence, TraceLogicalStructureMatches) {
-  const fs::path df = fs::path(::testing::TempDir()) / "be_fiber";
-  const fs::path dt = fs::path(::testing::TempDir()) / "be_threads";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path df = tmp / "be_fiber";
+  const fs::path dt = tmp / "be_threads";
   run_histogram_traced(rt::Backend::fiber, df);
   run_histogram_traced(rt::Backend::threads, dt);
   const auto tf = prof::io::load_trace_dir(df, kPes);

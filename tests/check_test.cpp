@@ -27,6 +27,7 @@
 #include "graph/rmat.hpp"
 #include "runtime/scheduler.hpp"
 #include "shmem/shmem.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -538,8 +539,9 @@ int exit_code(int system_rc) {
 }
 
 TEST(CheckCli, CleanTraceExitsZeroViolatingExitsFour) {
-  const fs::path clean_dir = fs::path(::testing::TempDir()) / "check_clean";
-  const fs::path bad_dir = fs::path(::testing::TempDir()) / "check_bad";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path clean_dir = tmp / "check_clean";
+  const fs::path bad_dir = tmp / "check_bad";
   fs::remove_all(clean_dir);
   fs::remove_all(bad_dir);
 
@@ -568,7 +570,7 @@ TEST(CheckCli, CleanTraceExitsZeroViolatingExitsFour) {
     prof.write_traces();
   }
 
-  const fs::path out = fs::path(::testing::TempDir()) / "check_cli_out.txt";
+  const fs::path out = tmp / "check_cli_out.txt";
   EXPECT_EQ(exit_code(run_cli("check " + clean_dir.string(), out)), 0)
       << slurp(out);
   EXPECT_NE(slurp(out).find("no BSP conformance violations"),
@@ -587,7 +589,7 @@ TEST(CheckCli, CleanTraceExitsZeroViolatingExitsFour) {
       << json;
 
   // A directory that was never checked is an error, not a clean pass.
-  const fs::path empty_dir = fs::path(::testing::TempDir()) / "check_none";
+  const fs::path empty_dir = tmp / "check_none";
   fs::create_directories(empty_dir);
   EXPECT_EQ(exit_code(run_cli("check " + empty_dir.string(), out)), 1);
   EXPECT_NE(slurp(out).find("ACTORPROF_CHECK"), std::string::npos)
@@ -598,7 +600,8 @@ TEST(CheckCli, CleanTraceExitsZeroViolatingExitsFour) {
 // ---------------------------------------------- trace round trip (loader)
 
 TEST(CheckTrace, LoadDistinguishesCleanFromUnchecked) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "check_load";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "check_load";
   fs::remove_all(dir);
   prof::Config cfg = check_config();
   cfg.trace_dir = dir;
@@ -612,7 +615,7 @@ TEST(CheckTrace, LoadDistinguishesCleanFromUnchecked) {
   EXPECT_TRUE(t.check.empty());
   EXPECT_EQ(t.check_dropped, 0u);
 
-  const fs::path plain = fs::path(::testing::TempDir()) / "check_load_off";
+  const fs::path plain = tmp / "check_load_off";
   fs::remove_all(plain);
   prof::Config off;
   off.overall = true;

@@ -17,6 +17,7 @@
 #include "graph/rmat.hpp"
 #include "papi/papi.hpp"
 #include "shmem/shmem.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -511,7 +512,8 @@ TEST(TraceIo, MalformedInputThrowsWithLineNumber) {
 // assumption would misattribute shards. Sparse 1005-PE fixture: only a
 // handful of shards exist, each carrying a destination that names its PE.
 TEST(TraceIo, FourDigitShardNamesMapToTheRightPes) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "actorprof_4digit";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "actorprof_4digit";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto write_shard = [&](int pe, int dst) {
@@ -551,8 +553,8 @@ TEST(TraceIo, FourDigitShardNamesMapToTheRightPes) {
 }
 
 TEST(TraceIo, FullDirectoryRoundTrip) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "actorprof_trace_roundtrip";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "actorprof_trace_roundtrip";
   fs::remove_all(dir);
   Config c = Config::all_enabled();
   c.trace_dir = dir;
@@ -602,7 +604,8 @@ void tiny_profiled_run() {
 }
 
 TEST(TraceIoCrashSafe, UnwritableTraceDirThrowsNamedError) {
-  const fs::path blocker = fs::path(::testing::TempDir()) / "ts_blocker";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path blocker = tmp / "ts_blocker";
   fs::remove_all(blocker);
   { std::ofstream(blocker) << "not a directory"; }
   Config c = Config::all_enabled();
@@ -621,7 +624,8 @@ TEST(TraceIoCrashSafe, UnwritableTraceDirThrowsNamedError) {
 }
 
 TEST(TraceIoCrashSafe, PerFileFailuresAreAggregatedIntoOneError) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "ts_aggfail";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "ts_aggfail";
   fs::remove_all(dir);
   fs::create_directories(dir);
   // A directory squatting on the .tmp name makes that one file unwritable;
@@ -647,7 +651,8 @@ TEST(TraceIoCrashSafe, PerFileFailuresAreAggregatedIntoOneError) {
 }
 
 TEST(TraceIoCrashSafe, ManifestRoundTripAndChecksums) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "ts_manifest";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "ts_manifest";
   fs::remove_all(dir);
   Config c = Config::all_enabled();
   c.trace_dir = dir;
@@ -676,7 +681,8 @@ TEST(TraceIoCrashSafe, ManifestRoundTripAndChecksums) {
 }
 
 TEST(TraceIoCrashSafe, TolerantLoadKeepsPrefixOfTruncatedFile) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "ts_truncated";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "ts_truncated";
   fs::remove_all(dir);
   fs::create_directories(dir);
   {
@@ -705,7 +711,8 @@ TEST(TraceIoCrashSafe, TolerantLoadKeepsPrefixOfTruncatedFile) {
 }
 
 TEST(TraceIoCrashSafe, TolerantLoadFlagsChecksumMismatchAndMissingFiles) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "ts_chksum";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "ts_chksum";
   fs::remove_all(dir);
   Config c = Config::all_enabled();
   c.trace_dir = dir;

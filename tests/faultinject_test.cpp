@@ -20,6 +20,7 @@
 #include "graph/rmat.hpp"
 #include "shmem/shmem.hpp"
 #include "viz/render.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -168,7 +169,8 @@ TEST(FaultInject, QuietChaosTriangleStillExact) {
 // ------------------------------------------------------------------ kill
 
 TEST(FaultInject, KillAtBarrierIsContainedAndSurvivorsFinish) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "fi_kill_trace";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "fi_kill_trace";
   fs::remove_all(dir);
 
   prof::Config pc = prof::Config::all_enabled();

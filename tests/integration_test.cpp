@@ -15,6 +15,7 @@
 #include "graph/rmat.hpp"
 #include "shmem/shmem.hpp"
 #include "viz/render.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -68,7 +69,8 @@ PipelineResult run_pipeline(const fs::path& dir, graph::DistKind kind) {
 }
 
 TEST(Integration, TraceFilesRoundTripAndValidate) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "integration_cyclic";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "integration_cyclic";
   const auto r = run_pipeline(dir, graph::DistKind::Cyclic1D);
   EXPECT_EQ(r.triangles, r.expected);
 
@@ -92,7 +94,8 @@ TEST(Integration, TraceFilesRoundTripAndValidate) {
 }
 
 TEST(Integration, RangeTraceShowsLObservationOnDisk) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "integration_range";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "integration_range";
   const auto r = run_pipeline(dir, graph::DistKind::Range1D);
   EXPECT_EQ(r.triangles, r.expected);
   const auto t = prof::io::load_trace_dir(dir, kPes);
@@ -120,12 +123,13 @@ std::string slurp(const fs::path& p) {
 }
 
 TEST(Integration, CliRendersAllPlotKinds) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "integration_cli";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "integration_cli";
   const auto r = run_pipeline(dir, graph::DistKind::Cyclic1D);
   ASSERT_EQ(r.triangles, r.expected);
 
-  const fs::path out = fs::path(::testing::TempDir()) / "cli_out.txt";
-  const fs::path svg_prefix = fs::path(::testing::TempDir()) / "cli_svg";
+  const fs::path out = tmp / "cli_out.txt";
+  const fs::path svg_prefix = tmp / "cli_svg";
   const int rc = run_cli("-l -lp -s -p --violin --svg " +
                              svg_prefix.string() + " --num-pes " +
                              std::to_string(kPes) + " " + dir.string(),
@@ -143,10 +147,11 @@ TEST(Integration, CliRendersAllPlotKinds) {
 }
 
 TEST(Integration, CliAdvisorAndByNodeViews) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "integration_advise";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "integration_advise";
   const auto r = run_pipeline(dir, graph::DistKind::Cyclic1D);
   ASSERT_EQ(r.triangles, r.expected);
-  const fs::path out = fs::path(::testing::TempDir()) / "cli_advise.txt";
+  const fs::path out = tmp / "cli_advise.txt";
   const int rc = run_cli("--advise -p --by-node --ppn " +
                              std::to_string(kPpn) + " --num-pes " +
                              std::to_string(kPes) + " " + dir.string(),
@@ -162,14 +167,16 @@ TEST(Integration, CliAdvisorAndByNodeViews) {
 }
 
 TEST(Integration, CliUsageErrors) {
-  const fs::path out = fs::path(::testing::TempDir()) / "cli_err.txt";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path out = tmp / "cli_err.txt";
   EXPECT_NE(run_cli("", out), 0);                       // no flags
   EXPECT_NE(run_cli("-l /nonexistent", out), 0);        // missing num-pes
   EXPECT_NE(run_cli("--bogus -l --num-pes 4 x", out), 0);  // unknown flag
 }
 
 TEST(Integration, CliToleratesTruncatedTraceFiles) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "integration_partial";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "integration_partial";
   const auto r = run_pipeline(dir, graph::DistKind::Cyclic1D);
   ASSERT_EQ(r.triangles, r.expected);
 
@@ -178,7 +185,7 @@ TEST(Integration, CliToleratesTruncatedTraceFiles) {
   const fs::path victim = dir / "PE0_send.csv";
   fs::resize_file(victim, fs::file_size(victim) - 7);
 
-  const fs::path out = fs::path(::testing::TempDir()) / "cli_partial.txt";
+  const fs::path out = tmp / "cli_partial.txt";
   // Without --tolerate-partial the damage is reported and the exit code is
   // nonzero...
   EXPECT_NE(run_cli("-l -s --num-pes " + std::to_string(kPes) + " " +
@@ -204,7 +211,8 @@ TEST(Integration, CliToleratesTruncatedTraceFiles) {
 #endif
 
 TEST(Integration, HeatmapRenderOfRealTraceIsStable) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "integration_render";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "integration_render";
   const auto r1 = run_pipeline(dir, graph::DistKind::Cyclic1D);
   const std::string a = viz::render_heatmap(r1.logical);
   const auto r2 = run_pipeline(dir, graph::DistKind::Cyclic1D);

@@ -24,6 +24,7 @@
 #include "metrics/self_overhead.hpp"
 #include "runtime/finish.hpp"
 #include "shmem/shmem.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -555,8 +556,9 @@ TEST(LiveMetrics, JsonExpositionIsValid) {
 }
 
 TEST(LiveMetrics, WriteMetricsProducesFiles) {
+  const ap::testutil::TestTmpDir tmp;
   prof::Config c = metrics_config();
-  c.trace_dir = fs::path(::testing::TempDir()) / "metrics_out";
+  c.trace_dir = tmp / "metrics_out";
   fs::remove_all(c.trace_dir);
   prof::Profiler profiler(c);
   run_workload(profiler, 2, 2, 50);
@@ -570,9 +572,10 @@ TEST(LiveMetrics, WriteMetricsProducesFiles) {
 }
 
 TEST(LiveMetrics, OverallTxtGainsSelfOverheadLines) {
+  const ap::testutil::TestTmpDir tmp;
   prof::Config c = metrics_config();
   c.overall = true;
-  c.trace_dir = fs::path(::testing::TempDir()) / "overhead_out";
+  c.trace_dir = tmp / "overhead_out";
   fs::remove_all(c.trace_dir);
   prof::Profiler profiler(c);
   run_workload(profiler, 2, 2, 50);
@@ -588,9 +591,10 @@ TEST(LiveMetrics, OverallTxtGainsSelfOverheadLines) {
 }
 
 TEST(LiveMetrics, OverallTxtCleanWithoutMetrics) {
+  const ap::testutil::TestTmpDir tmp;
   prof::Config c;
   c.overall = true;
-  c.trace_dir = fs::path(::testing::TempDir()) / "no_overhead_out";
+  c.trace_dir = tmp / "no_overhead_out";
   fs::remove_all(c.trace_dir);
   prof::Profiler profiler(c);
   run_workload(profiler, 2, 2, 50);

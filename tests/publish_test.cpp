@@ -32,6 +32,7 @@
 #include "serve/registry.hpp"
 #include "serve/service.hpp"
 #include "shmem/shmem.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -142,7 +143,8 @@ class LiveTap {
 };
 
 void run_publish_roundtrip(ap::rt::Backend backend, const std::string& tag) {
-  const fs::path dir = fs::path(::testing::TempDir()) / ("publish_" + tag);
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / ("publish_" + tag);
   fs::remove_all(dir);
 
   ServiceRegistry reg({});  // no watched dir: pure push daemon
@@ -271,7 +273,8 @@ TEST(Publish, UnreachableCollectorNeverBlocksTheRun) {
     ::close(fd);
   }
 
-  const fs::path dir = fs::path(::testing::TempDir()) / "publish_dead";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "publish_dead";
   fs::remove_all(dir);
   ap::graph::RmatParams gp;
   gp.scale = 6;

@@ -26,6 +26,7 @@
 #include "shmem/shmem.hpp"
 #include "viz/heatmap_json.hpp"
 #include "viz/render.hpp"
+#include "test_tmpdir.hpp"
 
 ACTORPROF_ALLOC_PROBE_DEFINE()
 
@@ -52,7 +53,8 @@ constexpr int kPes = 1024;
 constexpr std::size_t kUpdatesPerPe = 128;
 
 TEST(ScaleSmoke, ThousandPeFleetEndToEnd) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "scale_smoke_trace";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "scale_smoke_trace";
   fs::remove_all(dir);
 
   prof::Config pc = prof::Config::all_enabled();

@@ -35,6 +35,7 @@
 #include "serve/service.hpp"
 #include "shmem/shmem.hpp"
 #include "viz/heatmap_json.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -49,11 +50,11 @@ constexpr int kPes = 4;
 /// One profiled triangle run written in the binary trace format (with the
 /// conformance checker on, so /check has a report to serve).
 const fs::path& served_dir() {
+  // Unique per process: ctest -j runs each TEST as its own process, and
+  // several of them rebuild this fixture — a shared path would race.
+  static const ap::testutil::TestTmpDir fixture_tmp("serve_trace");
   static const fs::path dir = [] {
-    // Unique per process: ctest -j runs each TEST as its own process, and
-    // several of them rebuild this fixture — a shared path would race.
-    const fs::path d = fs::path(::testing::TempDir()) /
-                       ("serve_trace_" + std::to_string(::getpid()));
+    const fs::path d = fixture_tmp / "trace";
     fs::remove_all(d);
     ap::graph::RmatParams gp;
     gp.scale = 7;
@@ -355,7 +356,8 @@ TEST(Serve, RetentionEvictsOldestPushRun) {
 // picked up: the file signature includes a content hash of the first/last
 // bytes, not just size+mtime.
 TEST(Serve, RefreshSeesSameSizeSameMtimeRewrite) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "serve_samesize";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "serve_samesize";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string shard = io::binary_file_name(io::logical_file_name(0));
@@ -386,10 +388,11 @@ TEST(Serve, RefreshSeesSameSizeSameMtimeRewrite) {
 }
 
 TEST(Serve, MidRunPartialDirServesTolerantAnalysis) {
+  const ap::testutil::TestTmpDir tmp;
   // A dir with only some shards flushed and no MANIFEST yet — what a
   // watcher sees mid-run. With --num-pes the service answers from the
   // tolerant partial load, byte-identical to the CLI on the same dir.
-  const fs::path dir = fs::path(::testing::TempDir()) / "serve_partial";
+  const fs::path dir = tmp / "serve_partial";
   fs::remove_all(dir);
   fs::create_directories(dir);
   for (int pe = 0; pe < kPes; ++pe)
@@ -413,7 +416,8 @@ TEST(Serve, MidRunPartialDirServesTolerantAnalysis) {
 }
 
 TEST(Serve, RefreshIngestsShardsIncrementally) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "serve_incremental";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "serve_incremental";
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -465,7 +469,8 @@ TEST(Serve, RefreshIngestsShardsIncrementally) {
 // where PE1000 lands before PE2. A grown PE1000 shard must re-ingest into
 // logical[1000], not whatever slot a lexicographic walk would assign.
 TEST(Serve, RefreshMapsFourDigitShardsToTheRightPes) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "serve_4digit";
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "serve_4digit";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto write_shard = [&](int pe, std::vector<ap::prof::LogicalSendRecord> rows) {

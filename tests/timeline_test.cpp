@@ -11,6 +11,7 @@
 #include "core/profiler.hpp"
 #include "runtime/finish.hpp"
 #include "shmem/shmem.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -168,12 +169,12 @@ TEST(ChromeTrace, ProducesValidJsonStructure) {
 }
 
 TEST(ChromeTrace, WriteFileCreatesParents) {
+  const ap::testutil::TestTmpDir tmp;
   prof::Config c = prof::Config::all_enabled();
   c.timeline = true;
   prof::Profiler profiler(c);
   run_workload(profiler, 2, 2, 5);
-  const fs::path p =
-      fs::path(::testing::TempDir()) / "chrome_out" / "trace.json";
+  const fs::path p = tmp / "chrome_out" / "trace.json";
   fs::remove_all(p.parent_path());
   prof::write_chrome_trace_file(p, profiler);
   ASSERT_TRUE(fs::exists(p));

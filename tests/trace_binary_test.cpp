@@ -25,6 +25,7 @@
 #include "metrics/sampler.hpp"
 #include "shmem/shmem.hpp"
 #include "viz/heatmap_json.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -339,12 +340,14 @@ struct TwoFormatDirs {
   fs::path bin_dir;
 };
 
-/// One profiled triangle run, written once as CSV and once as binary.
+/// One profiled triangle run, written once as CSV and once as binary. The
+/// first test that needs it builds it; it lives until the process exits.
 const TwoFormatDirs& triangle_dirs() {
+  static const ap::testutil::TestTmpDir fixture_tmp("trace_binary_fixture");
   static const TwoFormatDirs dirs = [] {
     TwoFormatDirs d;
-    d.csv_dir = fs::path(::testing::TempDir()) / "trace_binary_csv";
-    d.bin_dir = fs::path(::testing::TempDir()) / "trace_binary_bin";
+    d.csv_dir = fixture_tmp / "trace_binary_csv";
+    d.bin_dir = fixture_tmp / "trace_binary_bin";
     fs::remove_all(d.csv_dir);
     fs::remove_all(d.bin_dir);
 
@@ -423,8 +426,9 @@ TEST(TraceBinaryDir, BothFormatsAnalyzeToIdenticalBytes) {
 }
 
 TEST(TraceBinaryDir, TruncatedShardIsToleratedWithIssue) {
+  const ap::testutil::TestTmpDir tmp;
   const auto& d = triangle_dirs();
-  const fs::path dir = fs::path(::testing::TempDir()) / "trace_binary_trunc";
+  const fs::path dir = tmp / "trace_binary_trunc";
   fs::remove_all(dir);
   fs::copy(d.bin_dir, dir);
 
@@ -540,11 +544,12 @@ TEST(TraceCompress, CompressedMutationsRejectedWithAttribution) {
 }
 
 TEST(TraceCompress, WriteAllWithCompressionLoadsIdentically) {
+  const ap::testutil::TestTmpDir tmp;
   // A full profiled run written twice — plain and with
   // Config::trace_compress — must load to identical records, and the
   // compressed shards must carry the version-2 container.
-  const fs::path plain = fs::path(::testing::TempDir()) / "compress_off";
-  const fs::path comp = fs::path(::testing::TempDir()) / "compress_on";
+  const fs::path plain = tmp / "compress_off";
+  const fs::path comp = tmp / "compress_on";
   for (const auto& dir : {plain, comp}) fs::remove_all(dir);
   const auto run_once = [&](const fs::path& dir, bool compress) {
     ap::graph::RmatParams gp;

@@ -9,6 +9,7 @@
 #include "core/records.hpp"
 #include "viz/render.hpp"
 #include "viz/svg.hpp"
+#include "test_tmpdir.hpp"
 
 namespace {
 
@@ -148,8 +149,9 @@ TEST(Svg, BarsAndStackedAndViolin) {
 }
 
 TEST(Svg, WriteFileCreatesParents) {
+  const ap::testutil::TestTmpDir tmp;
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path(::testing::TempDir()) / "svg_out" / "deep";
+  const fs::path dir = tmp / "svg_out" / "deep";
   fs::remove_all(dir.parent_path());
   const fs::path file = dir / "plot.svg";
   viz::write_svg_file(file.string(), viz::svg_bars({"a"}, {1}, "t"));

@@ -15,8 +15,12 @@
 #   4. Apps and examples never install observers themselves
 #      (set_rma_observer & co. belong to the Profiler and tests).
 #   5. The selector must report handler batches via on_handler_batch —
-#      the observer batch-accounting API the metrics layer depends on.
-#   6. clang-tidy over the check/runtime/shmem sources when installed
+#      the observer batch-accounting API the profiler's count-only modes
+#      and the metrics layer depend on.
+#   6. Tests never join a path straight onto ::testing::TempDir(): ctest -j
+#      runs every case as its own process, and a fixed name is shared by
+#      all of them. Scratch paths come from tests/test_tmpdir.hpp.
+#   7. clang-tidy over the check/runtime/shmem sources when installed
 #      (.clang-tidy at the repo root); skipped with a note otherwise.
 set -uo pipefail
 
@@ -70,13 +74,21 @@ if ! grep -q 'on_handler_batch' src/actor/selector.hpp; then
     "src/actor/selector.hpp"
 fi
 
+# Rule 6: per-test scratch directories only.
+hits=$(grep -rnE 'TempDir\(\)\)?[[:space:]]*/' tests --include='*.cpp' \
+  --include='*.hpp' | grep -v '^tests/test_tmpdir.hpp:' || true)
+if [ -n "${hits}" ]; then
+  violation "fixed path under ::testing::TempDir() in a test (rule 6)" \
+    "${hits}"
+fi
+
 if [ "${fail}" -ne 0 ]; then
   echo "lint: FAILED" >&2
   exit 1
 fi
 echo "lint: grep rules OK"
 
-# Rule 6: clang-tidy (optional — absent from minimal containers).
+# Rule 7: clang-tidy (optional — absent from minimal containers).
 if command -v clang-tidy >/dev/null 2>&1; then
   tidy_files=(src/check/*.cpp src/runtime/*.cpp src/shmem/*.cpp
               src/conveyor/*.cpp src/core/config.cpp)
