@@ -3,7 +3,7 @@
 // records of a real FA-BSP run — the scaling_triangle workload with every
 // record kind enabled. tools/bench.sh --check gates on the committed
 // BENCH_trace.json: the binary format must stay >= 5x smaller than CSV
-// and decode at least as fast (docs/TRACE_FORMAT.md).
+// and decode at least 4x as fast (docs/TRACE_FORMAT.md).
 //
 // Sections (items = trace rows across all kinds and PEs):
 //   csv_write / csv_read — Sink emission / istream parsing

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <map>
 #include <stdexcept>
-#include <utility>
+#include <type_traits>
 
 #include "metrics/sampler.hpp"
 
@@ -138,23 +138,6 @@ std::string encode_numeric(const std::vector<std::uint64_t>& v) {
   return out;
 }
 
-void decode_numeric(Cursor c, std::uint64_t nrows,
-                    std::vector<std::uint64_t>& out) {
-  out.clear();
-  out.reserve(nrows);
-  std::uint64_t prev = 0;
-  while (out.size() < nrows) {
-    const std::uint64_t d = unzigzag(c.varint());
-    const std::uint64_t run = c.varint();
-    if (run == 0 || run > nrows - out.size()) c.fail("bad run length");
-    for (std::uint64_t k = 0; k < run; ++k) {
-      prev += d;
-      out.push_back(prev);
-    }
-  }
-  if (!c.done()) c.fail("trailing bytes in column");
-}
-
 /// Dictionary: varint entry count, entries (varint len + bytes), then the
 /// per-row indices as a delta-RLE stream.
 std::string encode_dict(const std::vector<std::string_view>& v) {
@@ -177,35 +160,16 @@ std::string encode_dict(const std::vector<std::string_view>& v) {
   return out;
 }
 
-void decode_dict(Cursor c, std::uint64_t nrows,
-                 std::vector<std::string>& out) {
-  out.clear();
-  const std::uint64_t n_entries = c.varint();
-  if (n_entries > c.body.size()) c.fail("bad dictionary size");
-  std::vector<std::string_view> entries;
-  entries.reserve(n_entries);
-  for (std::uint64_t i = 0; i < n_entries; ++i) {
-    const std::uint64_t len = c.varint();
-    if (len > c.body.size() - c.pos) c.fail("bad dictionary entry");
-    entries.push_back(c.take(len));
-  }
-  std::vector<std::uint64_t> idx;
-  decode_numeric(c, nrows, idx);  // consumes the remainder exactly
-  out.reserve(nrows);
-  for (const std::uint64_t i : idx) {
-    if (i >= entries.size()) c.fail("dictionary index out of range");
-    out.emplace_back(entries[i]);
-  }
-}
-
 // ------------------------------------------------------------- file framing
 
-std::string header(BinKind kind, std::size_t ncols, std::string_view aux) {
+std::string header(BinKind kind, std::size_t ncols, std::string_view aux,
+                   std::uint8_t version = kAptVersion,
+                   std::uint8_t flags = kFlagCrc) {
   std::string out;
   out.append(kAptMagic);
-  out.push_back(static_cast<char>(kAptVersion));
+  out.push_back(static_cast<char>(version));
   out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(kFlagCrc));
+  out.push_back(static_cast<char>(flags));
   out.push_back(static_cast<char>(ncols));
   put_varint(out, aux.size());
   out.append(aux);
@@ -258,128 +222,6 @@ std::string encode_rows(BinKind kind, std::string_view aux,
   return out;
 }
 
-/// One structurally-parsed (and CRC-verified) block handed to a decoder.
-struct RawColumn {
-  std::uint8_t encoding = 0;
-  std::string_view payload;
-  std::size_t abs_offset = 0;  ///< file offset of the payload
-};
-
-/// Parse header + iterate blocks. For each block: verify the CRC, then
-/// call on_block(block_index, nrows, cols). Errors — structural, CRC, or
-/// thrown by on_block — carry (block, offset) attribution.
-template <class OnBlock>
-void decode_file(std::string_view body, BinKind expect, std::size_t ncols,
-                 std::string_view& aux_out, OnBlock&& on_block) {
-  Cursor c{body};
-  if (body.size() < 8 || body.substr(0, 4) != kAptMagic)
-    c.fail("bad .apt magic");
-  c.pos = 4;
-  const std::uint8_t version = c.u8();
-  if (version != kAptVersion && version != kAptVersionCompressed)
-    c.fail("unsupported .apt version");
-  if (static_cast<BinKind>(c.u8()) != expect) c.fail("wrong record kind");
-  const std::uint8_t flags = c.u8();
-  if (c.u8() != ncols) c.fail("unexpected column count");
-  const std::uint64_t aux_len = c.varint();
-  if (aux_len > body.size() - c.pos) c.fail("bad aux length");
-  aux_out = c.take(aux_len);
-
-  std::vector<RawColumn> cols(ncols);
-  std::string scratch;  // decompressed column sections; reused per block
-  std::size_t block = 0;
-  while (!c.done()) {
-    c.block = ++block;
-    const std::size_t block_start = c.pos;
-    if (c.u8() != 'B') {
-      c.pos = block_start;
-      c.fail("bad block marker");
-    }
-    const std::uint64_t nrows = c.varint();
-    if (nrows > kMaxRowsSanity) c.fail("implausible row count");
-    std::uint8_t bflag = kBlockStored;
-    if (version == kAptVersionCompressed) bflag = c.u8();
-    std::uint64_t raw_len = 0;
-    std::size_t comp_off = 0;
-    std::string_view comp;
-    if (bflag == kBlockLz) {
-      raw_len = c.varint();
-      const std::uint64_t comp_len = c.varint();
-      if (raw_len > kMaxRawBlockSanity) c.fail("implausible block size");
-      if (comp_len > body.size() - c.pos) c.fail("truncated compressed block");
-      comp_off = c.pos;
-      comp = c.take(comp_len);
-    } else if (bflag == kBlockStored) {
-      for (std::size_t k = 0; k < ncols; ++k) {
-        const std::uint8_t enc = c.u8();
-        const std::uint64_t len = c.varint();
-        if (len > body.size() - c.pos) c.fail("truncated column payload");
-        const std::size_t off = c.pos;
-        cols[k] = {enc, c.take(len), off};
-      }
-    } else {
-      c.fail("unknown block flag");
-    }
-    if ((flags & kFlagCrc) != 0) {
-      const std::size_t crc_pos = c.pos;
-      const std::uint32_t stored = c.u32le();
-      const std::uint32_t fresh =
-          crc32(body.data() + block_start, crc_pos - block_start);
-      if (stored != fresh)
-        throw BinaryParseError(block, block_start, "block CRC mismatch");
-    }
-    if (bflag == kBlockLz) {
-      // CRC already vouched for the stored bytes; a decompression failure
-      // here means the frame itself was encoded wrong.
-      try {
-        scratch = lz_decompress(comp, raw_len);
-      } catch (const std::exception& e) {
-        throw BinaryParseError(block, comp_off,
-                               std::string("bad compressed block: ") +
-                                   e.what());
-      }
-      // Column offsets inside a compressed block cannot map to file bytes;
-      // attribute them to the block start.
-      Cursor sc{scratch, 0, block_start, block};
-      for (std::size_t k = 0; k < ncols; ++k) {
-        const std::uint8_t enc = sc.u8();
-        const std::uint64_t len = sc.varint();
-        if (len > scratch.size() - sc.pos)
-          sc.fail("truncated column payload");
-        cols[k] = {enc, sc.take(len), block_start};
-      }
-      if (!sc.done()) sc.fail("trailing bytes in compressed block");
-    }
-    on_block(block, nrows, cols);
-  }
-}
-
-/// Numeric-only kinds: decode every column, transpose, build records.
-/// Rows of each verified block land in `out` before the next block is
-/// read — the tolerant-load prefix guarantee.
-template <class Rec, class Build>
-void decode_numeric_kind(std::string_view body, BinKind kind,
-                         std::size_t ncols, std::vector<Rec>& out,
-                         std::string_view& aux_out, Build&& build) {
-  std::vector<std::vector<std::uint64_t>> vals(ncols);
-  decode_file(body, kind, ncols, aux_out,
-              [&](std::size_t block, std::uint64_t nrows,
-                  const std::vector<RawColumn>& cols) {
-                for (std::size_t k = 0; k < ncols; ++k) {
-                  Cursor cc{cols[k].payload, 0, cols[k].abs_offset, block};
-                  if (cols[k].encoding != kEncDeltaRle)
-                    cc.fail("unexpected column encoding");
-                  decode_numeric(cc, nrows, vals[k]);
-                }
-                out.reserve(out.size() + nrows);
-                std::vector<std::uint64_t> row(ncols);
-                for (std::uint64_t i = 0; i < nrows; ++i) {
-                  for (std::size_t k = 0; k < ncols; ++k) row[k] = vals[k][i];
-                  out.push_back(build(row.data()));
-                }
-              });
-}
-
 template <class T>
 std::uint64_t as_u64(T v) {
   return static_cast<std::uint64_t>(v);
@@ -387,6 +229,335 @@ std::uint64_t as_u64(T v) {
 /// Sign-extending narrow for columns holding ints (stored as wrapped u64).
 int as_int(std::uint64_t v) {
   return static_cast<int>(static_cast<std::int64_t>(v));
+}
+
+// ------------------------------------------------------------ frame reading
+
+/// A parsed .apt header; the cursor is left at the first block.
+struct AptHeader {
+  std::uint8_t version = 0;
+  std::uint8_t kind = 0;
+  std::uint8_t flags = 0;
+  std::uint8_t ncols = 0;
+  std::string_view aux;
+};
+
+AptHeader read_header(Cursor& c) {
+  if (c.body.size() < 8 || c.body.substr(0, 4) != kAptMagic)
+    c.fail("bad .apt magic");
+  c.pos = 4;
+  AptHeader h;
+  h.version = c.u8();
+  if (h.version != kAptVersion && h.version != kAptVersionCompressed)
+    c.fail("unsupported .apt version");
+  h.kind = c.u8();
+  h.flags = c.u8();
+  h.ncols = c.u8();
+  const std::uint64_t aux_len = c.varint();
+  if (aux_len > c.body.size() - c.pos) c.fail("bad aux length");
+  h.aux = c.take(aux_len);
+  return h;
+}
+
+/// One block's frame, parsed for structure only: the stored CRC is read,
+/// not checked. `sections` holds the ncols column sections of a stored
+/// block, or the LZ bytes that expand to them.
+struct Frame {
+  std::size_t start = 0;  ///< file offset of the 'B' marker
+  std::uint64_t nrows = 0;
+  std::uint8_t flag = kBlockStored;
+  std::uint64_t raw_len = 0;  ///< LZ blocks: expanded size of `sections`
+  std::string_view sections;
+  std::size_t sections_off = 0;  ///< file offset of `sections`
+  std::size_t crc_end = 0;       ///< end of the CRC-covered bytes
+  std::uint32_t crc = 0;
+};
+
+/// Parse the next block frame at `c` (which must not be done) and advance
+/// c.block, so errors name the block being read.
+Frame read_frame(Cursor& c, const AptHeader& h) {
+  Frame f;
+  ++c.block;
+  f.start = c.pos;
+  if (c.u8() != 'B') {
+    c.pos = f.start;
+    c.fail("bad block marker");
+  }
+  f.nrows = c.varint();
+  if (f.nrows > kMaxRowsSanity) c.fail("implausible row count");
+  if (h.version == kAptVersionCompressed) f.flag = c.u8();
+  if (f.flag == kBlockLz) {
+    f.raw_len = c.varint();
+    const std::uint64_t comp_len = c.varint();
+    if (f.raw_len > kMaxRawBlockSanity) c.fail("implausible block size");
+    if (comp_len > c.body.size() - c.pos) c.fail("truncated compressed block");
+    f.sections_off = c.pos;
+    f.sections = c.take(comp_len);
+  } else if (f.flag == kBlockStored) {
+    f.sections_off = c.pos;
+    for (std::size_t k = 0; k < h.ncols; ++k) {
+      c.u8();  // encoding
+      const std::uint64_t len = c.varint();
+      if (len > c.body.size() - c.pos) c.fail("truncated column payload");
+      c.take(len);
+    }
+    f.sections = c.body.substr(f.sections_off, c.pos - f.sections_off);
+  } else {
+    c.fail("unknown block flag");
+  }
+  f.crc_end = c.pos;
+  if ((h.flags & kFlagCrc) != 0) f.crc = c.u32le();
+  return f;
+}
+
+void check_crc(std::string_view body, const AptHeader& h, const Frame& f,
+               std::size_t block) {
+  if ((h.flags & kFlagCrc) != 0 &&
+      crc32(body.data() + f.start, f.crc_end - f.start) != f.crc)
+    throw BinaryParseError(block, f.start, "block CRC mismatch");
+}
+
+void lz_expand(std::string_view comp, std::size_t raw_len, std::string& out);
+
+/// Expand an LZ block's sections into `out`. The CRC already vouched for
+/// the stored bytes, so a failure here means the frame was encoded wrong.
+void expand_block(const Frame& f, std::size_t block, std::string& out) {
+  try {
+    lz_expand(f.sections, f.raw_len, out);
+  } catch (const std::exception& e) {
+    throw BinaryParseError(block, f.sections_off,
+                           std::string("bad compressed block: ") + e.what());
+  }
+}
+
+/// What the pre-scan learns about a file before anything is decoded.
+struct Extent {
+  std::uint64_t rows = 0;     ///< declared rows, at most kRowsPerBlock each
+  std::uint64_t max_raw = 0;  ///< largest LZ block's expanded size
+};
+
+/// Walk the frames from `c` without checking CRCs or expanding anything,
+/// stopping at the first malformed one (the decode pass reports it). Each
+/// block counts as at most kRowsPerBlock rows, the size every writer emits,
+/// so a forged row count cannot inflate the reservation made from it.
+Extent scan_extent(Cursor c, const AptHeader& h) {
+  Extent e;
+  try {
+    while (!c.done()) {
+      const Frame f = read_frame(c, h);
+      e.rows += std::min<std::uint64_t>(f.nrows, kRowsPerBlock);
+      e.max_raw = std::max(e.max_raw, f.raw_len);
+    }
+  } catch (const BinaryParseError&) {
+  }
+  return e;
+}
+
+/// One column of a CRC-verified block handed to a decoder.
+struct RawColumn {
+  std::uint8_t encoding = 0;
+  std::string_view payload;
+  std::size_t abs_offset = 0;  ///< file offset of the payload
+
+  [[nodiscard]] Cursor at(std::size_t block) const {
+    return {payload, 0, abs_offset, block};
+  }
+};
+
+/// Parse the header, call reserve(extent.rows) once, then for each block:
+/// verify the CRC, split the column sections and call on_block(block,
+/// nrows, cols). Errors — structural, CRC, or thrown by on_block — carry
+/// (block, offset) attribution.
+template <class Reserve, class OnBlock>
+void decode_file(std::string_view body, BinKind expect, std::size_t ncols,
+                 std::string_view& aux_out, Reserve&& reserve,
+                 OnBlock&& on_block) {
+  Cursor c{body};
+  const AptHeader h = read_header(c);
+  if (static_cast<BinKind>(h.kind) != expect)
+    throw BinaryParseError(0, 5, "wrong record kind");
+  if (h.ncols != ncols) throw BinaryParseError(0, 7, "unexpected column count");
+  aux_out = h.aux;
+  const Extent extent = scan_extent(c, h);
+  reserve(extent.rows);
+
+  std::vector<RawColumn> cols(ncols);
+  std::string lz;  // expanded sections of LZ blocks, reused across blocks
+  while (!c.done()) {
+    const Frame f = read_frame(c, h);
+    check_crc(body, h, f, c.block);
+    Cursor sc{f.sections, 0, f.sections_off, c.block};
+    if (f.flag == kBlockLz) {
+      if (lz.capacity() < f.raw_len) lz.reserve(extent.max_raw);
+      expand_block(f, c.block, lz);
+      // Column offsets inside a compressed block cannot map to file bytes;
+      // attribute them to the block start.
+      sc = Cursor{lz, 0, f.start, c.block};
+    }
+    for (RawColumn& col : cols) {
+      col.encoding = sc.u8();
+      const std::uint64_t len = sc.varint();
+      if (len > sc.body.size() - sc.pos) sc.fail("truncated column payload");
+      col.abs_offset = f.flag == kBlockLz ? f.start : sc.base + sc.pos;
+      col.payload = sc.take(len);
+    }
+    if (!sc.done()) sc.fail("trailing bytes in compressed block");
+    on_block(c.block, f.nrows, cols);
+  }
+}
+
+// ------------------------------------------------------------ record decode
+// Each kind lists its columns once, in file order, as descriptors naming
+// the field a column lands in. A block's columns are all validated before
+// any of its rows is committed; then each (delta, run) pair is expanded
+// straight into its field for rows [r, r + run).
+
+/// Walk a DELTA_RLE stream that must hold exactly `nrows` values, calling
+/// on_run(row, delta, run) per pair. Throws on a zero or overlong run and
+/// on trailing bytes.
+template <class OnRun>
+void for_each_run(Cursor c, std::uint64_t nrows, OnRun&& on_run) {
+  for (std::uint64_t r = 0; r < nrows;) {
+    const std::uint64_t d = unzigzag(c.varint());
+    const std::uint64_t run = c.varint();
+    if (run == 0 || run > nrows - r) c.fail("bad run length");
+    on_run(r, d, run);
+    r += run;
+  }
+  if (!c.done()) c.fail("trailing bytes in column");
+}
+
+/// The inverse of the encoders' widening to u64.
+template <class T>
+T narrow(std::uint64_t v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v != 0;
+  } else if constexpr (std::is_enum_v<T>) {
+    return static_cast<T>(as_int(v));
+  } else {
+    return static_cast<T>(v);  // signed types wrap back, as as_int does
+  }
+}
+
+constexpr std::uint32_t kAnyValue = ~std::uint32_t{0};
+
+/// A DELTA_RLE column, stored by set(rec, value). An enum-valued column
+/// names its largest valid value, so a corrupt file cannot materialize an
+/// out-of-range enum.
+template <class Set>
+struct NumCol {
+  Set set;
+  std::uint32_t max = kAnyValue;
+};
+
+template <class Set>
+NumCol<Set> num(Set set, std::uint32_t max = kAnyValue) {
+  return {set, max};
+}
+template <class Rec, class T>
+auto num(T Rec::*field, std::uint32_t max = kAnyValue) {
+  return num([field](Rec& r, std::uint64_t v) { r.*field = narrow<T>(v); },
+             max);
+}
+
+/// A DICT column, stored into a string field.
+template <class Rec>
+struct DictCol {
+  std::string Rec::*field;
+};
+
+template <class Rec>
+DictCol<Rec> dict(std::string Rec::*field) {
+  return {field};
+}
+
+template <class Set>
+void check_column(const NumCol<Set>& col, const RawColumn& raw,
+                  std::size_t block, std::uint64_t nrows) {
+  const Cursor c = raw.at(block);
+  if (raw.encoding != kEncDeltaRle) c.fail("unexpected column encoding");
+  std::uint64_t v = 0;  // an enum column needs 0 <= as_int(v) <= max
+  for_each_run(c, nrows,
+               [&](std::uint64_t, std::uint64_t d, std::uint64_t run) {
+                 if (col.max == kAnyValue) return;
+                 for (std::uint64_t k = 0; k < run; ++k)
+                   if (static_cast<std::uint32_t>(v += d) > col.max)
+                     c.fail("enum value out of range");
+               });
+}
+
+template <class Rec, class Set>
+void expand_column(const NumCol<Set>& col, const RawColumn& raw,
+                   std::size_t block, std::uint64_t nrows, Rec* rows) {
+  std::uint64_t v = 0;
+  for_each_run(raw.at(block), nrows,
+               [&](std::uint64_t r, std::uint64_t d, std::uint64_t run) {
+                 for (Rec* p = rows + r; p != rows + r + run; ++p)
+                   col.set(*p, v += d);
+               });
+}
+
+/// A DICT column's entries; leaves `c` at the index stream.
+std::vector<std::string_view> read_dict(Cursor& c) {
+  const std::uint64_t n = c.varint();
+  if (n > c.body.size()) c.fail("bad dictionary size");
+  std::vector<std::string_view> entries;
+  entries.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t len = c.varint();
+    if (len > c.body.size() - c.pos) c.fail("bad dictionary entry");
+    entries.push_back(c.take(len));
+  }
+  return entries;
+}
+
+template <class Rec>
+void check_column(const DictCol<Rec>&, const RawColumn& raw,
+                  std::size_t block, std::uint64_t nrows) {
+  Cursor c = raw.at(block);
+  if (raw.encoding != kEncDict) c.fail("unexpected column encoding");
+  const std::size_t n = read_dict(c).size();
+  std::uint64_t i = 0;
+  for_each_run(c, nrows,
+               [&](std::uint64_t, std::uint64_t d, std::uint64_t run) {
+                 for (std::uint64_t k = 0; k < run; ++k)
+                   if ((i += d) >= n) c.fail("dictionary index out of range");
+               });
+}
+
+template <class Rec>
+void expand_column(const DictCol<Rec>& col, const RawColumn& raw,
+                   std::size_t block, std::uint64_t nrows, Rec* rows) {
+  Cursor c = raw.at(block);
+  const std::vector<std::string_view> entries = read_dict(c);
+  std::uint64_t i = 0;
+  for_each_run(c, nrows,
+               [&](std::uint64_t r, std::uint64_t d, std::uint64_t run) {
+                 for (Rec* p = rows + r; p != rows + r + run; ++p)
+                   p->*col.field = entries[i += d];
+               });
+}
+
+/// Decode a record kind whose columns are `cols`, in file order: one
+/// reservation per file, and no rows of a block land in `out` until all
+/// of its columns check out — the tolerant-load prefix guarantee.
+template <class Rec, class... Cols>
+void decode_records(std::string_view body, BinKind kind,
+                    std::vector<Rec>& out, std::string_view& aux,
+                    const Cols&... cols) {
+  decode_file(
+      body, kind, sizeof...(Cols), aux,
+      [&](std::uint64_t rows) { out.reserve(out.size() + rows); },
+      [&](std::size_t block, std::uint64_t nrows,
+          const std::vector<RawColumn>& raw) {
+        std::size_t k = 0;
+        (check_column(cols, raw[k++], block, nrows), ...);
+        const std::size_t first = out.size();
+        out.resize(first + nrows);
+        k = 0;
+        (expand_column(cols, raw[k++], block, nrows, out.data() + first),
+         ...);
+      });
 }
 
 }  // namespace
@@ -482,8 +653,11 @@ std::string lz_compress(std::string_view in) {
   return out;
 }
 
-std::string lz_decompress(std::string_view comp, std::size_t raw_len) {
-  std::string out;
+namespace {
+
+/// Expand `comp` into `out` (cleared first), reusing its capacity.
+void lz_expand(std::string_view comp, std::size_t raw_len, std::string& out) {
+  out.clear();
   out.reserve(raw_len);
   std::size_t pos = 0;
   const auto need = [&](std::size_t k) {
@@ -526,6 +700,13 @@ std::string lz_decompress(std::string_view comp, std::size_t raw_len) {
       out.push_back(out[src + k]);  // may overlap the bytes just written
   }
   if (out.size() != raw_len) throw std::runtime_error("LZ size mismatch");
+}
+
+}  // namespace
+
+std::string lz_decompress(std::string_view comp, std::size_t raw_len) {
+  std::string out;
+  lz_expand(comp, raw_len, out);
   return out;
 }
 
@@ -534,65 +715,27 @@ std::string lz_decompress(std::string_view comp, std::size_t raw_len) {
 std::string compress_trace(std::string_view body) {
   if (is_compressed_trace(body)) return std::string(body);
   Cursor c{body};
-  if (body.size() < 8 || body.substr(0, 4) != kAptMagic)
-    c.fail("bad .apt magic");
-  c.pos = 4;
-  if (c.u8() != kAptVersion) c.fail("unsupported .apt version");
-  const std::uint8_t kind = c.u8();
-  const std::uint8_t flags = c.u8();
-  const std::uint8_t ncols = c.u8();
-  const std::uint64_t aux_len = c.varint();
-  if (aux_len > body.size() - c.pos) c.fail("bad aux length");
-  const std::string_view aux = c.take(aux_len);
-
-  std::string out;
+  const AptHeader h = read_header(c);
+  std::string out = header(static_cast<BinKind>(h.kind), h.ncols, h.aux,
+                           kAptVersionCompressed, h.flags | kFlagCompressed);
   out.reserve(body.size());
-  out.append(kAptMagic);
-  out.push_back(static_cast<char>(kAptVersionCompressed));
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(flags | kFlagCompressed));
-  out.push_back(static_cast<char>(ncols));
-  put_varint(out, aux.size());
-  out.append(aux);
-
-  std::size_t block = 0;
   while (!c.done()) {
-    c.block = ++block;
-    const std::size_t block_start = c.pos;
-    if (c.u8() != 'B') {
-      c.pos = block_start;
-      c.fail("bad block marker");
-    }
-    const std::uint64_t nrows = c.varint();
-    const std::size_t cols_start = c.pos;
-    for (std::size_t k = 0; k < ncols; ++k) {
-      c.u8();  // encoding
-      const std::uint64_t len = c.varint();
-      if (len > body.size() - c.pos) c.fail("truncated column payload");
-      c.take(len);
-    }
-    const std::string_view raw =
-        body.substr(cols_start, c.pos - cols_start);
-    if ((flags & kFlagCrc) != 0) {
-      const std::size_t crc_pos = c.pos;
-      const std::uint32_t stored = c.u32le();
-      if (stored != crc32(body.data() + block_start, crc_pos - block_start))
-        throw BinaryParseError(block, block_start, "block CRC mismatch");
-    }
-    const std::string comp = lz_compress(raw);
+    const Frame f = read_frame(c, h);
+    check_crc(body, h, f, c.block);
+    const std::string comp = lz_compress(f.sections);
     const std::size_t start = out.size();
     out.push_back('B');
-    put_varint(out, nrows);
-    if (comp.size() < raw.size()) {
+    put_varint(out, f.nrows);
+    if (comp.size() < f.sections.size()) {
       out.push_back(static_cast<char>(kBlockLz));
-      put_varint(out, raw.size());
+      put_varint(out, f.sections.size());
       put_varint(out, comp.size());
       out.append(comp);
     } else {  // incompressible: store verbatim rather than grow the file
       out.push_back(static_cast<char>(kBlockStored));
-      out.append(raw);
+      out.append(f.sections);
     }
-    if ((flags & kFlagCrc) != 0)
+    if ((h.flags & kFlagCrc) != 0)
       put_u32le(out, crc32(out.data() + start, out.size() - start));
   }
   return out;
@@ -603,72 +746,25 @@ std::string decompress_trace(std::string_view body) {
   if (body.size() < 8 || body.substr(0, 4) != kAptMagic)
     c.fail("bad .apt magic");
   if (!is_compressed_trace(body)) return std::string(body);
-  c.pos = 5;  // past magic + version
-  const std::uint8_t kind = c.u8();
-  const std::uint8_t flags = c.u8();
-  const std::uint8_t ncols = c.u8();
-  const std::uint64_t aux_len = c.varint();
-  if (aux_len > body.size() - c.pos) c.fail("bad aux length");
-  const std::string_view aux = c.take(aux_len);
-
-  std::string out;
+  const AptHeader h = read_header(c);
+  std::string out =
+      header(static_cast<BinKind>(h.kind), h.ncols, h.aux, kAptVersion,
+             static_cast<std::uint8_t>(h.flags & ~kFlagCompressed));
   out.reserve(body.size() * 2);
-  out.append(kAptMagic);
-  out.push_back(static_cast<char>(kAptVersion));
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(flags & ~kFlagCompressed));
-  out.push_back(static_cast<char>(ncols));
-  put_varint(out, aux.size());
-  out.append(aux);
-
-  std::size_t block = 0;
+  std::string lz;  // reused across blocks
   while (!c.done()) {
-    c.block = ++block;
-    const std::size_t block_start = c.pos;
-    if (c.u8() != 'B') {
-      c.pos = block_start;
-      c.fail("bad block marker");
-    }
-    const std::uint64_t nrows = c.varint();
-    const std::uint8_t bflag = c.u8();
-    std::string raw;
-    if (bflag == kBlockLz) {
-      const std::uint64_t raw_len = c.varint();
-      const std::uint64_t comp_len = c.varint();
-      if (raw_len > kMaxRawBlockSanity) c.fail("implausible block size");
-      if (comp_len > body.size() - c.pos) c.fail("truncated compressed block");
-      const std::size_t comp_off = c.pos;
-      const std::string_view comp = c.take(comp_len);
-      try {
-        raw = lz_decompress(comp, raw_len);
-      } catch (const std::exception& e) {
-        throw BinaryParseError(block, comp_off,
-                               std::string("bad compressed block: ") +
-                                   e.what());
-      }
-    } else if (bflag == kBlockStored) {
-      const std::size_t cols_start = c.pos;
-      for (std::size_t k = 0; k < ncols; ++k) {
-        c.u8();  // encoding
-        const std::uint64_t len = c.varint();
-        if (len > body.size() - c.pos) c.fail("truncated column payload");
-        c.take(len);
-      }
-      raw = std::string(body.substr(cols_start, c.pos - cols_start));
-    } else {
-      c.fail("unknown block flag");
-    }
-    if ((flags & kFlagCrc) != 0) {
-      const std::size_t crc_pos = c.pos;
-      const std::uint32_t stored = c.u32le();
-      if (stored != crc32(body.data() + block_start, crc_pos - block_start))
-        throw BinaryParseError(block, block_start, "block CRC mismatch");
+    const Frame f = read_frame(c, h);
+    check_crc(body, h, f, c.block);
+    std::string_view raw = f.sections;
+    if (f.flag == kBlockLz) {
+      expand_block(f, c.block, lz);
+      raw = lz;
     }
     const std::size_t start = out.size();
     out.push_back('B');
-    put_varint(out, nrows);
+    put_varint(out, f.nrows);
     out.append(raw);
-    if ((flags & kFlagCrc) != 0)
+    if ((h.flags & kFlagCrc) != 0)
       put_u32le(out, crc32(out.data() + start, out.size() - start));
   }
   return out;
@@ -704,17 +800,11 @@ std::string encode_logical(const std::vector<LogicalSendRecord>& events) {
 
 void decode_logical_into(std::string_view body,
                          std::vector<LogicalSendRecord>& out) {
+  using R = LogicalSendRecord;
   std::string_view aux;
-  decode_numeric_kind(body, BinKind::send, 5, out, aux,
-                      [](const std::uint64_t* d) {
-                        LogicalSendRecord r;
-                        r.src_node = as_int(d[0]);
-                        r.src_pe = as_int(d[1]);
-                        r.dst_node = as_int(d[2]);
-                        r.dst_pe = as_int(d[3]);
-                        r.msg_bytes = static_cast<std::uint32_t>(d[4]);
-                        return r;
-                      });
+  decode_records(body, BinKind::send, out, aux, num(&R::src_node),
+                 num(&R::src_pe), num(&R::dst_node), num(&R::dst_pe),
+                 num(&R::msg_bytes));
 }
 
 // ---- papi ------------------------------------------------------------------
@@ -747,24 +837,16 @@ std::string encode_papi(const std::vector<PapiSegmentRecord>& rows,
 void decode_papi_into(std::string_view body,
                       std::vector<PapiSegmentRecord>& out,
                       std::vector<papi::Event>* events_out) {
+  using R = PapiSegmentRecord;
+  const auto counter = [](std::size_t k) {
+    return num([k](R& r, std::uint64_t v) { r.counters[k] = v; });
+  };
   std::string_view aux;
-  decode_numeric_kind(body, BinKind::papi, 12, out, aux,
-                      [](const std::uint64_t* d) {
-                        PapiSegmentRecord r;
-                        r.src_node = as_int(d[0]);
-                        r.src_pe = as_int(d[1]);
-                        r.dst_node = as_int(d[2]);
-                        r.dst_pe = as_int(d[3]);
-                        r.pkt_bytes = static_cast<std::uint32_t>(d[4]);
-                        r.mailbox_id = as_int(d[5]);
-                        r.num_sends = d[6];
-                        r.counters[0] = d[7];
-                        r.counters[1] = d[8];
-                        r.counters[2] = d[9];
-                        r.counters[3] = d[10];
-                        r.is_proc = d[11] != 0;
-                        return r;
-                      });
+  decode_records(body, BinKind::papi, out, aux, num(&R::src_node),
+                 num(&R::src_pe), num(&R::dst_node), num(&R::dst_pe),
+                 num(&R::pkt_bytes), num(&R::mailbox_id), num(&R::num_sends),
+                 counter(0), counter(1), counter(2), counter(3),
+                 num(&R::is_proc));
   if (events_out != nullptr) {
     events_out->clear();
     if (!aux.empty()) {
@@ -800,23 +882,13 @@ std::string encode_steps(const std::vector<SuperstepRecord>& recs) {
 
 void decode_steps_into(std::string_view body,
                        std::vector<SuperstepRecord>& out) {
+  using R = SuperstepRecord;
   std::string_view aux;
-  decode_numeric_kind(body, BinKind::steps, 11, out, aux,
-                      [](const std::uint64_t* d) {
-                        SuperstepRecord r;
-                        r.pe = as_int(d[0]);
-                        r.epoch = static_cast<std::uint32_t>(d[1]);
-                        r.step = static_cast<std::uint32_t>(d[2]);
-                        r.t_main = d[3];
-                        r.t_proc = d[4];
-                        r.t_comm = d[5];
-                        r.msgs_sent = d[6];
-                        r.bytes_sent = d[7];
-                        r.msgs_handled = d[8];
-                        r.barrier_arrive = d[9];
-                        r.barrier_release = d[10];
-                        return r;
-                      });
+  decode_records(body, BinKind::steps, out, aux, num(&R::pe), num(&R::epoch),
+                 num(&R::step), num(&R::t_main), num(&R::t_proc),
+                 num(&R::t_comm), num(&R::msgs_sent), num(&R::bytes_sent),
+                 num(&R::msgs_handled), num(&R::barrier_arrive),
+                 num(&R::barrier_release));
 }
 
 // ---- physical --------------------------------------------------------------
@@ -833,24 +905,13 @@ std::string encode_physical(const std::vector<PhysicalRecord>& events) {
 
 void decode_physical_into(std::string_view body,
                           std::vector<PhysicalRecord>& out) {
+  using R = PhysicalRecord;
   std::string_view aux;
-  const std::size_t before = out.size();
-  decode_numeric_kind(body, BinKind::physical, 4, out, aux,
-                      [](const std::uint64_t* d) {
-                        PhysicalRecord r;
-                        r.type = static_cast<convey::SendType>(as_int(d[0]));
-                        r.buffer_bytes = d[1];
-                        r.src_pe = as_int(d[2]);
-                        r.dst_pe = as_int(d[3]);
-                        return r;
-                      });
-  for (std::size_t i = before; i < out.size(); ++i) {
-    const int t = static_cast<int>(out[i].type);
-    if (t < 0 || t > static_cast<int>(convey::SendType::nonblock_progress)) {
-      out.resize(before);
-      throw BinaryParseError(1, 0, "unknown send type value");
-    }
-  }
+  decode_records(
+      body, BinKind::physical, out, aux,
+      num(&R::type,
+          static_cast<std::uint32_t>(convey::SendType::nonblock_progress)),
+      num(&R::buffer_bytes), num(&R::src_pe), num(&R::dst_pe));
 }
 
 // ---- check -----------------------------------------------------------------
@@ -892,46 +953,13 @@ std::string encode_check(const std::vector<check::Violation>& v,
 void decode_check_into(std::string_view body,
                        std::vector<check::Violation>& out,
                        std::uint64_t& dropped) {
+  using V = check::Violation;
   std::string_view aux;
-  std::vector<std::uint64_t> num[6];
-  std::vector<std::string> callsites;
-  std::vector<std::string> details;
-  decode_file(
-      body, BinKind::check, 8, aux,
-      [&](std::size_t block, std::uint64_t nrows,
-          const std::vector<RawColumn>& cols) {
-        for (std::size_t k = 0; k < 6; ++k) {
-          Cursor cc{cols[k].payload, 0, cols[k].abs_offset, block};
-          if (cols[k].encoding != kEncDeltaRle)
-            cc.fail("unexpected column encoding");
-          decode_numeric(cc, nrows, num[k]);
-        }
-        for (std::size_t k = 6; k < 8; ++k) {
-          Cursor cc{cols[k].payload, 0, cols[k].abs_offset, block};
-          if (cols[k].encoding != kEncDict)
-            cc.fail("unexpected column encoding");
-          decode_dict(cc, nrows, k == 6 ? callsites : details);
-        }
-        out.reserve(out.size() + nrows);
-        for (std::uint64_t i = 0; i < nrows; ++i) {
-          check::Violation x;
-          const int kind_val = as_int(num[0][i]);
-          if (kind_val < 0 ||
-              kind_val > static_cast<int>(check::Violation::Kind::ApiMisuse)) {
-            Cursor cc{cols[0].payload, 0, cols[0].abs_offset, block};
-            cc.fail("unknown violation kind value");
-          }
-          x.kind = static_cast<check::Violation::Kind>(kind_val);
-          x.pe = as_int(num[1][i]);
-          x.other_pe = as_int(num[2][i]);
-          x.superstep = static_cast<std::uint32_t>(num[3][i]);
-          x.offset = num[4][i];
-          x.bytes = num[5][i];
-          x.callsite = std::move(callsites[i]);
-          x.detail = std::move(details[i]);
-          out.push_back(std::move(x));
-        }
-      });
+  decode_records(
+      body, BinKind::check, out, aux,
+      num(&V::kind, static_cast<std::uint32_t>(V::Kind::ApiMisuse)),
+      num(&V::pe), num(&V::other_pe), num(&V::superstep), num(&V::offset),
+      num(&V::bytes), dict(&V::callsite), dict(&V::detail));
   Cursor ac{aux};
   dropped = ac.varint();
 }
@@ -966,40 +994,37 @@ std::string encode_metric_samples(const metrics::SampleRing& r) {
 }
 
 void decode_metric_samples_into(std::string_view body, MetricSamples& out) {
+  const auto time = num([](std::uint64_t& t, std::uint64_t v) { t = v; });
+  const auto value = num([](std::int64_t& x, std::uint64_t v) {
+    x = static_cast<std::int64_t>(v);
+  });
   std::string_view aux;
-  std::vector<std::uint64_t> times;
-  std::vector<std::uint64_t> values;
-  bool have_aux = false;
   std::uint64_t per_row = 0;
   decode_file(
       body, BinKind::metrics, 2, aux,
+      [&](std::uint64_t rows) {
+        Cursor ac{aux};
+        out.num_pes = as_int(ac.varint());
+        out.num_series = ac.varint();
+        per_row = static_cast<std::uint64_t>(out.num_pes) * out.num_series;
+        out.t_cycles.reserve(out.t_cycles.size() + rows);
+        if (per_row != 0 && rows <= kMaxValuesSanity / per_row)
+          out.values.reserve(out.values.size() + rows * per_row);
+      },
       [&](std::size_t block, std::uint64_t nrows,
           const std::vector<RawColumn>& cols) {
-        if (!have_aux) {
-          Cursor ac{aux};
-          out.num_pes = as_int(ac.varint());
-          out.num_series = ac.varint();
-          per_row = static_cast<std::uint64_t>(out.num_pes) * out.num_series;
-          have_aux = true;
-        }
-        if (nrows * per_row > kMaxValuesSanity) {
-          Cursor cc{cols[1].payload, 0, cols[1].abs_offset, block};
-          cc.fail("implausible sample volume");
-        }
-        Cursor ct{cols[0].payload, 0, cols[0].abs_offset, block};
-        decode_numeric(ct, nrows, times);
-        Cursor cv{cols[1].payload, 0, cols[1].abs_offset, block};
-        decode_numeric(cv, nrows * per_row, values);
-        out.t_cycles.insert(out.t_cycles.end(), times.begin(), times.end());
-        out.values.reserve(out.values.size() + values.size());
-        for (const std::uint64_t v : values)
-          out.values.push_back(static_cast<std::int64_t>(v));
+        if (per_row != 0 && nrows > kMaxValuesSanity / per_row)
+          cols[1].at(block).fail("implausible sample volume");
+        const std::uint64_t nvals = nrows * per_row;
+        check_column(time, cols[0], block, nrows);
+        check_column(value, cols[1], block, nvals);
+        const std::size_t t0 = out.t_cycles.size();
+        const std::size_t v0 = out.values.size();
+        out.t_cycles.resize(t0 + nrows);
+        out.values.resize(v0 + nvals);
+        expand_column(time, cols[0], block, nrows, out.t_cycles.data() + t0);
+        expand_column(value, cols[1], block, nvals, out.values.data() + v0);
       });
-  if (!have_aux) {  // zero-block file: still surface the shape
-    Cursor ac{aux};
-    out.num_pes = as_int(ac.varint());
-    out.num_series = ac.varint();
-  }
 }
 
 }  // namespace ap::prof::io

@@ -129,7 +129,8 @@ class BinaryParseError : public TraceParseError {
 
 // ---- decoders --------------------------------------------------------------
 // Incremental: rows append to `out` block by block, so on a throw the
-// caller keeps the verified prefix (tolerant-load semantics).
+// caller keeps the verified prefix (tolerant-load semantics). Each call
+// reserves `out` once, for the rows the file's block headers declare.
 
 void decode_logical_into(std::string_view body,
                          std::vector<LogicalSendRecord>& out);

@@ -804,38 +804,51 @@ Manifest parse_manifest(std::istream& is) {
 
 // ---------------------------------------------------------------- TraceDir
 
-CommMatrix TraceDir::logical_matrix() const {
-  CommMatrix m(num_pes);
-  for (const auto& per_pe : logical)
-    for (const LogicalSendRecord& r : per_pe) m.add(r.src_pe, r.dst_pe);
+namespace {
+
+/// PE ids in records come from the file: a trace loaded with a smaller
+/// num_pes than it was recorded with holds cells outside the matrix.
+bool in_range(int src, int dst, int n) {
+  return src >= 0 && src < n && dst >= 0 && dst < n;
+}
+
+/// Count every in-range send of `t` into a CommMatrix or SparseCommMatrix.
+template <class Matrix>
+Matrix logical_cells(const TraceDir& t) {
+  Matrix m(t.num_pes);
+  for (const auto& per_pe : t.logical)
+    for (const LogicalSendRecord& r : per_pe)
+      if (in_range(r.src_pe, r.dst_pe, t.num_pes)) m.add(r.src_pe, r.dst_pe);
   return m;
+}
+
+template <class Matrix>
+Matrix physical_cells(const TraceDir& t, bool include_progress) {
+  Matrix m(t.num_pes);
+  for (const PhysicalRecord& r : t.physical) {
+    if (!include_progress && r.type == convey::SendType::nonblock_progress)
+      continue;
+    if (in_range(r.src_pe, r.dst_pe, t.num_pes)) m.add(r.src_pe, r.dst_pe);
+  }
+  return m;
+}
+
+}  // namespace
+
+CommMatrix TraceDir::logical_matrix() const {
+  return logical_cells<CommMatrix>(*this);
 }
 
 CommMatrix TraceDir::physical_matrix(bool include_progress) const {
-  CommMatrix m(num_pes);
-  for (const PhysicalRecord& r : physical) {
-    if (!include_progress && r.type == convey::SendType::nonblock_progress)
-      continue;
-    m.add(r.src_pe, r.dst_pe);
-  }
-  return m;
+  return physical_cells<CommMatrix>(*this, include_progress);
 }
 
 SparseCommMatrix TraceDir::logical_sparse() const {
-  SparseCommMatrix m(num_pes);
-  for (const auto& per_pe : logical)
-    for (const LogicalSendRecord& r : per_pe) m.add(r.src_pe, r.dst_pe);
-  return m;
+  return logical_cells<SparseCommMatrix>(*this);
 }
 
 SparseCommMatrix TraceDir::physical_sparse(bool include_progress) const {
-  SparseCommMatrix m(num_pes);
-  for (const PhysicalRecord& r : physical) {
-    if (!include_progress && r.type == convey::SendType::nonblock_progress)
-      continue;
-    m.add(r.src_pe, r.dst_pe);
-  }
-  return m;
+  return physical_cells<SparseCommMatrix>(*this, include_progress);
 }
 
 namespace {

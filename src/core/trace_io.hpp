@@ -175,7 +175,9 @@ struct TraceDir {
   /// PEi_PAPI.csv header line.
   std::vector<papi::Event> papi_events;
 
-  /// Aggregate the logical events into a src-by-dst matrix.
+  /// Aggregate the logical events into a src-by-dst matrix. All four
+  /// aggregators skip records whose src_pe or dst_pe lies outside
+  /// [0, num_pes), e.g. when a trace is loaded with too small a num_pes.
   [[nodiscard]] CommMatrix logical_matrix() const;
   /// Aggregate physical transfers (excluding progress signals by default,
   /// matching the paper's buffer heatmaps).

@@ -1113,6 +1113,12 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
+  if (const int recorded = ap::prof::io::detect_num_pes(a.dir);
+      recorded > 0 && recorded != a.num_pes)
+    std::cerr << "warning: --num-pes " << a.num_pes << " differs from "
+              << ap::prof::io::kManifestFile << "'s num_pes " << recorded
+              << "; records naming PEs outside [0, " << a.num_pes
+              << ") are skipped\n";
 
   // Always load tolerantly: per-file parse errors become warnings and the
   // surviving records still render. --tolerate-partial only decides the

@@ -11,6 +11,11 @@
 // PEs x touched-destinations rather than PEs^2. The steady-state tests
 // below pin the "and never again" half; FirstTouch pins the lazy half.
 //
+// Trace decode (docs/TRACE_FORMAT.md, "Decode cost"): an .apt decoder
+// reserves its output once per file and expands LZ blocks into one buffer
+// reused across blocks, so its allocation count does not grow with the
+// number of blocks — a count, unlike a timing, the same on every machine.
+//
 // The global counting operator new/delete is installed in this binary
 // only; the probe counters are process-wide, which in the fiber simulator
 // means a fenced window covers every PE's work in that window.
@@ -28,10 +33,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "conveyor/conveyor.hpp"
 #include "core/alloc_probe.hpp"
+#include "core/trace_binary.hpp"
 #include "runtime/scheduler.hpp"
 #include "shmem/shmem.hpp"
 
@@ -355,6 +362,52 @@ TEST(AllocBudget, MemcpysMatchDocumentedBudgetDrainPath) {
   EXPECT_GT(total.drains, 0u);
   // No per-item copy on the consume side: only push + flush + run copies.
   EXPECT_EQ(total.memcpys, total.pushed + 2 * total.local_sends);
+}
+
+/// A PE0_send.apt body of `blocks` blocks (the last one short), as v1 or
+/// as the LZ-compressed v2 container.
+std::string send_shard(std::size_t blocks, bool compressed) {
+  std::vector<ap::prof::LogicalSendRecord> recs;
+  std::uint64_t x = blocks;
+  for (std::size_t i = 0; i < blocks * 4096 - 7; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;  // LCG
+    recs.push_back({0, 0, static_cast<int>((x >> 33) % 4),
+                    static_cast<int>((x >> 40) % 16),
+                    static_cast<std::uint32_t>(8 + (x >> 52) % 64)});
+  }
+  const std::string body = ap::prof::io::encode_logical(recs);
+  return compressed ? ap::prof::io::compress_trace(body) : body;
+}
+
+/// Allocations made by decoding `body` into an empty vector, which must
+/// come back exactly sized: one reservation, never a regrowth.
+std::uint64_t decode_allocations(const std::string& body) {
+  std::vector<ap::prof::LogicalSendRecord> out;
+  const std::uint64_t before = AllocProbe::count();
+  ap::prof::io::decode_logical_into(body, out);
+  const std::uint64_t allocations = AllocProbe::count() - before;
+  EXPECT_FALSE(out.empty());
+  EXPECT_EQ(out.capacity(), out.size());
+  return allocations;
+}
+
+TEST(AllocBudget, TraceDecodeAllocationsDoNotGrowWithBlocks) {
+  for (const bool compressed : {false, true}) {
+    const std::string few = send_shard(8, compressed);
+    const std::string many = send_shard(200, compressed);
+    ASSERT_EQ(ap::prof::io::is_compressed_trace(many), compressed);
+    if (compressed) {
+      ASSERT_LT(few.size(), send_shard(8, false).size())
+          << "the v2 shard must hold LZ blocks";
+    }
+    const std::uint64_t a = decode_allocations(few);
+    const std::uint64_t b = decode_allocations(many);
+    EXPECT_EQ(a, b) << (compressed ? "v2" : "v1")
+                    << ": 8 blocks allocated " << a << " times, 200 blocks "
+                    << b;
+    EXPECT_LE(b, compressed ? 3u : 2u)
+        << "output, column table and (v2) LZ buffer, once each";
+  }
 }
 
 }  // namespace

@@ -166,6 +166,26 @@ TEST(Integration, CliAdvisorAndByNodeViews) {
       << "per-PE rows should not appear in a by-node heatmap";
 }
 
+TEST(Integration, CliWithTooFewPesWarnsOnceAndStaysInRange) {
+  // PE ids in the trace reach 7; plotting it as 4 PEs must skip them (the
+  // advisor's dense matrices used to be indexed out of bounds) and say so.
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "integration_fewer_pes";
+  const auto r = run_pipeline(dir, graph::DistKind::Cyclic1D);
+  ASSERT_EQ(r.triangles, r.expected);
+  const fs::path out = tmp / "cli_fewer_pes.txt";
+  ASSERT_EQ(run_cli("--advise -l -p --num-pes 4 " + dir.string(), out), 0)
+      << slurp(out);
+  const std::string text = slurp(out);
+  const std::string warning =
+      "warning: --num-pes 4 differs from MANIFEST.txt's num_pes " +
+      std::to_string(kPes);
+  const std::size_t at = text.find(warning);
+  ASSERT_NE(at, std::string::npos) << text;
+  EXPECT_EQ(text.find(warning, at + 1), std::string::npos) << "warn once";
+  EXPECT_NE(text.find("ActorProf advisor"), std::string::npos) << text;
+}
+
 TEST(Integration, CliUsageErrors) {
   const ap::testutil::TestTmpDir tmp;
   const fs::path out = tmp / "cli_err.txt";

@@ -324,6 +324,89 @@ TEST(TraceBinary, HeaderDamageNeverFabricatesRecords) {
   }
 }
 
+/// Overwrite the u32 CRC that ends `body` with the CRC of the block that
+/// starts at `block_start`, so a deliberately malformed block still
+/// passes its checksum.
+void reseal_last_block(std::string& body, std::size_t block_start) {
+  const std::size_t crc_pos = body.size() - 4;
+  const std::uint32_t crc = io::crc32_bytes(
+      std::string_view(body).substr(block_start, crc_pos - block_start));
+  for (int i = 0; i < 4; ++i)
+    body[crc_pos + static_cast<std::size_t>(i)] =
+        static_cast<char>((crc >> (8 * i)) & 0xff);
+}
+
+/// Two blocks: 4096 good rows, then a 5-row block whose row count was
+/// changed to 4 and re-sealed — CRC-valid, but its runs overshoot nrows.
+std::string file_with_malformed_second_block(
+    const std::vector<ap::prof::LogicalSendRecord>& recs) {
+  const std::string first = io::encode_logical(
+      {recs.begin(), recs.begin() + static_cast<std::ptrdiff_t>(kBlockRows)});
+  const std::string second = io::encode_logical(
+      {recs.begin() + static_cast<std::ptrdiff_t>(kBlockRows), recs.end()});
+  const std::size_t header_len = 9;  // a logical .apt has no aux bytes
+  std::string body = first + second.substr(header_len);
+  EXPECT_EQ(body, io::encode_logical(recs)) << "blocks encode independently";
+  const std::size_t block2 = first.size();
+  EXPECT_EQ(body[block2], 'B');
+  EXPECT_EQ(body[block2 + 1], 5) << "single-byte nrows varint expected";
+  body[block2 + 1] = 4;
+  reseal_last_block(body, block2);
+  return body;
+}
+
+TEST(TraceBinary, CrcValidButMalformedBlockAppendsNothing) {
+  const auto recs = random_logical(kBlockRows + 5, 31);
+  const std::string body = file_with_malformed_second_block(recs);
+  std::vector<ap::prof::LogicalSendRecord> out;
+  try {
+    io::decode_logical_into(body, out);
+    FAIL() << "a block whose runs do not sum to nrows must throw";
+  } catch (const io::BinaryParseError& e) {
+    EXPECT_EQ(e.block(), 2u) << e.what();
+  }
+  ASSERT_EQ(out.size(), kBlockRows) << "exactly block 1's rows survive";
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], recs[i]);
+
+  // The tolerant loader keeps the same prefix and reports one issue.
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "malformed_block";
+  fs::create_directories(dir);
+  std::ofstream(dir / "PE0_send.apt", std::ios::binary) << body;
+  io::LoadOptions lo;
+  lo.tolerate_partial = true;
+  const auto t = io::load_trace_dir(dir, 1, lo);
+  ASSERT_EQ(t.issues.size(), 1u);
+  EXPECT_EQ(t.issues[0].file, "PE0_send.apt");
+  EXPECT_EQ(t.logical[0], out);
+}
+
+TEST(TraceBinary, ForgedRowCountsCannotInflateTheReservation) {
+  // kMaxRowsSanity in trace_binary.cpp: the largest row count a block
+  // header may declare.
+  constexpr std::size_t kMaxRows = std::size_t{1} << 22;
+  constexpr std::size_t kBlocks = 6;
+  std::string body = io::encode_logical({});  // the header alone
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    const std::size_t start = body.size();
+    body += 'B';
+    for (std::size_t v = kMaxRows; v != 0; v >>= 7)  // LEB128 nrows
+      body += static_cast<char>((v & 0x7f) | (v >= 0x80 ? 0x80 : 0));
+    for (int col = 0; col < 5; ++col) body.append(2, '\0');  // DELTA_RLE, empty
+    body.append(4, '\0');
+    reseal_last_block(body, start);
+  }
+  std::vector<ap::prof::LogicalSendRecord> out;
+  try {
+    io::decode_logical_into(body, out);
+    FAIL() << "empty columns cannot hold the declared rows";
+  } catch (const io::BinaryParseError& e) {
+    EXPECT_EQ(e.block(), 1u) << e.what();
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_LE(out.capacity(), kBlocks * kBlockRows);
+}
+
 TEST(TraceBinary, WrongKindIsRejected) {
   const std::string body = io::encode_logical(random_logical(16, 3));
   std::vector<ap::prof::SuperstepRecord> out;
@@ -457,6 +540,48 @@ TEST(TraceBinaryDir, TruncatedShardIsToleratedWithIssue) {
 
   // A strict load of the damaged dir throws.
   EXPECT_THROW(io::load_trace_dir(dir, kPes), io::TraceParseError);
+}
+
+TEST(TraceBinaryDir, AggregatorsSkipPesBeyondNumPes) {
+  // A 16-PE trace (every PE sends once to every PE, and so does the
+  // physical layer) loaded as if it had 4 PEs: PE ids come from the file,
+  // so every aggregator must drop cells outside the 4x4 matrix instead of
+  // indexing past it.
+  constexpr int kRecorded = 16;
+  constexpr int kLoaded = 4;
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path dir = tmp / "sixteen_pes";
+  fs::create_directories(dir);
+  std::vector<ap::prof::PhysicalRecord> physical;
+  for (int src = 0; src < kRecorded; ++src) {
+    std::vector<ap::prof::LogicalSendRecord> sends;
+    for (int dst = 0; dst < kRecorded; ++dst) {
+      sends.push_back({0, src, 0, dst, 8});
+      physical.push_back({ap::convey::SendType::local_send, 64, src, dst});
+    }
+    std::ofstream(dir / io::binary_file_name(io::logical_file_name(src)),
+                  std::ios::binary)
+        << io::encode_logical(sends);
+  }
+  std::ofstream(dir / io::binary_file_name(io::kPhysicalFile),
+                std::ios::binary)
+      << io::encode_physical(physical);
+
+  const auto t = io::load_trace_dir(dir, kLoaded);
+  const auto expect_in_range = [&](const auto& m, const char* what) {
+    EXPECT_EQ(m.size(), kLoaded) << what;
+    EXPECT_EQ(m.total(), std::uint64_t{kLoaded * kLoaded}) << what;
+    for (int s = 0; s < kLoaded; ++s)
+      for (int d = 0; d < kLoaded; ++d) EXPECT_EQ(m.at(s, d), 1u) << what;
+  };
+  expect_in_range(t.logical_matrix(), "logical_matrix");
+  expect_in_range(t.physical_matrix(), "physical_matrix");
+  expect_in_range(t.logical_sparse(), "logical_sparse");
+  expect_in_range(t.physical_sparse(), "physical_sparse");
+  EXPECT_EQ(t.logical_sparse().nonzero_cells(),
+            std::size_t{kLoaded * kLoaded});
+  EXPECT_EQ(t.physical_sparse().nonzero_cells(),
+            std::size_t{kLoaded * kLoaded});
 }
 
 // ------------------------------------------------------------ compression

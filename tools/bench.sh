@@ -98,7 +98,9 @@ if [[ "${1:-}" == "--check" ]]; then
 
   # Trace-format gates (docs/TRACE_FORMAT.md): the binary format must stay
   # >= 5x smaller than CSV on the scaling_triangle trace, decode at least
-  # as fast as the CSV scanner, and not regress vs the committed baseline.
+  # 4x as fast as the CSV scanner in the same run (a decoder that is not
+  # linear in rows falls below that even on these few-block shards), and
+  # not regress vs the committed baseline.
   run "${bin}/bench_trace" --json="${tmp}/trace.json" >/dev/null
   ratio=$(size_ratio "${tmp}/trace.json")
   if awk -v r="${ratio}" 'BEGIN { exit !(r < 5) }'; then
@@ -109,11 +111,11 @@ if [[ "${1:-}" == "--check" ]]; then
   fi
   csv_read=$(items_per_sec "${tmp}/trace.json" csv_read)
   bin_read=$(items_per_sec "${tmp}/trace.json" bin_read)
-  if awk -v b="${bin_read}" -v c="${csv_read}" 'BEGIN { exit !(b < c) }'; then
-    echo "REGRESSION trace decode: binary ${bin_read} rows/s slower than CSV ${csv_read}"
+  if awk -v b="${bin_read}" -v c="${csv_read}" 'BEGIN { exit !(b < 4 * c) }'; then
+    echo "REGRESSION trace decode: binary ${bin_read} rows/s below 4x CSV ${csv_read}"
     fail=1
   else
-    echo "ok trace decode: binary ${bin_read} rows/s >= CSV ${csv_read}"
+    echo "ok trace decode: binary ${bin_read} rows/s >= 4x CSV ${csv_read}"
   fi
   old=$(items_per_sec BENCH_trace.json bin_read)
   if [[ -z "${old}" ]]; then
