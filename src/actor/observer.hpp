@@ -4,6 +4,9 @@
 // aggregation (the logical trace of §III-A), handler entry/exit (the PROC
 // region), and entry/exit of the communication internals (the COMM region
 // used to derive T_COMM in §III-B). A null observer costs one branch.
+// One observer per process, installed before a launch. Under the threads
+// backend its callbacks arrive concurrently from every worker; one PE's
+// callbacks never overlap.
 #pragma once
 
 #include <cstddef>
@@ -36,13 +39,20 @@ class ActorObserver {
   virtual void on_comm_begin() = 0;
   virtual void on_comm_end() = 0;
 
-  /// Observers that only need per-region totals and counts can return
-  /// false here: the selector then skips the per-message
-  /// on_handler_begin/on_handler_end pairs and brackets each drained batch
-  /// with on_handler_batch_begin / on_handler_batch instead. Observers that
-  /// stamp or attribute individual handlers (PAPI segments, Chrome
-  /// timelines) keep the default (true). Read once, in Selector::start().
+  /// Observers that only need per-region totals, counts, or aggregates
+  /// keyed by mailbox can return false here: the selector then skips the
+  /// per-message on_handler_begin/on_handler_end pairs and brackets each
+  /// drained batch with on_handler_batch_begin / on_handler_batch instead.
+  /// Observers that stamp individual handlers (Chrome timelines) keep the
+  /// default (true). Read once, in Selector::start().
   [[nodiscard]] virtual bool wants_per_message_events() const { return true; }
+
+  /// Whether each send's sim-PAPI construct charge must land at the send,
+  /// as it must for an observer that attributes the clock by the latest
+  /// send. The default is exact for every observer; false lets the
+  /// batch-drain path land the charges in bulk at its next flush. Read
+  /// once, in Selector::start().
+  [[nodiscard]] virtual bool wants_per_send_charges() const { return true; }
 
   /// Batch-drain path only: the selector is about to run the first handler
   /// of a non-empty batch drained from mailbox `mb`. The batch's handlers
@@ -53,7 +63,8 @@ class ActorObserver {
   /// opened. `count` handlers of `bytes_per_msg` payload each ran on
   /// mailbox `mb`; a handler that threw is counted, as the per-message path
   /// still calls on_handler_end for it. The selector defers its sim-PAPI
-  /// message charges on this path and lands them before this call and
+  /// handle charges on this path (and construct charges, unless
+  /// wants_per_send_charges()) and lands them before this call and
   /// before every COMM region, so a clock read here or at on_comm_begin
   /// sees the same counters the per-message path would. Default no-op.
   virtual void on_handler_batch(int mb, std::size_t count,

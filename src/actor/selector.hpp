@@ -113,6 +113,7 @@ class Selector {
       if (ActorObserver* o = actor_observer()) {
         opts_.carry_flow_ids = o->wants_flow_ids();
         per_message_ = o->wants_per_message_events();
+        per_send_charges_ = per_message_ || o->wants_per_send_charges();
       }
       for (int k = 0; k < NMB; ++k)
         state_[static_cast<std::size_t>(k)].conveyor =
@@ -145,7 +146,7 @@ class Selector {
       if (st.conveyor->options().carry_flow_ids) flow = next_flow_id();
       o->on_send(mb_id, dst_pe, sizeof(MsgT), flow);
     }
-    if (per_message_)
+    if (per_send_charges_)
       papi::account_message_construct(sizeof(MsgT));
     else
       ++pending_constructs_;  // see flush_accounting()
@@ -327,8 +328,8 @@ class Selector {
 
   /// Batch-drain path: the batch is one PROC region, opened before its
   /// first handler and closed with the number of handlers entered, also
-  /// when one of them throws. Handle charges are deferred like construct
-  /// charges.
+  /// when one of them throws. Handle charges are deferred
+  /// (flush_accounting).
   std::size_t drain_batch(int k) {
     MailboxState& st = state_[static_cast<std::size_t>(k)];
     ActorObserver* o = actor_observer();
@@ -359,10 +360,11 @@ class Selector {
     if (o != nullptr) o->on_handler_batch(k, entered, sizeof(MsgT));
   }
 
-  /// On the batch-drain path construct and handle charges are deferred
-  /// (they are exactly linear) and land here, in bulk, before every COMM
-  /// region and every batch close. Every fold an observer makes and every
-  /// virtual-clock sync comes after one of those points, so each sees
+  /// On the batch-drain path handle charges, and construct charges unless
+  /// the observer wants them per send, are deferred (they are exactly
+  /// linear) and land here, in bulk, before every COMM region and every
+  /// batch close. Every fold an observer makes at a region boundary and
+  /// every virtual-clock sync comes after one of those points, so each sees
   /// exactly the counters the per-message path had charged by then.
   void flush_accounting() {
     if (pending_constructs_ != 0) {
@@ -405,8 +407,9 @@ class Selector {
   convey::Options opts_;
   std::array<MailboxState, NMB> state_{};
   bool started_ = false;
-  /// Observer's wants_per_message_events(), read once in start().
+  /// The observer's answers, read once in start() (both false without one).
   bool per_message_ = false;
+  bool per_send_charges_ = false;
   bool in_dispatch_ = false;
   int sends_since_poll_ = 0;
   std::uint64_t pending_constructs_ = 0;

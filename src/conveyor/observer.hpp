@@ -5,6 +5,9 @@
 // shmem_ptr), nonblock_send (shmem_putmem_nbi), and nonblock_progress
 // (shmem_quiet + signal put). No profiling logic lives in the conveyor —
 // a null observer means zero work beyond one branch.
+// One observer per process, installed before a launch. Under the threads
+// backend its callbacks arrive concurrently from every worker; one PE's
+// callbacks never overlap.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +57,8 @@ class TransferObserver {
   virtual void on_conveyor_misuse(const char* what) { (void)what; }
 };
 
-/// Install/read the process-wide (per-thread) observer. The profiler owns
-/// the registration; nullptr disables physical tracing.
+/// Install/read the process-wide observer, shared by every worker thread.
+/// The profiler owns the registration; nullptr disables physical tracing.
 void set_transfer_observer(TransferObserver* obs);
 TransferObserver* transfer_observer();
 

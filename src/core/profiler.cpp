@@ -57,8 +57,8 @@ bool load_flag(const bool& cell) {
 }  // namespace
 
 Profiler::Profiler(Config cfg) : cfg_(std::move(cfg)) {
-  send_folds_ = cfg_.papi || cfg_.timeline || cfg_.metrics;
-  sends_read_ = send_folds_ || cfg_.logical || cfg_.supersteps;
+  sends_read_ = cfg_.papi || cfg_.timeline || cfg_.metrics || cfg_.logical ||
+                cfg_.supersteps;
   prev_actor_obs_ = actor::actor_observer();
   prev_transfer_obs_ = convey::transfer_observer();
   actor::set_actor_observer(this);
@@ -194,12 +194,11 @@ void Profiler::ensure_world() {
   topo_known_.store(true, std::memory_order_release);
 }
 
-Profiler::PeData& Profiler::pe_data() {
-  const int pe = rt::my_pe();
-  if (pe < 0)
+Profiler::PeData& Profiler::pe_data_of(int me) {
+  if (me < 0)
     throw std::logic_error("Profiler: PE context required (inside shmem::run)");
   ensure_world();
-  return pes_[static_cast<std::size_t>(pe)];
+  return pes_[static_cast<std::size_t>(me)];
 }
 
 const Profiler::PeData& Profiler::pe_data(int pe) const {
@@ -328,19 +327,44 @@ void Profiler::fold(PeData& d) {
 
 // ----------------------------------------------------------- ActorObserver
 
+// The test stays apart from record_send() so a config that reads no send
+// pays one compare per send, not record_send()'s register saves.
 void Profiler::on_send(int mb, int dst_pe, std::size_t bytes,
                        std::uint64_t flow_id) {
-  if (!sends_read_ || !rt::in_spmd_region()) return;
-  metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
-                                     OverheadCategory::actor_send,
-                                     rt::my_pe());
-  PeData& d = pe_data();
-  if (!d.in_epoch) return;
-  // A send does not change the region, so skipping the fold moves no cycle
-  // between buckets.
-  if (send_folds_) fold(d);
+  if (sends_read_) record_send(mb, dst_pe, bytes, flow_id);
+}
 
+void Profiler::record_send(int mb, int dst_pe, std::size_t bytes,
+                           std::uint64_t flow_id) {
   const int me = rt::my_pe();
+  if (me < 0) return;
+  metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
+                                     OverheadCategory::actor_send, me);
+  PeData& d = pe_data_of(me);
+  if (!d.in_epoch) return;
+  RowAgg* row = nullptr;
+  if (cfg_.papi) {
+    const MainRowKey key{mb, dst_pe};
+    if (key != d.last_send) {
+      d.last_send = key;
+      d.last_send_row = &d.main_rows[key];
+    }
+    row = d.last_send_row;
+  }
+  // A send never changes the region, and it changes the PAPI row only when
+  // a send from MAIN moves main_row (a send from inside a handler is
+  // counted, but its cost stays in PROC). Any other fold would charge
+  // exactly what the next fold charges to the same bucket and row, so only
+  // the timeline's stamps and the metrics sampler's buckets need it always.
+  const bool moves_main_row = row != nullptr && row != d.main_row &&
+                              d.region_stack.back() == Region::Main;
+  if (cfg_.timeline || cfg_.metrics || moves_main_row) fold(d);
+  if (row != nullptr) {
+    row->num++;
+    row->pkt_bytes = static_cast<std::uint32_t>(bytes);
+    if (moves_main_row) d.main_row = row;
+  }
+
   if (cfg_.supersteps) {
     ++d.msgs_sent_total;
     d.bytes_sent_total += bytes;
@@ -372,13 +396,6 @@ void Profiler::on_send(int mb, int dst_pe, std::size_t bytes,
                                      d.last_cycles, dst_pe,
                                      static_cast<std::int32_t>(bytes),
                                      flow_id});
-  }
-  if (cfg_.papi) {
-    RowAgg& row = d.main_rows[MainRowKey{mb, dst_pe}];
-    row.num++;
-    row.pkt_bytes = static_cast<std::uint32_t>(bytes);
-    // A send from inside a handler is counted, but its cost stays in PROC.
-    if (d.region_stack.back() == Region::Main) d.main_row = &row;
   }
 }
 
@@ -432,7 +449,6 @@ void Profiler::on_handler_end(int mb) {
 }
 
 void Profiler::on_handler_batch_begin(int mb) {
-  (void)mb;
   if (!rt::in_spmd_region()) return;
   metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
                                      OverheadCategory::actor_handler,
@@ -441,15 +457,15 @@ void Profiler::on_handler_batch_begin(int mb) {
   if (!d.in_epoch) return;
   fold(d);
   d.region_stack.push_back(Region::Proc);
+  if (cfg_.papi) d.handler_row = &d.proc_rows[mb];
 }
 
 // Also reached without a preceding on_handler_batch_begin (a decorator that
 // forwards only this hook): the fold then charges the batch to the region
-// that was open, and only a PROC top is popped.
+// that was open, only a PROC top is popped, and the PROC row still counts
+// the batch.
 void Profiler::on_handler_batch(int mb, std::size_t count,
                                 std::size_t bytes_per_msg) {
-  (void)mb;
-  (void)bytes_per_msg;
   if (!rt::in_spmd_region()) return;
   metrics::OverheadMeter::Scope cost(cfg_.metrics ? &meter_ : nullptr,
                                      OverheadCategory::actor_handler,
@@ -457,6 +473,12 @@ void Profiler::on_handler_batch(int mb, std::size_t count,
   PeData& d = pe_data();
   if (!d.in_epoch) return;
   fold(d);
+  if (cfg_.papi) {
+    RowAgg& row = d.proc_rows[mb];
+    row.num += count;
+    row.pkt_bytes = static_cast<std::uint32_t>(bytes_per_msg);
+    d.handler_row = nullptr;
+  }
   if (d.region_stack.size() > 1 && d.region_stack.back() == Region::Proc)
     d.region_stack.pop_back();
   if (cfg_.supersteps) d.msgs_handled_total += count;

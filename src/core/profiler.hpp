@@ -97,11 +97,16 @@ class Profiler final : public actor::ActorObserver,
   void on_handler_end(int mb) override;
   void on_comm_begin() override;
   void on_comm_end() override;
-  /// Only PAPI segment attribution and the timeline look at individual
-  /// handlers. Every other kind reads per-region totals and counts, which
-  /// one PROC region per drained batch reproduces exactly, so those configs
-  /// take the selector's cheaper batch-drain path.
+  /// Only the timeline stamps individual handlers. Every other kind reads
+  /// per-region totals and counts, and PAPI PROC rows are keyed by mailbox,
+  /// which one PROC region per drained batch reproduces exactly, so those
+  /// configs take the selector's cheaper batch-drain path.
   [[nodiscard]] bool wants_per_message_events() const override {
+    return cfg_.timeline;
+  }
+  /// MAIN rows take the cycles up to the next send from MAIN, and the
+  /// timeline stamps each send, so both need a send's charge at the send.
+  [[nodiscard]] bool wants_per_send_charges() const override {
     return cfg_.papi || cfg_.timeline;
   }
   void on_handler_batch_begin(int mb) override;
@@ -312,12 +317,14 @@ class Profiler final : public actor::ActorObserver,
     std::uint64_t t_main = 0, t_proc = 0, t_comm = 0, t0 = 0, t_total = 0;
 
     // PAPI segment attribution. The fold charges MAIN deltas to the row of
-    // the latest send from MAIN and PROC deltas to the running handler's
+    // the latest send from MAIN and PROC deltas to the running batch's
     // row; map nodes never move, so the cached pointers stay valid.
     std::map<MainRowKey, RowAgg> main_rows;
     std::map<int, RowAgg> proc_rows;  // mailbox -> handler aggregate
     RowAgg* main_row = nullptr;
     RowAgg* handler_row = nullptr;
+    MainRowKey last_send{-1, -1};  // one-entry cache in front of main_rows
+    RowAgg* last_send_row = nullptr;
 
     std::vector<LogicalSendRecord> logical_events;
     CommRows rows;                   // per-dst counts, all four channels
@@ -354,7 +361,10 @@ class Profiler final : public actor::ActorObserver,
     int s_queue_depth = -1, s_bytes_in_flight = -1;
   };
 
-  PeData& pe_data();
+  PeData& pe_data() { return pe_data_of(rt::my_pe()); }
+  PeData& pe_data_of(int me);  // me = rt::my_pe(), already resolved
+  void record_send(int mb, int dst_pe, std::size_t bytes,
+                   std::uint64_t flow_id);
   const PeData& pe_data(int pe) const;
   /// Emit the current superstep of `pe` (deltas since its open) with the
   /// given arrival stamp, then open the next step.
@@ -368,11 +378,8 @@ class Profiler final : public actor::ActorObserver,
   void tick();
 
   Config cfg_;
-  /// Derived from cfg_ once: whether any consumer reads sends, and whether
-  /// one of those needs the clock folded at the send (PAPI segment rows,
-  /// timeline stamps, fresh buckets for the metrics sampler).
+  /// Derived from cfg_ once: whether any consumer reads sends.
   bool sends_read_ = false;
-  bool send_folds_ = false;
   shmem::Topology topo_;
   /// Guards the one-time world setup in ensure_world(): under the threads
   /// backend every PE's first observer callback races to initialize. The

@@ -8,8 +8,12 @@
 // RMA/synchronization routine reports to the registered RmaObserver
 // *including* putmem_nbi and quiet, so a tool built on this interface can
 // account for Conveyors traffic without instrumenting Conveyors itself.
+// One observer per process, installed before a launch. Under the threads
+// backend its callbacks arrive concurrently from every worker; one PE's
+// callbacks never overlap.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -96,36 +100,43 @@ class RmaObserver {
   virtual void on_pe_dead(int /*pe*/) {}
 };
 
-/// Install/read the process-wide (per-thread) observer; nullptr disables.
+/// Install/read the process-wide observer, shared by every worker thread;
+/// nullptr disables.
 void set_rma_observer(RmaObserver* obs);
 RmaObserver* rma_observer();
 
-/// Convenience observer that just counts calls (per instance).
+/// Convenience observer that counts calls (per instance) with relaxed atomic
+/// adds, as every worker may count at once; read the totals after a launch.
 class CountingRmaObserver final : public RmaObserver {
  public:
   void on_put(int, std::size_t bytes) override {
-    ++puts;
-    put_bytes += bytes;
+    add(puts, 1);
+    add(put_bytes, bytes);
   }
   void on_put_nbi(int, std::size_t bytes) override {
-    ++nbi_puts;
-    nbi_bytes += bytes;
+    add(nbi_puts, 1);
+    add(nbi_bytes, bytes);
   }
   void on_get(int, std::size_t bytes) override {
-    ++gets;
-    get_bytes += bytes;
+    add(gets, 1);
+    add(get_bytes, bytes);
   }
   void on_quiet(std::size_t outstanding) override {
-    ++quiets;
-    completed_by_quiet += outstanding;
+    add(quiets, 1);
+    add(completed_by_quiet, outstanding);
   }
-  void on_barrier() override { ++barriers; }
-  void on_atomic(int) override { ++atomics; }
+  void on_barrier() override { add(barriers, 1); }
+  void on_atomic(int) override { add(atomics, 1); }
 
   std::uint64_t puts = 0, nbi_puts = 0, gets = 0, quiets = 0, barriers = 0,
                 atomics = 0;
   std::uint64_t put_bytes = 0, nbi_bytes = 0, get_bytes = 0,
                 completed_by_quiet = 0;
+
+ private:
+  static void add(std::uint64_t& c, std::uint64_t n) {
+    std::atomic_ref<std::uint64_t>(c).fetch_add(n, std::memory_order_relaxed);
+  }
 };
 
 }  // namespace ap::shmem

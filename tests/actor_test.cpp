@@ -329,9 +329,13 @@ TEST(Selector, ObserverSeesEverySendAndHandler) {
 
 /// Forwards every ActorObserver call to a Profiler and counts the handler
 /// hooks, so a test sees which dispatch path the selector took for it.
+/// `per_message` forces the per-message path whatever the Profiler answers.
+/// Like perfbench's seams, it does not forward wants_per_send_charges(), so
+/// the selector charges each send at the send: exact for every observer.
 class HookCounter final : public actor::ActorObserver {
  public:
-  explicit HookCounter(prof::Profiler& inner) : inner_(inner) {
+  explicit HookCounter(prof::Profiler& inner, bool per_message = false)
+      : inner_(inner), per_message_(per_message) {
     actor::set_actor_observer(this);
   }
   ~HookCounter() override { actor::set_actor_observer(&inner_); }
@@ -358,22 +362,22 @@ class HookCounter final : public actor::ActorObserver {
   void on_comm_begin() override { inner_.on_comm_begin(); }
   void on_comm_end() override { inner_.on_comm_end(); }
   [[nodiscard]] bool wants_per_message_events() const override {
-    return inner_.wants_per_message_events();
+    return per_message_ || inner_.wants_per_message_events();
   }
   void on_handler_batch_begin(int mb) override {
     ++batch_begins;
-    // The handlers under test never send, so they never yield to another
-    // PE mid-batch: one flag covers every PE of the fiber backend.
-    if (open_) ++unbalanced;
-    open_ = true;
+    // Handlers that send may yield to another PE mid-batch, so the flag is
+    // per PE (the fiber backend runs one PE at a time).
+    if (open_[ap::rt::my_pe()]) ++unbalanced;
+    open_[ap::rt::my_pe()] = true;
     inner_.on_handler_batch_begin(mb);
   }
   void on_handler_batch(int mb, std::size_t count,
                         std::size_t bytes) override {
     ++batch_closes;
     batch_msgs += count;
-    if (!open_) ++unbalanced;
-    open_ = false;
+    if (!open_[ap::rt::my_pe()]) ++unbalanced;
+    open_[ap::rt::my_pe()] = false;
     inner_.on_handler_batch(mb, count, bytes);
   }
   void on_actor_misuse(const char* what) override {
@@ -385,10 +389,11 @@ class HookCounter final : public actor::ActorObserver {
 
  private:
   prof::Profiler& inner_;
-  bool open_ = false;
+  bool per_message_;
+  std::map<int, bool> open_;  // by PE
 };
 
-/// The decorator counts with plain fields and one open-batch flag, so the
+/// The decorator counts with plain fields and open-batch flags, so the
 /// profiled runs below pin the single-threaded fiber backend.
 LaunchConfig fiber_cfg_of(int pes, int ppn = 0) {
   LaunchConfig cfg = cfg_of(pes, ppn);
@@ -466,38 +471,134 @@ TEST(ProfilerPath, CountOnlyConfigsTakeTheBatchDrainPath) {
   }
 }
 
-TEST(ProfilerPath, PapiAndTimelineKeepPerMessageHooks) {
-  std::vector<prof::Config> configs(2, kinds_off());
-  configs[0].papi = true;
-  configs[1].timeline = true;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    SCOPED_TRACE("config " + std::to_string(i));
-    prof::Profiler profiler(configs[i]);
-    ASSERT_TRUE(profiler.wants_per_message_events());
+/// Sum of num_sends over every PE's PROC (handler) rows.
+std::uint64_t proc_row_msgs(const prof::Profiler& p) {
+  std::uint64_t n = 0;
+  for (int pe = 0; pe < p.num_pes(); ++pe)
+    for (const prof::PapiSegmentRecord& r : p.papi_segments(pe))
+      if (r.is_proc) n += r.num_sends;
+  return n;
+}
+
+TEST(ProfilerPath, PapiTakesTheBatchDrainPath) {
+  prof::Config c = kinds_off();
+  c.papi = true;
+  prof::Profiler profiler(c);
+  ASSERT_FALSE(profiler.wants_per_message_events());
+  ASSERT_TRUE(profiler.wants_per_send_charges());
+  std::uint64_t handled = 0;
+  {
     HookCounter hooks(profiler);
-    const std::uint64_t handled = run_profiled(profiler);
+    handled = run_profiled(profiler);
     EXPECT_EQ(handled, kProfiledMsgs);
-    EXPECT_EQ(hooks.handler_begins, handled);
-    EXPECT_EQ(hooks.handler_ends, handled);
-    EXPECT_EQ(hooks.batch_begins, 0u);
-    EXPECT_EQ(hooks.batch_closes, 0u);
+    EXPECT_EQ(hooks.handler_begins, 0u);
+    EXPECT_EQ(hooks.handler_ends, 0u);
+    EXPECT_GT(hooks.batch_begins, 0u);
+    EXPECT_EQ(hooks.batch_begins, hooks.batch_closes);
+    EXPECT_EQ(hooks.unbalanced, 0u);
+    EXPECT_EQ(hooks.batch_msgs, handled);
   }
+  EXPECT_EQ(proc_row_msgs(profiler), handled);
+}
+
+TEST(ProfilerPath, TimelineKeepsPerMessageHooks) {
+  prof::Config c = kinds_off();
+  c.timeline = true;
+  prof::Profiler profiler(c);
+  ASSERT_TRUE(profiler.wants_per_message_events());
+  HookCounter hooks(profiler);
+  const std::uint64_t handled = run_profiled(profiler);
+  EXPECT_EQ(handled, kProfiledMsgs);
+  EXPECT_EQ(hooks.handler_begins, handled);
+  EXPECT_EQ(hooks.handler_ends, handled);
+  EXPECT_EQ(hooks.batch_begins, 0u);
+  EXPECT_EQ(hooks.batch_closes, 0u);
+}
+
+/// Four PEs send bursts of 8 from MAIN into mailbox 0; each mailbox-0
+/// handler does some work and replies into mailbox 1, so PROC rows absorb
+/// sends and MAIN rows switch between destinations.
+void run_papi_rows(prof::Profiler& profiler) {
+  shmem::run(fiber_cfg_of(4, 2), [&] {
+    actor::Selector<2, std::int64_t> s;
+    s.mb[0].process = [&s](std::int64_t v, int src) {
+      ap::papi::account_loop_iters(static_cast<std::uint64_t>(v % 7));
+      s.send(1, v, src);
+    };
+    s.mb[1].process = [](std::int64_t, int) {
+      ap::papi::account_loop_iters(3);
+    };
+    profiler.epoch_begin();
+    ap::hclib::finish([&] {
+      s.start();
+      for (int i = 0; i < 300; ++i) {
+        ap::papi::account_loop_iters(static_cast<std::uint64_t>(i % 5));
+        s.send(0, i, (shmem::my_pe() + i / 8) % 4);
+      }
+      s.done(0);
+    });
+    profiler.epoch_end();
+  });
+}
+
+TEST(ProfilerPath, PapiRowsMatchPerMessagePath) {
+  prof::Config c = kinds_off();
+  c.papi = c.overall = c.supersteps = true;
+  c.papi_events = {ap::papi::Event::TOT_INS, ap::papi::Event::LST_INS,
+                   ap::papi::Event::TOT_CYC, ap::papi::Event::kCount};
+  prof::Profiler on_batch(c);
+  {
+    HookCounter hooks(on_batch);
+    run_papi_rows(on_batch);
+    EXPECT_EQ(hooks.handler_begins, 0u);
+    EXPECT_EQ(hooks.unbalanced, 0u);
+    EXPECT_EQ(hooks.batch_msgs, 2u * 4 * 300);
+  }
+  // The reference also folds at every send, as metrics mode does: skipping
+  // the folds that move no attribution must not change a row.
+  prof::Config every_send = c;
+  every_send.metrics = true;
+  prof::Profiler on_each(every_send);
+  {
+    HookCounter hooks(on_each, /*per_message=*/true);
+    run_papi_rows(on_each);
+    EXPECT_EQ(hooks.handler_begins, 2u * 4 * 300);
+    EXPECT_EQ(hooks.batch_begins, 0u);
+  }
+  ASSERT_EQ(on_batch.num_pes(), 4);
+  for (int pe = 0; pe < 4; ++pe) {
+    SCOPED_TRACE("PE " + std::to_string(pe));
+    const auto rows = on_batch.papi_segments(pe);
+    EXPECT_EQ(rows, on_each.papi_segments(pe));
+    // Mailbox 0 and 1 PROC rows, and a MAIN row per mailbox-0 destination
+    // plus the replies' rows.
+    EXPECT_GE(rows.size(), 6u);
+    const prof::OverallRecord b = on_batch.overall().at(
+        static_cast<std::size_t>(pe));
+    const prof::OverallRecord e = on_each.overall().at(
+        static_cast<std::size_t>(pe));
+    EXPECT_EQ(b.t_main, e.t_main);
+    EXPECT_EQ(b.t_proc, e.t_proc);
+    EXPECT_EQ(b.t_total, e.t_total);
+  }
+  EXPECT_EQ(proc_row_msgs(on_batch), 2u * 4 * 300);
 }
 
 TEST(ProfilerPath, MetricsCountHandlersAlikeOnBothPaths) {
-  prof::Config batch = kinds_off();
-  batch.metrics = true;
-  prof::Config per_message = batch;
-  per_message.papi = true;
-  prof::Profiler on_batch(batch);
+  prof::Config c = kinds_off();
+  c.metrics = true;
+  prof::Profiler on_batch(c);
   ASSERT_FALSE(on_batch.wants_per_message_events());
   run_profiled(on_batch);
   const auto handlers =
       metric_by_pe(on_batch, "actorprof_actor_handlers_total");
   const auto depth = metric_by_pe(on_batch, "actorprof_actor_queue_depth");
-  prof::Profiler on_each(per_message);
-  ASSERT_TRUE(on_each.wants_per_message_events());
-  run_profiled(on_each);
+  prof::Profiler on_each(c);
+  {
+    HookCounter hooks(on_each, /*per_message=*/true);
+    const std::uint64_t handled = run_profiled(on_each);
+    EXPECT_EQ(hooks.handler_begins, handled);
+  }
   ASSERT_EQ(handlers.size(), 4u);
   std::uint64_t total = 0;
   for (const auto& [series, v] : handlers) total += std::stoull(v);
@@ -547,10 +648,6 @@ ThrowRun run_throwing_handler(prof::Profiler& profiler) {
 TEST(ProfilerPath, HandlerThrowClosesTheBatchLikeThePerMessagePath) {
   prof::Config batch = kinds_off();
   batch.overall = batch.supersteps = true;
-  // PAPI, not the timeline: timeline flow ids widen the wire records and
-  // with them the modelled COMM cost.
-  prof::Config per_message = batch;
-  per_message.papi = true;
 
   prof::Profiler on_batch(batch);
   ThrowRun b;
@@ -580,21 +677,31 @@ TEST(ProfilerPath, HandlerThrowClosesTheBatchLikeThePerMessagePath) {
   EXPECT_GT(proc, 0u);
   EXPECT_EQ(msgs, 6u);
 
-  // The per-message path charges the same cycles to the same regions.
-  prof::Profiler on_each(per_message);
-  ASSERT_TRUE(on_each.wants_per_message_events());
-  const ThrowRun e = run_throwing_handler(on_each);
-  EXPECT_EQ(e.overall.t_main, b.overall.t_main);
-  EXPECT_EQ(e.overall.t_proc, b.overall.t_proc);
-  EXPECT_EQ(e.overall.t_total, b.overall.t_total);
+  // The per-message path charges the same cycles to the same regions, and
+  // so does the batch path with construct charges deferred (no decorator).
+  // A decorator, not the timeline, forces the per-message path: timeline
+  // flow ids widen the wire records and with them the modelled COMM cost.
+  prof::Profiler on_each(batch);
+  ThrowRun e;
+  {
+    HookCounter hooks(on_each, /*per_message=*/true);
+    e = run_throwing_handler(on_each);
+    EXPECT_EQ(hooks.handler_begins, 6u);
+  }
+  prof::Profiler deferred(batch);
+  ASSERT_FALSE(deferred.wants_per_send_charges());
+  ThrowRun d = run_throwing_handler(deferred);
+  for (const ThrowRun* r : {&e, &d}) {
+    EXPECT_EQ(r->overall.t_main, b.overall.t_main);
+    EXPECT_EQ(r->overall.t_proc, b.overall.t_proc);
+    EXPECT_EQ(r->overall.t_total, b.overall.t_total);
+  }
 }
 
 /// A decorator that forwards on_handler_batch but not the begin hook (as
-/// perfbench's seams do) must leave the profiler consistent.
+/// perfbench's seams do) must leave the profiler consistent, and PAPI PROC
+/// rows still count every handled message.
 TEST(ProfilerPath, BatchCloseWithoutBeginIsHarmless) {
-  prof::Config c = kinds_off();
-  c.overall = true;
-  prof::Profiler profiler(c);
   struct CloseOnly final : actor::ActorObserver {
     prof::Profiler& p;
     explicit CloseOnly(prof::Profiler& inner) : p(inner) {
@@ -615,14 +722,22 @@ TEST(ProfilerPath, BatchCloseWithoutBeginIsHarmless) {
       p.on_handler_batch(mb, n, b);
     }
   };
-  {
-    CloseOnly seam(profiler);
-    EXPECT_NO_THROW(run_profiled(profiler));
-  }
-  for (const prof::OverallRecord& r : profiler.overall()) {
-    EXPECT_EQ(r.t_proc, 0u) << "PE " << r.pe;
-    EXPECT_LE(r.t_main + r.t_proc, r.t_total) << "PE " << r.pe;
-    EXPECT_GT(r.t_comm(), 0u) << "PE " << r.pe;
+  for (const bool papi : {false, true}) {
+    SCOPED_TRACE(papi ? "overall + papi" : "overall");
+    prof::Config c = kinds_off();
+    c.overall = true;
+    c.papi = papi;
+    prof::Profiler profiler(c);
+    {
+      CloseOnly seam(profiler);
+      EXPECT_NO_THROW(run_profiled(profiler));
+    }
+    for (const prof::OverallRecord& r : profiler.overall()) {
+      EXPECT_EQ(r.t_proc, 0u) << "PE " << r.pe;
+      EXPECT_LE(r.t_main + r.t_proc, r.t_total) << "PE " << r.pe;
+      EXPECT_GT(r.t_comm(), 0u) << "PE " << r.pe;
+    }
+    EXPECT_EQ(proc_row_msgs(profiler), papi ? kProfiledMsgs : 0u);
   }
 }
 

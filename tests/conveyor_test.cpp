@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -289,6 +290,8 @@ TEST(Conveyor, RejectsBadOptions) {
 
 // ------------------------------------------------- transfer types & hooks
 
+/// Under the threads backend every worker reports transfers at once, so
+/// appends take a lock; read recs after the launch.
 struct RecordingObserver : convey::TransferObserver {
   struct Rec {
     convey::SendType type;
@@ -296,8 +299,10 @@ struct RecordingObserver : convey::TransferObserver {
     int src, dst;
   };
   std::vector<Rec> recs;
+  std::mutex mu;
   void on_transfer(convey::SendType t, std::size_t b, int s, int d,
                    std::uint64_t) override {
+    const std::lock_guard<std::mutex> lk(mu);
     recs.push_back({t, b, s, d});
   }
 };

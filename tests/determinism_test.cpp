@@ -93,6 +93,21 @@ void run_index_gather_counts(const fs::path& dir) {
   profiler.write_traces();
 }
 
+/// The same program with PAPI rows: each mailbox-0 handler's send into
+/// mailbox 1 lands in a PROC row, and MAIN rows follow the latest send from
+/// MAIN. TOT_CYC pins the cycles each row absorbed.
+void run_index_gather_papi(const fs::path& dir) {
+  prof::Config pc = kinds_off(dir);
+  pc.overall = pc.papi = pc.supersteps = true;
+  pc.papi_events = {papi::Event::TOT_INS, papi::Event::LST_INS,
+                    papi::Event::TOT_CYC, papi::Event::kCount};
+  prof::Profiler profiler(pc);
+  shmem::run(fiber_launch(), [&] {
+    apps::index_gather_actor(128, 1500, 0xDEC0DE, &profiler);
+  });
+  profiler.write_traces();
+}
+
 /// FNV-1a of MANIFEST.txt, which itself lists an FNV-1a per trace file: one
 /// number pins every byte the run wrote.
 std::uint64_t manifest_checksum(const fs::path& dir, std::string& manifest) {
@@ -147,6 +162,12 @@ TEST(Determinism, GoldenIndexGatherCountKinds) {
   const testutil::TestTmpDir tmp;
   run_index_gather_counts(tmp.path());
   expect_golden(tmp.path(), 0xfce511f8ab45ebc4ull);
+}
+
+TEST(Determinism, GoldenIndexGatherPapi) {
+  const testutil::TestTmpDir tmp;
+  run_index_gather_papi(tmp.path());
+  expect_golden(tmp.path(), 0x88ec75f065f785a3ull);
 }
 
 TEST(Determinism, GoldenTriangleAllEnabled) {
