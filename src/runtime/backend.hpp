@@ -1,7 +1,8 @@
 // Execution-backend selection for the SPMD runtime.
 //
 // The runtime can drive the P simulated PEs two ways:
-//   * Backend::fiber   — every PE is a cooperative ucontext fiber on the
+//   * Backend::fiber   — every PE is a cooperative fiber (fiber.hpp: a
+//                        user-space context switch on x86-64) on the
 //                        launching thread, scheduled round-robin. Fully
 //                        deterministic; the reproducibility mode and the
 //                        default. Required by fault injection.

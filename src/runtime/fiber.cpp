@@ -1,12 +1,19 @@
 #include "runtime/fiber.hpp"
 
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#if !defined(AP_FIBER_USER_SWITCH)
+#include <ucontext.h>
+
+#include <new>
+#endif
+
 // AddressSanitizer tracks one shadow region per thread stack; every
-// swapcontext must be announced so ASan switches its notion of the live
+// context switch must be announced so ASan switches its notion of the live
 // stack (and so exception unwinds on a fiber stack don't get flagged as
 // stack-buffer underflows on the main stack). See sanitizer
 // common_interface_defs.h and google/sanitizers#189.
@@ -23,7 +30,7 @@
 #endif
 
 // ThreadSanitizer models each stack as a "fiber" with its own shadow
-// clock; like ASan, every swapcontext must be announced or TSan reports
+// clock; like ASan, every switch must be announced or TSan reports
 // wild data races between the stacks (and crashes on the context switch).
 // See sanitizer tsan_interface.h. Mirrors the ASan annotations above —
 // the tsan preset in CMakePresets.json builds with -fsanitize=thread.
@@ -49,6 +56,72 @@ namespace {
 thread_local Fiber* g_current_fiber = nullptr;
 }  // namespace
 
+#if defined(AP_FIBER_USER_SWITCH)
+
+// ap_fiber_switch(save, load): push the callee-saved registers (SysV
+// x86-64: rbp, rbx, r12-r15) and the MXCSR and x87 control words, store
+// rsp to *save, then continue on the stack saved at `load` by popping the
+// same frame and returning into it. Everything else the ABI lets a call
+// clobber, so a plain call is a complete switch.
+extern "C" [[gnu::visibility("hidden")]] void ap_fiber_switch(void** save,
+                                                              void* load);
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl ap_fiber_switch
+  .hidden ap_fiber_switch
+  .type ap_fiber_switch, @function
+ap_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size ap_fiber_switch, .-ap_fiber_switch
+  .popsection
+)");
+
+namespace {
+/// Save the running context into *save and continue the one at `load`.
+inline void switch_context(void** save, void* load) {
+  ap_fiber_switch(save, load);
+}
+}  // namespace
+
+#else
+
+namespace {
+/// The two contexts of a fiber, kept at the top of its stack allocation.
+struct UcontextPair {
+  ucontext_t fiber;
+  ucontext_t resumer;
+};
+
+/// Save the running context into the ucontext_t *save points at and
+/// continue the one at `load`.
+inline void switch_context(void** save, void* load) {
+  swapcontext(static_cast<ucontext_t*>(*save), static_cast<ucontext_t*>(load));
+}
+}  // namespace
+
+#endif
+
 Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
     : entry_(std::move(entry)),
       stack_(new unsigned char[stack_bytes]),
@@ -69,7 +142,7 @@ void Fiber::trampoline() {
   assert(self != nullptr);
 #if defined(AP_ASAN_FIBERS)
   // First entry: no fake stack to restore; capture the resumer's stack so
-  // yield()/the final uc_link switch can announce the way back.
+  // yield()/the final switch below can announce the way back.
   __sanitizer_finish_switch_fiber(nullptr, &self->asan_resumer_bottom_,
                                   &self->asan_resumer_size_);
 #endif
@@ -81,7 +154,7 @@ void Fiber::trampoline() {
   self->state_ = State::Finished;
 #if defined(AP_ASAN_FIBERS)
   // The fiber is done: null fake-stack save destroys its fake frames, and
-  // the uc_link transfer right after this return lands in resume().
+  // the switch right below lands in resume().
   __sanitizer_start_switch_fiber(nullptr, self->asan_resumer_bottom_,
                                  self->asan_resumer_size_);
 #endif
@@ -89,13 +162,13 @@ void Fiber::trampoline() {
   // Announce the transfer back to the resumer.
   __tsan_switch_to_fiber(self->tsan_from_, 0);
 #endif
-  // Swap out explicitly instead of falling off the end into uc_link: the
-  // fall-through would execute this function's instrumented epilogue
-  // *after* the switch announcements above, so under TSan each finished
-  // fiber would pop one frame from the resumer's shadow stack until it
-  // underflows. The fiber is Finished and never resumed, so control never
-  // returns here; uc_link stays set as a backstop.
-  swapcontext(&self->context_, &self->return_context_);
+  // Switch out explicitly: the fiber is Finished and never resumed, so
+  // control never comes back. trampoline has no caller to return to (its
+  // primed return address is zero), and returning into uc_link instead
+  // would run this function's instrumented epilogue *after* the switch
+  // announcements above, so under TSan each finished fiber would pop one
+  // frame from the resumer's shadow stack until it underflows.
+  switch_context(&self->context_, self->return_context_);
 }
 
 void Fiber::resume() {
@@ -105,12 +178,39 @@ void Fiber::resume() {
     throw std::logic_error("Fiber::resume: fiber already running");
 
   if (state_ == State::Created) {
-    if (getcontext(&context_) != 0)
+    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(stack_.get());
+#if defined(AP_FIBER_USER_SWITCH)
+    // Prime the stack with the frame ap_fiber_switch pops, so the first
+    // switch returns into trampoline with rsp + 8 16-byte aligned, as after
+    // a call. The control words are the resumer's, as getcontext would
+    // capture; the frame pointer and trampoline's return address are zero,
+    // so frame-pointer walks and unwinders stop at trampoline.
+    std::uint32_t mxcsr = 0;
+    std::uint16_t x87_cw = 0;
+    asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87_cw));
+    const std::uint64_t frame[9] = {
+        mxcsr | std::uint64_t{x87_cw} << 32,  // control words
+        0, 0, 0, 0, 0, 0,                     // r15 r14 r13 r12 rbx rbp
+        reinterpret_cast<std::uintptr_t>(&trampoline),
+        0};  // trampoline's return address
+    const std::uintptr_t top = (base + stack_bytes_) & ~std::uintptr_t{15};
+    void* sp = reinterpret_cast<void*>(top - sizeof frame);
+    std::memcpy(sp, frame, sizeof frame);
+    context_ = sp;
+#else
+    const std::uintptr_t at = (base + stack_bytes_ - sizeof(UcontextPair)) &
+                              ~std::uintptr_t{alignof(UcontextPair) - 1};
+    auto* contexts = new (reinterpret_cast<void*>(at)) UcontextPair{};
+    context_ = &contexts->fiber;
+    return_context_ = &contexts->resumer;
+    if (getcontext(&contexts->fiber) != 0)
       throw std::runtime_error("Fiber: getcontext failed");
-    context_.uc_stack.ss_sp = stack_.get();
-    context_.uc_stack.ss_size = stack_bytes_;
-    context_.uc_link = &return_context_;
-    makecontext(&context_, reinterpret_cast<void (*)()>(&trampoline), 0);
+    contexts->fiber.uc_stack.ss_sp = stack_.get();
+    contexts->fiber.uc_stack.ss_size = at - base;
+    contexts->fiber.uc_link = &contexts->resumer;
+    makecontext(&contexts->fiber, reinterpret_cast<void (*)()>(&trampoline),
+                0);
+#endif
   }
 
   Fiber* previous = g_current_fiber;
@@ -128,7 +228,7 @@ void Fiber::resume() {
   tsan_from_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&return_context_, &context_);
+  switch_context(&return_context_, context_);
 #if defined(AP_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(resumer_fake_stack, nullptr, nullptr);
 #endif
@@ -152,7 +252,7 @@ void Fiber::yield() {
 #if defined(AP_TSAN_FIBERS)
   __tsan_switch_to_fiber(self->tsan_from_, 0);
 #endif
-  swapcontext(&self->context_, &self->return_context_);
+  switch_context(&self->context_, self->return_context_);
 #if defined(AP_ASAN_FIBERS)
   // Back inside the fiber (a later resume); the resumer may differ, so
   // re-capture its stack extents.

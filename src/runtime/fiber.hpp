@@ -1,4 +1,4 @@
-// Stackful cooperative fibers built on POSIX ucontext.
+// Stackful cooperative fibers with a user-space context switch.
 //
 // A Fiber owns a private stack and a user entry function. Control moves
 // strictly between a fiber and the scheduler context that resumed it:
@@ -6,6 +6,26 @@
 // returns to the resumer. There is no preemption; this is the substrate for
 // the deterministic SPMD scheduler in scheduler.hpp, where one fiber plays
 // the role of one OpenSHMEM processing element (PE).
+//
+// On x86-64 a switch is a short assembly routine in fiber.cpp: it pushes
+// the callee-saved registers and the MXCSR and x87 control words onto the
+// outgoing stack, saves rsp in the Fiber and loads the incoming one. It
+// makes no system call. Every other target switches with POSIX
+// getcontext/makecontext/swapcontext instead. The routine keeps no CET
+// shadow stack, so the root CMakeLists.txt builds x86-64 with
+// -fcf-protection=branch; a build outside it whose flags emit shadow-stack
+// code (__CET__ & 2, e.g. a toolchain default of -fcf-protection=full)
+// also gets the swapcontext code, which is safe under shadow stacks.
+//
+// Contract of a switch:
+//   * floating-point control (rounding mode, exception masks) belongs to
+//     each context: fesetround() inside a fiber neither leaks into its
+//     resumer nor is lost across the fiber's yields;
+//   * with AP_FIBER_USER_SWITCH the signal mask belongs to the thread, not
+//     to a context: a switch neither saves nor restores it, so a fiber that
+//     blocks a signal blocks it for its resumer too. The swapcontext
+//     fallback still saves and restores a mask per context, with a system
+//     call on every switch.
 #pragma once
 
 #include <atomic>
@@ -13,7 +33,12 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <ucontext.h>
+
+#if defined(__x86_64__) && !(defined(__CET__) && (__CET__ & 2))
+/// Defined when switches take the x86-64 user-space routine (see above):
+/// on x86-64 unless foreign flags ask for shadow-stack code.
+#define AP_FIBER_USER_SWITCH 1
+#endif
 
 namespace ap::rt {
 
@@ -62,8 +87,12 @@ class Fiber {
   std::function<void()> entry_;
   std::unique_ptr<unsigned char[]> stack_;
   std::size_t stack_bytes_;
-  ucontext_t context_{};
-  ucontext_t return_context_{};
+  // Saved contexts: the fiber's own while it is suspended, its resumer's
+  // while it runs. With AP_FIBER_USER_SWITCH each is a stack pointer into
+  // the stack it saved; otherwise each points at a ucontext_t kept at the
+  // top of stack_ (fiber.cpp).
+  void* context_ = nullptr;
+  void* return_context_ = nullptr;
   std::exception_ptr pending_exception_;
   // Atomic so the threads backend's deadlock monitor may inspect fibers
   // owned by other workers; all transitions stay on the owning thread.

@@ -56,6 +56,7 @@ TEST(EdgeRuntime, TwoHundredFiftySixPEs) {
 TEST(EdgeRuntime, WaitUntilAlreadyTrueDoesNotYield) {
   ap::rt::LaunchConfig cfg;
   cfg.num_pes = 2;
+  cfg.backend = ap::rt::Backend::fiber;  // asserts fiber round-robin order
   std::vector<int> order;
   ap::rt::launch(cfg, [&order] {
     ap::rt::wait_until([] { return true; });  // must not suspend

@@ -1,10 +1,15 @@
 // Tests for the fiber runtime: fibers, the deterministic SPMD scheduler,
 // collective-object registry, and mini-HClib finish/async.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <cfenv>
+#include <csignal>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "runtime/barrier.hpp"
@@ -92,6 +97,145 @@ TEST(Fiber, NestedFibers) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
+TEST(Fiber, FloatingPointControlIsPerContext) {
+  // 1 + 1e-30 rounds up past 1 only when rounding upward; checked in the
+  // SSE unit (double, MXCSR) and in the x87 unit (long double, control
+  // word).
+  auto rounds_up = [] {
+    volatile double one = 1.0, tiny = 1e-30;
+    volatile long double one_x87 = 1.0L, tiny_x87 = 1e-30L;
+    return std::vector<bool>{one + tiny > one, one_x87 + tiny_x87 > one_x87};
+  };
+  const std::vector<bool> neither{false, false}, both{true, true};
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  ASSERT_EQ(rounds_up(), neither);
+
+  std::vector<int> modes;
+  std::vector<std::vector<bool>> inside;
+  Fiber f([&] {
+    ASSERT_EQ(std::fesetround(FE_UPWARD), 0);
+    for (int i = 0; i < 3; ++i) {
+      Fiber::yield();
+      modes.push_back(std::fegetround());
+      inside.push_back(rounds_up());
+    }
+  });
+  while (!f.finished()) {
+    f.resume();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(rounds_up(), neither);
+  }
+  EXPECT_EQ(modes, (std::vector<int>{FE_UPWARD, FE_UPWARD, FE_UPWARD}));
+  EXPECT_EQ(inside, (std::vector<std::vector<bool>>{both, both, both}));
+}
+
+/// Recurses `depth` frames, each holding locals across a yield on the way
+/// down and on the way up, and folds them into a checksum that a serial
+/// run without yields reproduces.
+std::uint64_t deep_checksum(std::uint64_t id, int depth, bool yield) {
+  const std::uint64_t mine = id * 0x9e3779b97f4a7c15ULL + 31u * depth;
+  volatile std::uint64_t pad[4] = {mine, mine ^ 1, mine ^ 2, mine ^ 3};
+  if (yield) Fiber::yield();
+  const std::uint64_t below =
+      depth == 0 ? id : deep_checksum(id, depth - 1, yield);
+  if (yield) Fiber::yield();
+  return (below ^ mine) * 0x100000001b3ULL + pad[0] + pad[1] + pad[2] +
+         pad[3];
+}
+
+TEST(Fiber, ManyFibersKeepTheirFramesAcrossSwitches) {
+  constexpr int kFibers = 256;
+  constexpr int kDepth = 32;
+  constexpr std::size_t kStack = 128 * 1024;
+  std::vector<std::uint64_t> got(kFibers, 0);
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  for (int i = 0; i < kFibers; ++i)
+    fibers.push_back(std::make_unique<Fiber>(
+        [&got, i] {
+          got[static_cast<std::size_t>(i)] =
+              deep_checksum(static_cast<std::uint64_t>(i), kDepth, true);
+        },
+        kStack));
+  // Round-robin until all finish: every fiber yields at every level, so
+  // each switch lands in another fiber's frames.
+  int rounds = 0;
+  for (bool live = true; live; ++rounds) {
+    live = false;
+    for (auto& f : fibers)
+      if (!f->finished()) {
+        f->resume();
+        live = true;
+      }
+  }
+  // Two yields per level, one pass that finishes, one that finds none live.
+  EXPECT_EQ(rounds, 2 * (kDepth + 1) + 2);
+  for (int i = 0; i < kFibers; ++i)
+    EXPECT_EQ(got[static_cast<std::size_t>(i)],
+              deep_checksum(static_cast<std::uint64_t>(i), kDepth, false))
+        << "fiber " << i;
+}
+
+TEST(Fiber, ExceptionThrownAfterYieldsPropagates) {
+  int unwound = 0;
+  struct Guard {
+    int& n;
+    ~Guard() { ++n; }
+  };
+  std::function<void(int)> dive = [&](int depth) {
+    Guard g{unwound};
+    Fiber::yield();
+    if (depth == 0) throw std::runtime_error("deep");
+    dive(depth - 1);
+  };
+  Fiber f([&] { dive(8); });
+  int resumes = 0;
+  std::string what;
+  try {
+    for (;;) {
+      f.resume();
+      ++resumes;
+    }
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_EQ(what, "deep");
+  EXPECT_EQ(resumes, 9);  // one yield per level before the throw
+  EXPECT_TRUE(f.finished());
+  EXPECT_EQ(unwound, 9);  // every frame's destructor ran on the way out
+  EXPECT_EQ(Fiber::current(), nullptr);
+
+  // The resumer's context survives: a fresh fiber still runs.
+  int x = 0;
+  Fiber g([&x] { x = 7; });
+  g.resume();
+  EXPECT_EQ(x, 7);
+}
+
+TEST(Fiber, SwitchLeavesTheThreadSignalMaskAlone) {
+#if !defined(AP_FIBER_USER_SWITCH)
+  GTEST_SKIP() << "the ucontext fallback keeps a signal mask per context";
+#else
+  sigset_t usr2, saved;
+  sigemptyset(&usr2);
+  sigaddset(&usr2, SIGUSR2);
+  ASSERT_EQ(pthread_sigmask(SIG_UNBLOCK, &usr2, &saved), 0);
+  Fiber f([&usr2] {
+    pthread_sigmask(SIG_BLOCK, &usr2, nullptr);
+    Fiber::yield();
+  });
+  f.resume();
+  sigset_t now;
+  pthread_sigmask(SIG_SETMASK, nullptr, &now);
+  const bool blocked_after_yield = sigismember(&now, SIGUSR2) == 1;
+  f.resume();
+  pthread_sigmask(SIG_SETMASK, nullptr, &now);
+  const bool blocked_after_finish = sigismember(&now, SIGUSR2) == 1;
+  pthread_sigmask(SIG_SETMASK, &saved, nullptr);
+  EXPECT_TRUE(blocked_after_yield);
+  EXPECT_TRUE(blocked_after_finish);
+#endif
+}
+
 TEST(Scheduler, RunsEveryPe) {
   LaunchConfig cfg;
   cfg.num_pes = 7;
@@ -114,6 +258,7 @@ TEST(Scheduler, RoundRobinIsDeterministic) {
   auto trace_of = [] {
     LaunchConfig cfg;
     cfg.num_pes = 4;
+    cfg.backend = ap::rt::Backend::fiber;  // asserts fiber round-robin order
     std::vector<int> trace;
     ap::rt::launch(cfg, [&trace] {
       for (int i = 0; i < 3; ++i) {

@@ -20,7 +20,11 @@
 #   6. Tests never join a path straight onto ::testing::TempDir(): ctest -j
 #      runs every case as its own process, and a fixed name is shared by
 #      all of them. Scratch paths come from tests/test_tmpdir.hpp.
-#   7. clang-tidy over the check/runtime/shmem sources when installed
+#   7. The context-switch primitives (swapcontext, makecontext,
+#      getcontext, setcontext and the x86-64 routine ap_fiber_switch) appear
+#      only in src/runtime/fiber.cpp: every PE switch goes through Fiber,
+#      so a switch with a system call in it cannot come back elsewhere.
+#   8. clang-tidy over the check/runtime/shmem sources when installed
 #      (.clang-tidy at the repo root); skipped with a note otherwise.
 set -uo pipefail
 
@@ -82,13 +86,25 @@ if [ -n "${hits}" ]; then
     "${hits}"
 fi
 
+# Rule 7: context switches live in the Fiber implementation only (comment
+# lines may name them).
+hits=$(grep -rnE \
+  '\b(swapcontext|makecontext|getcontext|setcontext|ap_fiber_switch)\b' \
+  src examples bench perfbench tests tools --include='*.cpp' \
+  --include='*.hpp' --include='*.h' | grep -v '^src/runtime/fiber.cpp:' \
+  | grep -vE '^\S+:[0-9]+:[[:space:]]*(//|\*)' || true)
+if [ -n "${hits}" ]; then
+  violation "context-switch primitive outside src/runtime/fiber.cpp (rule 7)" \
+    "${hits}"
+fi
+
 if [ "${fail}" -ne 0 ]; then
   echo "lint: FAILED" >&2
   exit 1
 fi
 echo "lint: grep rules OK"
 
-# Rule 7: clang-tidy (optional — absent from minimal containers).
+# Rule 8: clang-tidy (optional — absent from minimal containers).
 if command -v clang-tidy >/dev/null 2>&1; then
   tidy_files=(src/check/*.cpp src/runtime/*.cpp src/shmem/*.cpp
               src/conveyor/*.cpp src/core/config.cpp)
