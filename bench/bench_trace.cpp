@@ -6,20 +6,17 @@
 // and decode at least 4x as fast (docs/TRACE_FORMAT.md).
 //
 // Sections (items = trace rows across all kinds and PEs):
-//   csv_write / csv_read — Sink emission / istream parsing
-//   bin_write / bin_read — columnar encode / decode (CRC verified)
+//   csv_write / csv_read — io::write_csv / io::read_into on CSV text
+//   bin_write / bin_read — io::encode / io::read_into on .apt (CRC verified)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/triangle.hpp"
 #include "bench_json.hpp"
 #include "core/profiler.hpp"
-#include "core/sink.hpp"
-#include "core/trace_binary.hpp"
 #include "core/trace_io.hpp"
 #include "graph/distribution.hpp"
 #include "graph/rmat.hpp"
@@ -91,43 +88,23 @@ double best_of_3(Fn&& fn) {
   return best;
 }
 
-std::vector<std::string> encode_csv(const Records& r) {
+/// Every trace body of `r` in one container: the per-PE send, PAPI and
+/// steps shards, then physical.
+std::vector<std::string> encode_all(const Records& r, bool binary) {
   std::vector<std::string> bodies;
-  for (int pe = 0; pe < kPes; ++pe) {
-    prof::io::Sink s;
-    prof::io::write_logical(s, r.logical[static_cast<std::size_t>(pe)]);
-    bodies.push_back(std::move(s).str());
-  }
-  for (int pe = 0; pe < kPes; ++pe) {
-    prof::io::Sink s;
-    prof::io::write_papi(s, r.papi[static_cast<std::size_t>(pe)], r.cfg);
-    bodies.push_back(std::move(s).str());
-  }
-  for (int pe = 0; pe < kPes; ++pe) {
-    prof::io::Sink s;
-    prof::io::write_steps(s, r.steps[static_cast<std::size_t>(pe)]);
-    bodies.push_back(std::move(s).str());
-  }
-  {
-    prof::io::Sink s;
-    prof::io::write_physical(s, r.physical);
-    bodies.push_back(std::move(s).str());
-  }
-  return bodies;
-}
-
-std::vector<std::string> encode_bin(const Records& r) {
-  std::vector<std::string> bodies;
-  for (int pe = 0; pe < kPes; ++pe)
-    bodies.push_back(
-        prof::io::encode_logical(r.logical[static_cast<std::size_t>(pe)]));
-  for (int pe = 0; pe < kPes; ++pe)
-    bodies.push_back(
-        prof::io::encode_papi(r.papi[static_cast<std::size_t>(pe)], r.cfg));
-  for (int pe = 0; pe < kPes; ++pe)
-    bodies.push_back(
-        prof::io::encode_steps(r.steps[static_cast<std::size_t>(pe)]));
-  bodies.push_back(prof::io::encode_physical(r.physical));
+  const auto add = [&](const auto& rows, const prof::io::FileMeta& meta) {
+    if (binary) {
+      bodies.push_back(prof::io::encode(rows, meta));
+    } else {
+      prof::io::Sink s;
+      prof::io::write_csv(s, rows, meta);
+      bodies.push_back(std::move(s).str());
+    }
+  };
+  for (const auto& rows : r.logical) add(rows, {});
+  for (const auto& rows : r.papi) add(rows, prof::io::FileMeta::papi(r.cfg));
+  for (const auto& rows : r.steps) add(rows, {});
+  add(r.physical, {});
   return bodies;
 }
 
@@ -137,63 +114,26 @@ std::uint64_t total_bytes(const std::vector<std::string>& bodies) {
   return n;
 }
 
-std::uint64_t decode_csv(const std::vector<std::string>& bodies) {
+/// Rows read back from encode_all's bodies (either container).
+std::uint64_t read_all(const std::vector<std::string>& bodies) {
   std::uint64_t rows = 0;
   std::vector<prof::LogicalSendRecord> lg;
   std::vector<prof::PapiSegmentRecord> pp;
   std::vector<prof::SuperstepRecord> st;
   std::vector<prof::PhysicalRecord> ph;
-  for (int i = 0; i < kPes; ++i) {
-    lg.clear();
-    std::istringstream is(bodies[static_cast<std::size_t>(i)]);
-    prof::io::parse_logical_into(is, lg);
-    rows += lg.size();
+  const auto read = [&](std::size_t i, auto& out) {
+    out.clear();
+    prof::io::read_into(bodies[i], out);
+    rows += out.size();
+  };
+  constexpr std::size_t n = kPes;
+  for (std::size_t pe = 0; pe < n; ++pe) {
+    read(pe, lg);
+    read(n + pe, pp);
+    read(2 * n + pe, st);
   }
-  for (int i = 0; i < kPes; ++i) {
-    pp.clear();
-    std::istringstream is(bodies[static_cast<std::size_t>(kPes + i)]);
-    prof::io::parse_papi_into(is, pp);
-    rows += pp.size();
-  }
-  for (int i = 0; i < kPes; ++i) {
-    st.clear();
-    std::istringstream is(bodies[static_cast<std::size_t>(2 * kPes + i)]);
-    prof::io::parse_steps_into(is, st);
-    rows += st.size();
-  }
-  ph.clear();
-  std::istringstream is(bodies[static_cast<std::size_t>(3 * kPes)]);
-  prof::io::parse_physical_into(is, ph);
-  return rows + ph.size();
-}
-
-std::uint64_t decode_bin(const std::vector<std::string>& bodies) {
-  std::uint64_t rows = 0;
-  std::vector<prof::LogicalSendRecord> lg;
-  std::vector<prof::PapiSegmentRecord> pp;
-  std::vector<prof::SuperstepRecord> st;
-  std::vector<prof::PhysicalRecord> ph;
-  for (int i = 0; i < kPes; ++i) {
-    lg.clear();
-    prof::io::decode_logical_into(bodies[static_cast<std::size_t>(i)], lg);
-    rows += lg.size();
-  }
-  for (int i = 0; i < kPes; ++i) {
-    pp.clear();
-    prof::io::decode_papi_into(bodies[static_cast<std::size_t>(kPes + i)],
-                               pp);
-    rows += pp.size();
-  }
-  for (int i = 0; i < kPes; ++i) {
-    st.clear();
-    prof::io::decode_steps_into(
-        bodies[static_cast<std::size_t>(2 * kPes + i)], st);
-    rows += st.size();
-  }
-  ph.clear();
-  prof::io::decode_physical_into(bodies[static_cast<std::size_t>(3 * kPes)],
-                                 ph);
-  return rows + ph.size();
+  read(3 * n, ph);
+  return rows;
 }
 
 }  // namespace
@@ -207,13 +147,13 @@ int main(int argc, char** argv) {
   const auto rows = static_cast<double>(r.rows);
 
   std::vector<std::string> csv;
-  const double t_csv_w = best_of_3([&] { csv = encode_csv(r); });
+  const double t_csv_w = best_of_3([&] { csv = encode_all(r, false); });
   std::vector<std::string> bin;
-  const double t_bin_w = best_of_3([&] { bin = encode_bin(r); });
+  const double t_bin_w = best_of_3([&] { bin = encode_all(r, true); });
   std::uint64_t csv_rows = 0;
-  const double t_csv_r = best_of_3([&] { csv_rows = decode_csv(csv); });
+  const double t_csv_r = best_of_3([&] { csv_rows = read_all(csv); });
   std::uint64_t bin_rows = 0;
-  const double t_bin_r = best_of_3([&] { bin_rows = decode_bin(bin); });
+  const double t_bin_r = best_of_3([&] { bin_rows = read_all(bin); });
   if (csv_rows != r.rows || bin_rows != r.rows) {
     std::fprintf(stderr,
                  "bench_trace: row mismatch (run %llu, csv %llu, bin %llu)\n",

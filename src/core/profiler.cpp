@@ -694,8 +694,8 @@ void Profiler::close_superstep(PeData& d, int pe, std::uint64_t arrive) {
   if (publisher_) {
     metrics::OverheadMeter::Scope cost(meter_.bound() ? &meter_ : nullptr,
                                        OverheadCategory::publish, pe);
-    publisher_->publish_file(io::binary_file_name(io::steps_file_name(pe)),
-                             io::encode_steps({r}), /*append=*/true);
+    publisher_->publish_file(io::file_name({io::BinKind::steps, pe}, true),
+                             io::encode(std::vector{r}), /*append=*/true);
   }
   ++d.cur_step;
   d.ss_main = d.t_main;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "core/trace_schema.hpp"
 #include "metrics/sampler.hpp"
 
 namespace ap::prof::io {
@@ -195,42 +196,6 @@ void emit_block(std::string& out, std::size_t nrows,
   put_u32le(out, crc32(out.data() + start, out.size() - start));
 }
 
-/// Encode `rows` in kRowsPerBlock slices. `fill(row, dst)` writes the
-/// row's `ncols` u64 column values.
-template <class Rec, class Fill>
-std::string encode_rows(BinKind kind, std::string_view aux,
-                        const std::vector<Rec>& rows, std::size_t ncols,
-                        Fill&& fill) {
-  std::string out = header(kind, ncols, aux);
-  std::vector<std::vector<std::uint64_t>> cols(ncols);
-  std::vector<std::uint64_t> tmp(ncols);
-  std::vector<EncodedColumn> encoded(ncols);
-  for (std::size_t base = 0; base < rows.size(); base += kRowsPerBlock) {
-    const std::size_t n = std::min(kRowsPerBlock, rows.size() - base);
-    for (auto& c : cols) {
-      c.clear();
-      c.reserve(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      fill(rows[base + i], tmp.data());
-      for (std::size_t k = 0; k < ncols; ++k) cols[k].push_back(tmp[k]);
-    }
-    for (std::size_t k = 0; k < ncols; ++k)
-      encoded[k] = {kEncDeltaRle, encode_numeric(cols[k])};
-    emit_block(out, n, encoded);
-  }
-  return out;
-}
-
-template <class T>
-std::uint64_t as_u64(T v) {
-  return static_cast<std::uint64_t>(v);
-}
-/// Sign-extending narrow for columns holding ints (stored as wrapped u64).
-int as_int(std::uint64_t v) {
-  return static_cast<int>(static_cast<std::int64_t>(v));
-}
-
 // ------------------------------------------------------------ frame reading
 
 /// A parsed .apt header; the cursor is left at the first block.
@@ -406,11 +371,10 @@ void decode_file(std::string_view body, BinKind expect, std::size_t ncols,
   }
 }
 
-// ------------------------------------------------------------ record decode
-// Each kind lists its columns once, in file order, as descriptors naming
-// the field a column lands in. A block's columns are all validated before
-// any of its rows is committed; then each (delta, run) pair is expanded
-// straight into its field for rows [r, r + run).
+// ------------------------------------------------------------ column decode
+// A block's columns are all validated before any of its rows is committed;
+// then each (delta, run) pair is expanded straight into its field for rows
+// [r, r + run).
 
 /// Walk a DELTA_RLE stream that must hold exactly `nrows` values, calling
 /// on_run(row, delta, run) per pair. Throws on a zero or overlong run and
@@ -427,73 +391,33 @@ void for_each_run(Cursor c, std::uint64_t nrows, OnRun&& on_run) {
   if (!c.done()) c.fail("trailing bytes in column");
 }
 
-/// The inverse of the encoders' widening to u64.
-template <class T>
-T narrow(std::uint64_t v) {
-  if constexpr (std::is_same_v<T, bool>) {
-    return v != 0;
-  } else if constexpr (std::is_enum_v<T>) {
-    return static_cast<T>(as_int(v));
-  } else {
-    return static_cast<T>(v);  // signed types wrap back, as as_int does
-  }
-}
-
 constexpr std::uint32_t kAnyValue = ~std::uint32_t{0};
 
-/// A DELTA_RLE column, stored by set(rec, value). An enum-valued column
-/// names its largest valid value, so a corrupt file cannot materialize an
-/// out-of-range enum.
-template <class Set>
-struct NumCol {
-  Set set;
-  std::uint32_t max = kAnyValue;
-};
-
-template <class Set>
-NumCol<Set> num(Set set, std::uint32_t max = kAnyValue) {
-  return {set, max};
-}
-template <class Rec, class T>
-auto num(T Rec::*field, std::uint32_t max = kAnyValue) {
-  return num([field](Rec& r, std::uint64_t v) { r.*field = narrow<T>(v); },
-             max);
-}
-
-/// A DICT column, stored into a string field.
-template <class Rec>
-struct DictCol {
-  std::string Rec::*field;
-};
-
-template <class Rec>
-DictCol<Rec> dict(std::string Rec::*field) {
-  return {field};
-}
-
-template <class Set>
-void check_column(const NumCol<Set>& col, const RawColumn& raw,
-                  std::size_t block, std::uint64_t nrows) {
+/// Validate a DELTA_RLE column. An enum-valued column names its largest
+/// valid value, so a corrupt file cannot materialize an out-of-range enum.
+void check_numeric(const RawColumn& raw, std::size_t block,
+                   std::uint64_t nrows, std::uint32_t max = kAnyValue) {
   const Cursor c = raw.at(block);
   if (raw.encoding != kEncDeltaRle) c.fail("unexpected column encoding");
-  std::uint64_t v = 0;  // an enum column needs 0 <= as_int(v) <= max
+  std::uint64_t v = 0;  // an enum column needs 0 <= int(v) <= max
   for_each_run(c, nrows,
                [&](std::uint64_t, std::uint64_t d, std::uint64_t run) {
-                 if (col.max == kAnyValue) return;
+                 if (max == kAnyValue) return;
                  for (std::uint64_t k = 0; k < run; ++k)
-                   if (static_cast<std::uint32_t>(v += d) > col.max)
+                   if (static_cast<std::uint32_t>(v += d) > max)
                      c.fail("enum value out of range");
                });
 }
 
-template <class Rec, class Set>
-void expand_column(const NumCol<Set>& col, const RawColumn& raw,
-                   std::size_t block, std::uint64_t nrows, Rec* rows) {
+/// Expand a checked DELTA_RLE column into rows [0, nrows): set(row, value).
+template <class Row, class Set>
+void expand_numeric(const RawColumn& raw, std::size_t block,
+                    std::uint64_t nrows, Row* rows, Set&& set) {
   std::uint64_t v = 0;
   for_each_run(raw.at(block), nrows,
                [&](std::uint64_t r, std::uint64_t d, std::uint64_t run) {
-                 for (Rec* p = rows + r; p != rows + r + run; ++p)
-                   col.set(*p, v += d);
+                 for (Row* p = rows + r; p != rows + r + run; ++p)
+                   set(*p, v += d);
                });
 }
 
@@ -511,11 +435,30 @@ std::vector<std::string_view> read_dict(Cursor& c) {
   return entries;
 }
 
-template <class Rec>
-void check_column(const DictCol<Rec>&, const RawColumn& raw,
+// Per schema column: check_column validates its .apt column(s), which
+// start at `raw`; expand_column stores them into rows [0, nrows).
+
+template <class Col>
+void check_column(const Col&, const RawColumn* raw, std::size_t block,
+                  std::uint64_t nrows) {
+  check_numeric(raw[0], block, nrows);
+}
+template <class Rec, class T, std::size_t N>
+void check_column(const Named<Rec, T, N>&, const RawColumn* raw,
                   std::size_t block, std::uint64_t nrows) {
-  Cursor c = raw.at(block);
-  if (raw.encoding != kEncDict) c.fail("unexpected column encoding");
+  check_numeric(raw[0], block, nrows, N - 1);
+}
+template <class Rec>
+void check_column(const Counters<Rec>&, const RawColumn* raw,
+                  std::size_t block, std::uint64_t nrows) {
+  for (std::size_t k = 0; k < papi::kMaxEventsPerSet; ++k)
+    check_numeric(raw[k], block, nrows);
+}
+template <class Rec>
+void check_column(const Dict<Rec>&, const RawColumn* raw, std::size_t block,
+                  std::uint64_t nrows) {
+  Cursor c = raw[0].at(block);
+  if (raw[0].encoding != kEncDict) c.fail("unexpected column encoding");
   const std::size_t n = read_dict(c).size();
   std::uint64_t i = 0;
   for_each_run(c, nrows,
@@ -525,10 +468,27 @@ void check_column(const DictCol<Rec>&, const RawColumn& raw,
                });
 }
 
+template <class Col, class Rec>
+void expand_column(const Col& col, const RawColumn* raw, std::size_t block,
+                   std::uint64_t nrows, Rec* rows) {
+  using T = std::remove_reference_t<decltype(rows->*col.field)>;
+  // Signed fields wrap back, as their widening to u64 wrapped them.
+  expand_numeric(raw[0], block, nrows, rows, [&](Rec& r, std::uint64_t v) {
+    r.*col.field = static_cast<T>(v);
+  });
+}
 template <class Rec>
-void expand_column(const DictCol<Rec>& col, const RawColumn& raw,
+void expand_column(const Counters<Rec>& col, const RawColumn* raw,
                    std::size_t block, std::uint64_t nrows, Rec* rows) {
-  Cursor c = raw.at(block);
+  for (std::size_t k = 0; k < papi::kMaxEventsPerSet; ++k)
+    expand_numeric(raw[k], block, nrows, rows, [&](Rec& r, std::uint64_t v) {
+      (r.*col.field)[k] = v;
+    });
+}
+template <class Rec>
+void expand_column(const Dict<Rec>& col, const RawColumn* raw,
+                   std::size_t block, std::uint64_t nrows, Rec* rows) {
+  Cursor c = raw[0].at(block);
   const std::vector<std::string_view> entries = read_dict(c);
   std::uint64_t i = 0;
   for_each_run(c, nrows,
@@ -538,26 +498,64 @@ void expand_column(const DictCol<Rec>& col, const RawColumn& raw,
                });
 }
 
-/// Decode a record kind whose columns are `cols`, in file order: one
-/// reservation per file, and no rows of a block land in `out` until all
-/// of its columns check out — the tolerant-load prefix guarantee.
-template <class Rec, class... Cols>
-void decode_records(std::string_view body, BinKind kind,
-                    std::vector<Rec>& out, std::string_view& aux,
-                    const Cols&... cols) {
-  decode_file(
-      body, kind, sizeof...(Cols), aux,
-      [&](std::uint64_t rows) { out.reserve(out.size() + rows); },
-      [&](std::size_t block, std::uint64_t nrows,
-          const std::vector<RawColumn>& raw) {
-        std::size_t k = 0;
-        (check_column(cols, raw[k++], block, nrows), ...);
-        const std::size_t first = out.size();
-        out.resize(first + nrows);
-        k = 0;
-        (expand_column(cols, raw[k++], block, nrows, out.data() + first),
-         ...);
-      });
+// ------------------------------------------------------------ column encode
+
+/// Append one block's `n` rows of a schema column as .apt column(s).
+template <class Col, class Rec>
+void encode_column(const Col& col, const Rec* rows, std::size_t n,
+                   std::vector<EncodedColumn>& out) {
+  std::vector<std::uint64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = static_cast<std::uint64_t>(rows[i].*col.field);
+  out.push_back({kEncDeltaRle, encode_numeric(v)});
+}
+template <class Rec>
+void encode_column(const Counters<Rec>& col, const Rec* rows, std::size_t n,
+                   std::vector<EncodedColumn>& out) {
+  std::vector<std::uint64_t> v(n);
+  for (std::size_t k = 0; k < papi::kMaxEventsPerSet; ++k) {
+    for (std::size_t i = 0; i < n; ++i) v[i] = (rows[i].*col.field)[k];
+    out.push_back({kEncDeltaRle, encode_numeric(v)});
+  }
+}
+template <class Rec>
+void encode_column(const Dict<Rec>& col, const Rec* rows, std::size_t n,
+                   std::vector<EncodedColumn>& out) {
+  std::vector<std::string_view> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = rows[i].*col.field;
+  out.push_back({kEncDict, encode_dict(v)});
+}
+
+// ---------------------------------------------------------------- header aux
+
+std::string encode_aux(Aux aux, const FileMeta& meta) {
+  std::string out;
+  if (aux == Aux::papi_events) {
+    out.push_back(static_cast<char>(meta.papi_events.size()));
+    for (const papi::Event e : meta.papi_events)
+      out.push_back(static_cast<char>(e));
+  } else if (aux == Aux::dropped) {
+    put_varint(out, meta.dropped);
+  }
+  return out;
+}
+
+void decode_aux(Aux aux, std::string_view bytes, FileMeta& meta) {
+  if (aux == Aux::papi_events) {
+    meta.papi_events.clear();
+    const std::size_t n =
+        bytes.empty() ? 0 : static_cast<unsigned char>(bytes[0]);
+    for (std::size_t i = 0; i < n && i + 1 < bytes.size() &&
+                            i < papi::kMaxEventsPerSet;
+         ++i) {
+      const int e = static_cast<unsigned char>(bytes[1 + i]);
+      if (e < static_cast<int>(papi::Event::kCount))
+        meta.papi_events.push_back(static_cast<papi::Event>(e));
+    }
+  } else if (aux == Aux::dropped) {
+    Cursor c{bytes};
+    meta.dropped = c.varint();
+  }
 }
 
 }  // namespace
@@ -770,14 +768,6 @@ std::string decompress_trace(std::string_view body) {
   return out;
 }
 
-std::string binary_file_name(std::string_view csv_name) {
-  const std::size_t dot = csv_name.rfind('.');
-  std::string out(dot == std::string_view::npos ? csv_name
-                                                : csv_name.substr(0, dot));
-  out += ".apt";
-  return out;
-}
-
 BinaryParseError::BinaryParseError(std::size_t block, std::size_t offset,
                                    const std::string& what)
     : TraceParseError(block, "binary trace parse error at block " +
@@ -785,184 +775,66 @@ BinaryParseError::BinaryParseError(std::size_t block, std::size_t offset,
                                  std::to_string(offset) + ": " + what),
       offset_(offset) {}
 
-// ---- send ------------------------------------------------------------------
+// ---- row kinds -------------------------------------------------------------
 
-std::string encode_logical(const std::vector<LogicalSendRecord>& events) {
-  return encode_rows(BinKind::send, {}, events, 5,
-                     [](const LogicalSendRecord& r, std::uint64_t* d) {
-                       d[0] = as_u64(r.src_node);
-                       d[1] = as_u64(r.src_pe);
-                       d[2] = as_u64(r.dst_node);
-                       d[3] = as_u64(r.dst_pe);
-                       d[4] = as_u64(r.msg_bytes);
-                     });
-}
-
-void decode_logical_into(std::string_view body,
-                         std::vector<LogicalSendRecord>& out) {
-  using R = LogicalSendRecord;
-  std::string_view aux;
-  decode_records(body, BinKind::send, out, aux, num(&R::src_node),
-                 num(&R::src_pe), num(&R::dst_node), num(&R::dst_pe),
-                 num(&R::msg_bytes));
-}
-
-// ---- papi ------------------------------------------------------------------
-
-std::string encode_papi(const std::vector<PapiSegmentRecord>& rows,
-                        const Config& cfg) {
-  std::string aux;
-  const int n_events = cfg.num_papi_events();
-  aux.push_back(static_cast<char>(n_events));
-  for (int i = 0; i < n_events; ++i)
-    aux.push_back(
-        static_cast<char>(cfg.papi_events[static_cast<std::size_t>(i)]));
-  return encode_rows(BinKind::papi, aux, rows, 12,
-                     [](const PapiSegmentRecord& r, std::uint64_t* d) {
-                       d[0] = as_u64(r.src_node);
-                       d[1] = as_u64(r.src_pe);
-                       d[2] = as_u64(r.dst_node);
-                       d[3] = as_u64(r.dst_pe);
-                       d[4] = as_u64(r.pkt_bytes);
-                       d[5] = as_u64(r.mailbox_id);
-                       d[6] = r.num_sends;
-                       d[7] = r.counters[0];
-                       d[8] = r.counters[1];
-                       d[9] = r.counters[2];
-                       d[10] = r.counters[3];
-                       d[11] = r.is_proc ? 1 : 0;
-                     });
-}
-
-void decode_papi_into(std::string_view body,
-                      std::vector<PapiSegmentRecord>& out,
-                      std::vector<papi::Event>* events_out) {
-  using R = PapiSegmentRecord;
-  const auto counter = [](std::size_t k) {
-    return num([k](R& r, std::uint64_t v) { r.counters[k] = v; });
-  };
-  std::string_view aux;
-  decode_records(body, BinKind::papi, out, aux, num(&R::src_node),
-                 num(&R::src_pe), num(&R::dst_node), num(&R::dst_pe),
-                 num(&R::pkt_bytes), num(&R::mailbox_id), num(&R::num_sends),
-                 counter(0), counter(1), counter(2), counter(3),
-                 num(&R::is_proc));
-  if (events_out != nullptr) {
-    events_out->clear();
-    if (!aux.empty()) {
-      const auto n = static_cast<std::size_t>(
-          static_cast<unsigned char>(aux[0]));
-      for (std::size_t i = 0; i + 1 < aux.size() && i < n; ++i) {
-        const int e = static_cast<unsigned char>(aux[1 + i]);
-        if (e < static_cast<int>(papi::Event::kCount))
-          events_out->push_back(static_cast<papi::Event>(e));
-      }
-    }
-  }
-}
-
-// ---- steps -----------------------------------------------------------------
-
-std::string encode_steps(const std::vector<SuperstepRecord>& recs) {
-  return encode_rows(BinKind::steps, {}, recs, 11,
-                     [](const SuperstepRecord& r, std::uint64_t* d) {
-                       d[0] = as_u64(r.pe);
-                       d[1] = r.epoch;
-                       d[2] = r.step;
-                       d[3] = r.t_main;
-                       d[4] = r.t_proc;
-                       d[5] = r.t_comm;
-                       d[6] = r.msgs_sent;
-                       d[7] = r.bytes_sent;
-                       d[8] = r.msgs_handled;
-                       d[9] = r.barrier_arrive;
-                       d[10] = r.barrier_release;
-                     });
-}
-
-void decode_steps_into(std::string_view body,
-                       std::vector<SuperstepRecord>& out) {
-  using R = SuperstepRecord;
-  std::string_view aux;
-  decode_records(body, BinKind::steps, out, aux, num(&R::pe), num(&R::epoch),
-                 num(&R::step), num(&R::t_main), num(&R::t_proc),
-                 num(&R::t_comm), num(&R::msgs_sent), num(&R::bytes_sent),
-                 num(&R::msgs_handled), num(&R::barrier_arrive),
-                 num(&R::barrier_release));
-}
-
-// ---- physical --------------------------------------------------------------
-
-std::string encode_physical(const std::vector<PhysicalRecord>& events) {
-  return encode_rows(BinKind::physical, {}, events, 4,
-                     [](const PhysicalRecord& r, std::uint64_t* d) {
-                       d[0] = as_u64(static_cast<int>(r.type));
-                       d[1] = r.buffer_bytes;
-                       d[2] = as_u64(r.src_pe);
-                       d[3] = as_u64(r.dst_pe);
-                     });
-}
-
-void decode_physical_into(std::string_view body,
-                          std::vector<PhysicalRecord>& out) {
-  using R = PhysicalRecord;
-  std::string_view aux;
-  decode_records(
-      body, BinKind::physical, out, aux,
-      num(&R::type,
-          static_cast<std::uint32_t>(convey::SendType::nonblock_progress)),
-      num(&R::buffer_bytes), num(&R::src_pe), num(&R::dst_pe));
-}
-
-// ---- check -----------------------------------------------------------------
-
-std::string encode_check(const std::vector<check::Violation>& v,
-                         std::uint64_t dropped) {
-  std::string aux;
-  put_varint(aux, dropped);
-  std::string out = header(BinKind::check, 8, aux);
-  std::vector<std::uint64_t> num[6];
-  std::vector<std::string_view> callsites;
-  std::vector<std::string_view> details;
-  for (std::size_t base = 0; base < v.size(); base += kRowsPerBlock) {
-    const std::size_t n = std::min(kRowsPerBlock, v.size() - base);
-    for (auto& c : num) c.clear();
-    callsites.clear();
-    details.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const check::Violation& x = v[base + i];
-      num[0].push_back(as_u64(static_cast<int>(x.kind)));
-      num[1].push_back(as_u64(x.pe));
-      num[2].push_back(as_u64(x.other_pe));
-      num[3].push_back(x.superstep);
-      num[4].push_back(x.offset);
-      num[5].push_back(x.bytes);
-      callsites.push_back(x.callsite);
-      details.push_back(x.detail);
-    }
-    std::vector<EncodedColumn> cols;
-    cols.reserve(8);
-    for (const auto& c : num) cols.push_back({kEncDeltaRle, encode_numeric(c)});
-    cols.push_back({kEncDict, encode_dict(callsites)});
-    cols.push_back({kEncDict, encode_dict(details)});
+template <TraceRow Rec>
+std::string encode(const std::vector<Rec>& rows, const FileMeta& meta) {
+  const auto s = schema(std::type_identity<Rec>{});
+  std::string out = header(s.kind, s.kColumns, encode_aux(s.aux, meta));
+  std::vector<EncodedColumn> cols;
+  for (std::size_t base = 0; base < rows.size(); base += kRowsPerBlock) {
+    const std::size_t n = std::min(kRowsPerBlock, rows.size() - base);
+    cols.clear();
+    std::apply(
+        [&](const auto&... col) {
+          (encode_column(col, rows.data() + base, n, cols), ...);
+        },
+        s.cols);
     emit_block(out, n, cols);
   }
   return out;
 }
 
-void decode_check_into(std::string_view body,
-                       std::vector<check::Violation>& out,
-                       std::uint64_t& dropped) {
-  using V = check::Violation;
+/// One reservation per file, and no rows of a block land in `out` until
+/// all of its columns check out — the tolerant-load prefix guarantee.
+template <TraceRow Rec>
+void decode_into(std::string_view body, std::vector<Rec>& out,
+                 FileMeta& meta) {
+  const auto s = schema(std::type_identity<Rec>{});
   std::string_view aux;
-  decode_records(
-      body, BinKind::check, out, aux,
-      num(&V::kind, static_cast<std::uint32_t>(V::Kind::ApiMisuse)),
-      num(&V::pe), num(&V::other_pe), num(&V::superstep), num(&V::offset),
-      num(&V::bytes), dict(&V::callsite), dict(&V::detail));
-  Cursor ac{aux};
-  dropped = ac.varint();
+  decode_file(
+      body, s.kind, s.kColumns, aux,
+      [&](std::uint64_t rows) {
+        decode_aux(s.aux, aux, meta);
+        out.reserve(out.size() + rows);
+      },
+      [&](std::size_t block, std::uint64_t nrows,
+          const std::vector<RawColumn>& raw) {
+        const auto each = [&](auto&& fn) {
+          std::apply(
+              [&](const auto&... col) {
+                const RawColumn* at = raw.data();
+                ((fn(col, at), at += kWidth<std::decay_t<decltype(col)>>),
+                 ...);
+              },
+              s.cols);
+        };
+        each([&](const auto& col, const RawColumn* at) {
+          check_column(col, at, block, nrows);
+        });
+        const std::size_t first = out.size();
+        out.resize(first + nrows);
+        each([&](const auto& col, const RawColumn* at) {
+          expand_column(col, at, block, nrows, out.data() + first);
+        });
+      });
 }
+
+#define AP_INSTANTIATE(Rec)                                             \
+  template std::string encode(const std::vector<Rec>&, const FileMeta&); \
+  template void decode_into(std::string_view, std::vector<Rec>&, FileMeta&);
+AP_TRACE_ROWS(AP_INSTANTIATE)
+#undef AP_INSTANTIATE
 
 // ---- metric samples --------------------------------------------------------
 
@@ -994,17 +866,13 @@ std::string encode_metric_samples(const metrics::SampleRing& r) {
 }
 
 void decode_metric_samples_into(std::string_view body, MetricSamples& out) {
-  const auto time = num([](std::uint64_t& t, std::uint64_t v) { t = v; });
-  const auto value = num([](std::int64_t& x, std::uint64_t v) {
-    x = static_cast<std::int64_t>(v);
-  });
   std::string_view aux;
   std::uint64_t per_row = 0;
   decode_file(
       body, BinKind::metrics, 2, aux,
       [&](std::uint64_t rows) {
         Cursor ac{aux};
-        out.num_pes = as_int(ac.varint());
+        out.num_pes = static_cast<int>(ac.varint());
         out.num_series = ac.varint();
         per_row = static_cast<std::uint64_t>(out.num_pes) * out.num_series;
         out.t_cycles.reserve(out.t_cycles.size() + rows);
@@ -1016,14 +884,18 @@ void decode_metric_samples_into(std::string_view body, MetricSamples& out) {
         if (per_row != 0 && nrows > kMaxValuesSanity / per_row)
           cols[1].at(block).fail("implausible sample volume");
         const std::uint64_t nvals = nrows * per_row;
-        check_column(time, cols[0], block, nrows);
-        check_column(value, cols[1], block, nvals);
+        check_numeric(cols[0], block, nrows);
+        check_numeric(cols[1], block, nvals);
         const std::size_t t0 = out.t_cycles.size();
         const std::size_t v0 = out.values.size();
         out.t_cycles.resize(t0 + nrows);
         out.values.resize(v0 + nvals);
-        expand_column(time, cols[0], block, nrows, out.t_cycles.data() + t0);
-        expand_column(value, cols[1], block, nvals, out.values.data() + v0);
+        expand_numeric(cols[0], block, nrows, out.t_cycles.data() + t0,
+                       [](std::uint64_t& t, std::uint64_t v) { t = v; });
+        expand_numeric(cols[1], block, nvals, out.values.data() + v0,
+                       [](std::int64_t& x, std::uint64_t v) {
+                         x = static_cast<std::int64_t>(v);
+                       });
       });
 }
 

@@ -21,6 +21,9 @@
 // or bit-flipped file yields its clean prefix plus a BinaryParseError
 // attributing the damage to an exact (block, byte offset) — the binary
 // analogue of the CSV parsers' line numbers.
+//
+// The row kinds are encoded and decoded by io::encode and io::read_into
+// (core/trace_io.hpp), from the columns core/trace_schema.hpp declares.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +31,6 @@
 #include <string_view>
 #include <vector>
 
-#include "check/checker.hpp"
-#include "core/config.hpp"
-#include "core/records.hpp"
 #include "core/trace_io.hpp"
 
 namespace ap::metrics {
@@ -38,16 +38,6 @@ class SampleRing;
 }
 
 namespace ap::prof::io {
-
-/// Record kinds an .apt file can hold (the header's `kind` byte).
-enum class BinKind : std::uint8_t {
-  send = 1,
-  papi = 2,
-  steps = 3,
-  physical = 4,
-  check = 5,
-  metrics = 6,
-};
 
 inline constexpr std::string_view kAptMagic = "APT1";
 inline constexpr std::uint8_t kAptVersion = 1;
@@ -90,10 +80,6 @@ inline constexpr std::uint8_t kAptVersionCompressed = 2;
 [[nodiscard]] std::string lz_decompress(std::string_view comp,
                                         std::size_t raw_len);
 
-/// The .apt sibling of a CSV/text trace file name:
-/// "PE0_send.csv" -> "PE0_send.apt", "physical.txt" -> "physical.apt".
-[[nodiscard]] std::string binary_file_name(std::string_view csv_name);
-
 /// Binary decode failure. line_no() carries the 1-based block index (0 for
 /// the file header); offset() the absolute byte offset of the damage.
 class BinaryParseError : public TraceParseError {
@@ -107,45 +93,10 @@ class BinaryParseError : public TraceParseError {
   std::size_t offset_;
 };
 
-// ---- encoders --------------------------------------------------------------
-// Each returns a complete .apt file body (header + blocks + CRCs).
-
-[[nodiscard]] std::string encode_logical(
-    const std::vector<LogicalSendRecord>& events);
-/// The configured PAPI event ids ride in the header aux bytes, so a
-/// decoder (and `actorprof export --csv`) can rebuild the CSV header line.
-[[nodiscard]] std::string encode_papi(
-    const std::vector<PapiSegmentRecord>& rows, const Config& cfg);
-[[nodiscard]] std::string encode_steps(
-    const std::vector<SuperstepRecord>& recs);
-[[nodiscard]] std::string encode_physical(
-    const std::vector<PhysicalRecord>& events);
-/// `dropped` (the "# dropped=<n>" CSV marker) rides in the header aux.
-[[nodiscard]] std::string encode_check(
-    const std::vector<check::Violation>& v, std::uint64_t dropped);
 /// The live-metrics sample ring: one row per snapshot, a timestamp column
 /// plus one flattened PE-major values column (num_pes * num_series each).
+/// Not a row kind: it has no CSV form.
 [[nodiscard]] std::string encode_metric_samples(const metrics::SampleRing& r);
-
-// ---- decoders --------------------------------------------------------------
-// Incremental: rows append to `out` block by block, so on a throw the
-// caller keeps the verified prefix (tolerant-load semantics). Each call
-// reserves `out` once, for the rows the file's block headers declare.
-
-void decode_logical_into(std::string_view body,
-                         std::vector<LogicalSendRecord>& out);
-/// `events_out`, when non-null, receives the PAPI event ids recorded in
-/// the header aux (papi::Event values, in configuration order).
-void decode_papi_into(std::string_view body,
-                      std::vector<PapiSegmentRecord>& out,
-                      std::vector<papi::Event>* events_out = nullptr);
-void decode_steps_into(std::string_view body,
-                       std::vector<SuperstepRecord>& out);
-void decode_physical_into(std::string_view body,
-                          std::vector<PhysicalRecord>& out);
-void decode_check_into(std::string_view body,
-                       std::vector<check::Violation>& out,
-                       std::uint64_t& dropped);
 
 /// Decoded metric-sample rows (the SampleRing's retained snapshots).
 struct MetricSamples {

@@ -1,6 +1,9 @@
 #include "core/trace_io.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +12,7 @@
 
 #include "core/profiler.hpp"
 #include "core/trace_binary.hpp"
+#include "core/trace_schema.hpp"
 #include "faultinject/faultinject.hpp"
 #include "serve/publisher.hpp"
 
@@ -19,150 +23,297 @@ TraceParseError::TraceParseError(std::size_t line_no, const std::string& what)
 
 namespace {
 
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& line,
+[[noreturn]] void parse_fail(std::size_t line_no, std::string_view line,
                              const char* what) {
   throw TraceParseError(line_no, "trace parse error at line " +
                                      std::to_string(line_no) + " (" + what +
-                                     "): " + line);
+                                     "): " + std::string(line));
 }
 
-/// Split a CSV line into trimmed fields without allocating: the scanner
-/// writes views over `line` into the caller-owned `out`, which parse
-/// loops reuse across lines. (The viz CLI reloads million-row
-/// PEi_send.csv files; a stringstream per line used to dominate.)
-void split_csv(std::string_view line, std::vector<std::string_view>& out) {
-  out.clear();
-  std::size_t pos = 0;
-  for (;;) {
-    const std::size_t comma = line.find(',', pos);
-    const std::size_t end = comma == std::string_view::npos ? line.size()
-                                                            : comma;
-    std::string_view f = line.substr(pos, end - pos);
-    while (!f.empty() && (f.front() == ' ' || f.front() == '\t'))
-      f.remove_prefix(1);
-    while (!f.empty() &&
-           (f.back() == ' ' || f.back() == '\t' || f.back() == '\r'))
-      f.remove_suffix(1);
-    out.push_back(f);
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
+bool space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// The first non-space character of `line`, or '\0' when it is blank.
+char lead(std::string_view line) {
+  for (const char c : line)
+    if (!space(c)) return c;
+  return '\0';
+}
+
+/// Blank lines and '#' comments.
+bool skippable(std::string_view line) {
+  const char c = lead(line);
+  return c == '\0' || c == '#';
+}
+
+/// Calls fn(line, line_no) for each '\n'-terminated line of `body`. Every
+/// writer ends each line with '\n', so a non-blank last line without one
+/// is a truncated write: it throws, and the lines before it stand.
+template <class Fn>
+void for_each_line(std::string_view body, Fn&& fn) {
+  for (std::size_t line_no = 1; !body.empty(); ++line_no) {
+    const std::size_t nl = body.find('\n');
+    if (nl == std::string_view::npos) {
+      if (lead(body) != '\0') parse_fail(line_no, body, "truncated row");
+      return;
+    }
+    fn(body.substr(0, nl), line_no);
+    body.remove_prefix(nl + 1);
+  }
+}
+
+/// Split `line` on `sep` into trimmed fields, without allocating. Returns
+/// the field count; past `out.size()` fields the count is out.size() + 1
+/// and the rest is not split.
+template <std::size_t N>
+std::size_t split(std::string_view line, std::array<std::string_view, N>& out,
+                  char sep = ',') {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (std::size_t n = 0;;) {
+    if (n == N) return N + 1;
+    const char* q = p;
+    while (q != end && *q != sep) ++q;
+    const char* a = p;
+    const char* b = q;
+    while (a != b && space(*a)) ++a;
+    while (b != a && space(b[-1])) --b;
+    out[n++] = std::string_view(a, static_cast<std::size_t>(b - a));
+    if (q == end) return n;
+    p = q + 1;
   }
 }
 
 template <class T>
-T to_num(std::string_view s, std::size_t line_no, const std::string& line) {
+T to_num(std::string_view s, std::size_t line_no, std::string_view line,
+         int base = 10) {
   T value{};
-  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  const auto [p, ec] =
+      std::from_chars(s.data(), s.data() + s.size(), value, base);
   if (ec != std::errc{} || p != s.data() + s.size())
     parse_fail(line_no, line, "bad number");
   return value;
 }
 
-bool skippable(const std::string& line) {
-  for (char c : line) {
-    if (c == '#') return true;
-    if (!std::isspace(static_cast<unsigned char>(c))) return false;
+/// The apt spelling of a CSV/text file name: "x.csv" -> "x.apt".
+std::string apt_name(std::string_view csv_name) {
+  return std::string(csv_name.substr(0, csv_name.rfind('.'))) + ".apt";
+}
+
+// ---- CSV fields, per schema column -----------------------------------------
+// put_field writes a column's text in a row and put_label its header text;
+// every column but the first is preceded by a separator (put_next), which
+// the counters column repeats per value.
+
+template <class Rec, class T>
+void put_field(Sink& out, const Num<Rec, T>& col, const Rec& r) {
+  out.dec(r.*col.field);
+}
+template <class Rec, class T, std::size_t N>
+void put_field(Sink& out, const Named<Rec, T, N>& col, const Rec& r) {
+  const auto v = static_cast<std::uint64_t>(r.*col.field);
+  out.append(v < N ? col.names[v] : "unknown");
+}
+template <class Rec>
+void put_field(Sink& out, const Dict<Rec>& col, const Rec& r) {
+  out.append(r.*col.field);
+}
+template <class Col, class Rec>
+void put_next(Sink& out, const Col& col, const Rec& r, const FileMeta&) {
+  out.put(',');
+  put_field(out, col, r);
+}
+template <class Rec>
+void put_next(Sink& out, const Counters<Rec>& col, const Rec& r,
+              const FileMeta& meta) {
+  for (std::size_t i = 0; i < meta.papi_events.size(); ++i) {
+    out.put(',');
+    out.dec((r.*col.field)[i]);
   }
-  return true;  // blank
 }
 
-convey::SendType parse_send_type(std::string_view s, std::size_t line_no,
-                                 const std::string& line) {
-  if (s == "local_send") return convey::SendType::local_send;
-  if (s == "nonblock_send") return convey::SendType::nonblock_send;
-  if (s == "nonblock_progress") return convey::SendType::nonblock_progress;
-  parse_fail(line_no, line, "unknown send type");
+template <class Col>
+void put_label(Sink& out, const Col& col, const FileMeta&) {
+  out.append(", ");
+  out.append(col.label);
+}
+template <class Rec>
+void put_label(Sink& out, const Counters<Rec>&, const FileMeta& meta) {
+  for (const papi::Event e : meta.papi_events) {
+    out.append(", ");
+    out.append(papi::name(e));
+  }
+}
+
+/// A parsed CSV line: the fields of one row and where the next is.
+struct Fields {
+  const std::string_view* f;
+  std::size_t next = 0;
+  std::size_t counters = 0;  ///< fields the counters column takes
+  std::size_t line_no;
+  std::string_view line;
+
+  std::string_view take() { return f[next++]; }
+};
+
+template <class Rec, class T>
+void get_field(const Num<Rec, T>& col, Rec& r, Fields& in) {
+  r.*col.field = to_num<T>(in.take(), in.line_no, in.line);
+}
+template <class Rec, class T, std::size_t N>
+void get_field(const Named<Rec, T, N>& col, Rec& r, Fields& in) {
+  const std::string_view s = in.take();
+  const auto it = std::find(col.names.begin(), col.names.end(), s);
+  if (it == col.names.end()) parse_fail(in.line_no, in.line, "unknown name");
+  r.*col.field = static_cast<T>(it - col.names.begin());
+}
+template <class Rec>
+void get_field(const Counters<Rec>& col, Rec& r, Fields& in) {
+  for (std::size_t i = 0; i < in.counters; ++i)
+    (r.*col.field)[i] = to_num<std::uint64_t>(in.take(), in.line_no, in.line);
+}
+template <class Rec>
+void get_field(const Dict<Rec>& col, Rec& r, Fields& in) {
+  r.*col.field = std::string(in.take());
+}
+
+/// The CSV half of read_into.
+template <TraceRow Rec>
+void parse_csv(std::string_view body, std::vector<Rec>& out, FileMeta& meta) {
+  const auto s = schema(std::type_identity<Rec>{});
+  // Fields per row: one per column, but the counters column takes 0 to
+  // kMaxEventsPerSet (kColumns counts it at its maximum).
+  constexpr std::size_t kMax = SchemaOf<Rec>::kColumns;
+  constexpr std::size_t kCols = std::tuple_size_v<decltype(s.cols)>;
+  constexpr std::size_t kMin = kMax > kCols ? kCols - 1 : kCols;
+  std::array<std::string_view, kMax> f;
+  out.reserve(out.size() + 1024);
+  for_each_line(body, [&](std::string_view line, std::size_t line_no) {
+    if (s.aux == Aux::dropped && line.starts_with("# dropped=")) {
+      meta.dropped = to_num<std::uint64_t>(line.substr(10), line_no, line);
+      return;
+    }
+    if (skippable(line)) return;
+    const std::size_t n = split(line, f);
+    if (n < kMin || n > kMax)
+      parse_fail(line_no, line, "wrong number of fields");
+    Fields in{f.data(), 0, n - kMin, line_no, line};
+    Rec r;
+    std::apply([&](const auto&... col) { (get_field(col, r, in), ...); },
+               s.cols);
+    out.push_back(std::move(r));
+  });
 }
 
 }  // namespace
 
-std::string logical_file_name(int pe) {
-  return "PE" + std::to_string(pe) + "_send.csv";
+// ------------------------------------------------------------------ row kinds
+
+FileMeta FileMeta::papi(const Config& cfg) {
+  FileMeta m;
+  m.papi_events.assign(cfg.papi_events.begin(),
+                       cfg.papi_events.begin() + cfg.num_papi_events());
+  return m;
 }
 
-std::string papi_file_name(int pe) {
-  return "PE" + std::to_string(pe) + "_PAPI.csv";
+std::string file_name(TraceFile f, bool binary) {
+  return visit(f.kind, [&](auto tag) {
+    const auto s = schema(tag);
+    const std::string csv = s.per_pe ? "PE" + std::to_string(f.pe) +
+                                           std::string(s.file)
+                                     : std::string(s.file);
+    return binary ? apt_name(csv) : csv;
+  });
 }
 
-std::string steps_file_name(int pe) {
-  return "PE" + std::to_string(pe) + "_steps.csv";
+std::optional<TraceFile> parse_file_name(std::string_view name) {
+  int pe = -1;
+  if (name.starts_with("PE")) {
+    const auto [p, ec] =
+        std::from_chars(name.data() + 2, name.data() + name.size(), pe);
+    if (ec != std::errc{} || pe < 0) return std::nullopt;
+    name.remove_prefix(static_cast<std::size_t>(p - name.data()));
+  }
+  for (const BinKind k : kRowKinds) {
+    const bool match = visit(k, [&](auto tag) {
+      const auto s = schema(tag);
+      return s.per_pe == (pe >= 0) &&
+             (name == s.file || name == apt_name(s.file));
+    });
+    if (match) return TraceFile{k, pe};
+  }
+  return std::nullopt;
 }
 
-// ------------------------------------------------------------------ writers
-// The Sink forms are the implementations; the ostream forms build into a
-// Sink and flush its buffer in one write (see core/sink.hpp).
-
-namespace {
-
-void flush_sink(std::ostream& os, const Sink& s) {
-  os.write(s.str().data(), static_cast<std::streamsize>(s.size()));
+std::vector<TraceFile> trace_files(BinKind kind, int num_pes) {
+  if (!visit(kind, [](auto tag) { return schema(tag).per_pe; }))
+    return {TraceFile{kind}};
+  std::vector<TraceFile> out;
+  for (int pe = 0; pe < num_pes; ++pe) out.push_back({kind, pe});
+  return out;
 }
 
-}  // namespace
-
-void write_logical(Sink& out, const std::vector<LogicalSendRecord>& events) {
-  out.reserve(events.size() * 12 + 64);
-  out.append("# source node, source PE, destination node, destination PE, "
-             "message size\n");
-  for (const LogicalSendRecord& r : events) {
-    out.dec(r.src_node);
-    out.put(',');
-    out.dec(r.src_pe);
-    out.put(',');
-    out.dec(r.dst_node);
-    out.put(',');
-    out.dec(r.dst_pe);
-    out.put(',');
-    out.dec(r.msg_bytes);
+template <TraceRow Rec>
+void write_csv(Sink& out, const std::vector<Rec>& rows, const FileMeta& meta) {
+  const auto s = schema(std::type_identity<Rec>{});
+  out.reserve(rows.size() * 4 * SchemaOf<Rec>::kColumns + 128);
+  std::apply(
+      [&](const auto& head, const auto&... tail) {
+        out.append("# ");
+        out.append(head.label);
+        (put_label(out, tail, meta), ...);
+      },
+      s.cols);
+  out.put('\n');
+  if (s.aux == Aux::dropped && meta.dropped != 0) {
+    out.append("# dropped=");
+    out.dec(meta.dropped);
+    out.put('\n');
+  }
+  for (const Rec& r : rows) {
+    std::apply(
+        [&](const auto& head, const auto&... tail) {
+          put_field(out, head, r);
+          (put_next(out, tail, r, meta), ...);
+        },
+        s.cols);
     out.put('\n');
   }
 }
 
-void write_logical(std::ostream& os,
-                   const std::vector<LogicalSendRecord>& events) {
-  Sink s;
-  write_logical(s, events);
-  flush_sink(os, s);
+template <TraceRow Rec>
+void read_into(std::string_view body, std::vector<Rec>& out, FileMeta* meta) {
+  FileMeta scratch;
+  FileMeta& m = meta != nullptr ? *meta : scratch;
+  if (is_binary_trace(body))
+    decode_into(body, out, m);
+  else
+    parse_csv(body, out, m);
 }
 
-void write_papi(Sink& out, const std::vector<PapiSegmentRecord>& rows,
-                const Config& cfg) {
-  out.reserve(rows.size() * 32 + 128);
-  out.append("# source node, source PE, dst node, dst PE, pkt size, "
-             "MAILBOXID, NUM_SENDS");
-  for (int i = 0; i < cfg.num_papi_events(); ++i) {
-    out.append(", ");
-    out.append(papi::name(cfg.papi_events[static_cast<std::size_t>(i)]));
-  }
-  out.append(", REGION\n");
-  for (const PapiSegmentRecord& r : rows) {
-    out.dec(r.src_node);
-    out.put(',');
-    out.dec(r.src_pe);
-    out.put(',');
-    out.dec(r.dst_node);
-    out.put(',');
-    out.dec(r.dst_pe);
-    out.put(',');
-    out.dec(r.pkt_bytes);
-    out.put(',');
-    out.dec(r.mailbox_id);
-    out.put(',');
-    out.dec(r.num_sends);
-    for (int i = 0; i < cfg.num_papi_events(); ++i) {
-      out.put(',');
-      out.dec(r.counters[static_cast<std::size_t>(i)]);
+#define AP_INSTANTIATE(Rec)                                              \
+  template void write_csv(Sink&, const std::vector<Rec>&, const FileMeta&); \
+  template void read_into(std::string_view, std::vector<Rec>&, FileMeta*);
+AP_TRACE_ROWS(AP_INSTANTIATE)
+#undef AP_INSTANTIATE
+
+std::string rewrite(std::string_view body, BinKind kind, TraceFormat to,
+                    std::uint64_t& records) {
+  return visit(kind, [&]<class Rec>(std::type_identity<Rec>) {
+    std::vector<Rec> rows;
+    FileMeta meta;
+    read_into(body, rows, &meta);
+    records = rows.size();
+    if (to == TraceFormat::csv) {
+      Sink out;
+      write_csv(out, rows, meta);
+      return std::move(out).str();
     }
-    out.append(r.is_proc ? ",PROC\n" : ",MAIN\n");
-  }
+    std::string apt = encode(rows, meta);
+    return is_compressed_trace(body) ? compress_trace(apt) : apt;
+  });
 }
 
-void write_papi(std::ostream& os, const std::vector<PapiSegmentRecord>& rows,
-                const Config& cfg) {
-  Sink s;
-  write_papi(s, rows, cfg);
-  flush_sink(os, s);
-}
+// ---------------------------------------------------------------- overall.txt
 
 void write_overall(Sink& out, const std::vector<OverallRecord>& recs) {
   for (const OverallRecord& r : recs) {
@@ -186,12 +337,6 @@ void write_overall(Sink& out, const std::vector<OverallRecord>& recs) {
     out.flt(r.rel_proc());
     out.append(")\n");
   }
-}
-
-void write_overall(std::ostream& os, const std::vector<OverallRecord>& recs) {
-  Sink s;
-  write_overall(s, recs);
-  flush_sink(os, s);
 }
 
 void write_self_overhead(Sink& out, const metrics::OverheadMeter& m) {
@@ -221,107 +366,34 @@ void write_self_overhead(Sink& out, const metrics::OverheadMeter& m) {
   out.append(" cycles\n");
 }
 
-void write_self_overhead(std::ostream& os, const metrics::OverheadMeter& m) {
-  Sink s;
-  write_self_overhead(s, m);
-  flush_sink(os, s);
+void parse_overall_into(std::string_view body,
+                        std::vector<OverallRecord>& out) {
+  for_each_line(body, [&](std::string_view line, std::size_t line_no) {
+    // Relative lines are derived from the Absolute ones.
+    if (skippable(line) || !line.starts_with("Absolute")) return;
+    // Absolute [PE3] TCOMM_PROFILING (T_MAIN, T_COMM, T_PROC) = (a, b, c)
+    const auto pe_open = line.find("[PE");
+    const auto pe_close = line.find(']', pe_open);
+    const auto eq = line.find('=', pe_close);
+    const auto paren = line.find('(', eq);
+    const auto paren_close = line.find(')', paren);
+    if (paren_close == std::string_view::npos)
+      parse_fail(line_no, line, "malformed Absolute line");
+    std::array<std::string_view, 3> nums;
+    if (split(line.substr(paren + 1, paren_close - paren - 1), nums) != 3)
+      parse_fail(line_no, line, "expected 3 numbers");
+    OverallRecord r;
+    r.pe = to_num<int>(line.substr(pe_open + 3, pe_close - pe_open - 3),
+                       line_no, line);
+    r.t_main = to_num<std::uint64_t>(nums[0], line_no, line);
+    const auto t_comm = to_num<std::uint64_t>(nums[1], line_no, line);
+    r.t_proc = to_num<std::uint64_t>(nums[2], line_no, line);
+    r.t_total = r.t_main + t_comm + r.t_proc;
+    out.push_back(r);
+  });
 }
 
-void write_physical(Sink& out, const std::vector<PhysicalRecord>& events) {
-  out.reserve(events.size() * 24 + 64);
-  out.append("# send type, buffer size, source PE, destination PE\n");
-  for (const PhysicalRecord& r : events) {
-    out.append(convey::to_string(r.type));
-    out.put(',');
-    out.dec(r.buffer_bytes);
-    out.put(',');
-    out.dec(r.src_pe);
-    out.put(',');
-    out.dec(r.dst_pe);
-    out.put('\n');
-  }
-}
-
-void write_physical(std::ostream& os,
-                    const std::vector<PhysicalRecord>& events) {
-  Sink s;
-  write_physical(s, events);
-  flush_sink(os, s);
-}
-
-void write_check(Sink& out, const std::vector<check::Violation>& v,
-                 std::uint64_t dropped) {
-  out.append("# kind, pe, other_pe, superstep, offset, bytes, callsite, "
-             "detail\n");
-  // record() sanitized callsite/detail to comma-free text, so each row
-  // stays exactly 8 fields.
-  if (dropped != 0) {
-    out.append("# dropped=");
-    out.dec(dropped);
-    out.put('\n');
-  }
-  for (const check::Violation& x : v) {
-    out.append(check::to_string(x.kind));
-    out.put(',');
-    out.dec(x.pe);
-    out.put(',');
-    out.dec(x.other_pe);
-    out.put(',');
-    out.dec(x.superstep);
-    out.put(',');
-    out.dec(x.offset);
-    out.put(',');
-    out.dec(x.bytes);
-    out.put(',');
-    out.append(x.callsite);
-    out.put(',');
-    out.append(x.detail);
-    out.put('\n');
-  }
-}
-
-void write_check(std::ostream& os, const std::vector<check::Violation>& v,
-                 std::uint64_t dropped) {
-  Sink s;
-  write_check(s, v, dropped);
-  flush_sink(os, s);
-}
-
-void write_steps(Sink& out, const std::vector<SuperstepRecord>& recs) {
-  out.reserve(recs.size() * 40 + 96);
-  out.append("# pe, epoch, step, t_main, t_proc, t_comm, msgs_sent, "
-             "bytes_sent, msgs_handled, barrier_arrive, barrier_release\n");
-  for (const SuperstepRecord& r : recs) {
-    out.dec(r.pe);
-    out.put(',');
-    out.dec(r.epoch);
-    out.put(',');
-    out.dec(r.step);
-    out.put(',');
-    out.dec(r.t_main);
-    out.put(',');
-    out.dec(r.t_proc);
-    out.put(',');
-    out.dec(r.t_comm);
-    out.put(',');
-    out.dec(r.msgs_sent);
-    out.put(',');
-    out.dec(r.bytes_sent);
-    out.put(',');
-    out.dec(r.msgs_handled);
-    out.put(',');
-    out.dec(r.barrier_arrive);
-    out.put(',');
-    out.dec(r.barrier_release);
-    out.put('\n');
-  }
-}
-
-void write_steps(std::ostream& os, const std::vector<SuperstepRecord>& recs) {
-  Sink s;
-  write_steps(s, recs);
-  flush_sink(os, s);
-}
+// ------------------------------------------------------- files and MANIFEST
 
 std::uint64_t fnv1a64(const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -333,50 +405,101 @@ std::uint64_t fnv1a64(const void* data, std::size_t n) {
   return h;
 }
 
-namespace {
-
-/// Write `body` to dir/name via a ".tmp" sibling + atomic rename. Returns
-/// false (after cleaning up the tmp) when any step fails — the aggregated
-/// error in write_all reports it.
-bool atomic_write_file(const std::filesystem::path& dir,
-                       const std::string& name, const std::string& body) {
-  namespace fs = std::filesystem;
-  const fs::path tmp = dir / (name + ".tmp");
-  const fs::path dst = dir / name;
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    os.write(body.data(), static_cast<std::streamsize>(body.size()));
-    os.flush();
-    if (!os.good()) {
-      os.close();
-      std::error_code ignore;
-      fs::remove(tmp, ignore);
-      return false;
+Manifest parse_manifest(std::string_view body) {
+  Manifest m;
+  for_each_line(body, [&](std::string_view line, std::size_t line_no) {
+    if (skippable(line)) return;
+    std::array<std::string_view, 5> t;
+    const std::size_t n = split(line.substr(line.find_first_not_of(" \t")),
+                                t, ' ');
+    if (t[0] == "num_pes" && n == 2) {
+      m.num_pes = to_num<int>(t[1], line_no, line);
+    } else if (t[0] == "dead_pe" && n == 2) {
+      m.dead_pes.push_back(to_num<int>(t[1], line_no, line));
+    } else if (t[0] == "file" && n == 5) {
+      const auto kv = [&](std::string_view s, std::string_view key,
+                          int base) {
+        if (!s.starts_with(key))
+          parse_fail(line_no, line, "malformed file entry");
+        return to_num<std::uint64_t>(s.substr(key.size()), line_no, line,
+                                     base);
+      };
+      m.files.push_back(ManifestEntry{std::string(t[1]),
+                                      kv(t[2], "records=", 10),
+                                      kv(t[3], "bytes=", 10),
+                                      kv(t[4], "fnv1a=", 16)});
+    } else {
+      parse_fail(line_no, line, "malformed manifest line");
     }
+  });
+  return m;
+}
+
+std::string format_manifest(const Manifest& m) {
+  Sink out;
+  out.append(
+      "# ActorProf trace manifest: file <name> records=<n> bytes=<n> "
+      "fnv1a=<hex64>\n");
+  out.append("num_pes ");
+  out.dec(m.num_pes);
+  out.put('\n');
+  for (const ManifestEntry& e : m.files) {
+    out.append("file ");
+    out.append(e.file);
+    out.append(" records=");
+    out.dec(e.records);
+    out.append(" bytes=");
+    out.dec(e.bytes);
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(e.fnv1a));
+    out.append(" fnv1a=");
+    out.append(hex);
+    out.put('\n');
   }
-  std::error_code ec;
-  fs::rename(tmp, dst, ec);
-  if (ec) {
-    std::error_code ignore;
-    fs::remove(tmp, ignore);
-    return false;
+  for (const int pe : m.dead_pes) {
+    out.append("dead_pe ");
+    out.dec(pe);
+    out.put('\n');
   }
+  return std::move(out).str();
+}
+
+bool read_file(const std::filesystem::path& p, std::string& out) {
+  std::ifstream is(p, std::ios::binary | std::ios::ate);
+  if (!is) return false;
+  out.resize(static_cast<std::size_t>(std::max<std::streamoff>(is.tellg(), 0)));
+  is.seekg(0);
+  is.read(out.data(), static_cast<std::streamsize>(out.size()));
+  out.resize(static_cast<std::size_t>(is.gcount()));  // shrunk meanwhile
   return true;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  static const char* digits = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = digits[v & 0xf];
-    v >>= 4;
+std::string read_trace_file(const std::filesystem::path& dir, TraceFile f,
+                            std::string& body) {
+  for (const bool binary : {true, false}) {
+    std::string name = file_name(f, binary);
+    if (read_file(dir / name, body)) return name;
   }
-  buf[16] = '\0';
-  return buf;
+  return {};
 }
 
-}  // namespace
+bool write_file_atomic(const std::filesystem::path& dir,
+                       const std::string& name, std::string_view body) {
+  namespace fs = std::filesystem;
+  const fs::path tmp = dir / (name + ".tmp");
+  bool ok = false;
+  {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    os.write(body.data(), static_cast<std::streamsize>(body.size()));
+    os.flush();
+    ok = os.good();
+  }
+  std::error_code ec;
+  if (ok) fs::rename(tmp, dir / name, ec);
+  if (!ok || ec) fs::remove(tmp, ec);
+  return ok && !ec;
+}
 
 void write_all(const Profiler& prof, const Config& cfg) {
   namespace fs = std::filesystem;
@@ -387,19 +510,19 @@ void write_all(const Profiler& prof, const Config& cfg) {
                              cfg.trace_dir.string() + ": " + ec.message());
   const int n = prof.num_pes();
 
-  std::vector<ManifestEntry> written;
+  Manifest manifest{n, {}, {}};
   std::vector<std::string> failed;
   serve::Publisher* pub = prof.publisher();
   const auto emit = [&](const std::string& name, std::string body,
                         std::uint64_t records) {
     // Compression is a container transform applied here, at persist time:
-    // the encoders stay version-1 and the manifest describes the on-disk
+    // the encoder stays version-1 and the manifest describes the on-disk
     // (possibly compressed) bytes.
     if (cfg.trace_compress && is_binary_trace(body))
       body = compress_trace(body);
-    if (atomic_write_file(cfg.trace_dir, name, body))
-      written.push_back(ManifestEntry{name, records, body.size(),
-                                      fnv1a64(body.data(), body.size())});
+    if (write_file_atomic(cfg.trace_dir, name, body))
+      manifest.files.push_back(ManifestEntry{
+          name, records, body.size(), fnv1a64(body.data(), body.size())});
     else
       failed.push_back(name);
     // Live streaming: the final on-disk body replaces whatever incremental
@@ -411,48 +534,27 @@ void write_all(const Profiler& prof, const Config& cfg) {
   // differs. The loader sniffs whichever is present, and `actorprof export
   // --csv` converts back. overall.txt and MANIFEST.txt stay text in both.
   const bool binary = cfg.trace_format == TraceFormat::binary;
+  const auto emit_rows = [&](TraceFile f, const auto& rows,
+                             const FileMeta& meta) {
+    if (binary) {
+      emit(file_name(f, true), encode(rows, meta), rows.size());
+    } else {
+      Sink out;
+      write_csv(out, rows, meta);
+      emit(file_name(f), std::move(out).str(), rows.size());
+    }
+  };
 
-  if (cfg.logical && cfg.keep_logical_events) {
-    for (int pe = 0; pe < n; ++pe) {
-      const auto& events = prof.logical_events(pe);
-      if (binary) {
-        emit(binary_file_name(logical_file_name(pe)), encode_logical(events),
-             events.size());
-      } else {
-        Sink out;
-        write_logical(out, events);
-        emit(logical_file_name(pe), std::move(out).str(), events.size());
-      }
-    }
-  }
-  if (cfg.papi) {
-    for (int pe = 0; pe < n; ++pe) {
-      const auto rows = prof.papi_segments(pe);
-      if (binary) {
-        emit(binary_file_name(papi_file_name(pe)), encode_papi(rows, cfg),
-             rows.size());
-      } else {
-        Sink out;
-        write_papi(out, rows, cfg);
-        emit(papi_file_name(pe), std::move(out).str(), rows.size());
-      }
-    }
-  }
-  if (cfg.supersteps) {
-    // Killed PEs keep their rows: each row closed at a collective the PE
-    // actually reached, so the prefix is exactly the post-mortem evidence.
-    for (int pe = 0; pe < n; ++pe) {
-      const auto rows = prof.supersteps(pe);
-      if (binary) {
-        emit(binary_file_name(steps_file_name(pe)), encode_steps(rows),
-             rows.size());
-      } else {
-        Sink out;
-        write_steps(out, rows);
-        emit(steps_file_name(pe), std::move(out).str(), rows.size());
-      }
-    }
-  }
+  if (cfg.logical && cfg.keep_logical_events)
+    for (int pe = 0; pe < n; ++pe)
+      emit_rows({BinKind::send, pe}, prof.logical_events(pe), {});
+  if (cfg.papi)
+    for (int pe = 0; pe < n; ++pe)
+      emit_rows({BinKind::papi, pe}, prof.papi_segments(pe),
+                FileMeta::papi(cfg));
+  if (cfg.supersteps)
+    for (int pe = 0; pe < n; ++pe)
+      emit_rows({BinKind::steps, pe}, prof.supersteps(pe), {});
   if (cfg.overall) {
     Sink out;
     // A PE killed mid-epoch never reached epoch_end: its cycle buckets are
@@ -468,33 +570,16 @@ void write_all(const Profiler& prof, const Config& cfg) {
     if (cfg.metrics) write_self_overhead(out, prof.self_overhead());
     emit(kOverallFile, std::move(out).str(), recs.size());
   }
-  if (cfg.check) {
-    // Always emitted under the checker, even with zero rows: an empty
-    // check file is the recorded proof the run was violation-free.
-    if (binary) {
-      emit(binary_file_name(kCheckFile),
-           encode_check(prof.bsp_violations(), prof.bsp_violations_dropped()),
-           prof.bsp_violations().size());
-    } else {
-      Sink out;
-      write_check(out, prof.bsp_violations(), prof.bsp_violations_dropped());
-      emit(kCheckFile, std::move(out).str(), prof.bsp_violations().size());
-    }
-  }
+  if (cfg.check)
+    emit_rows({BinKind::check}, prof.bsp_violations(),
+              {.dropped = prof.bsp_violations_dropped()});
   if (cfg.physical && cfg.keep_physical_events) {
     std::vector<PhysicalRecord> merged;
     for (int pe = 0; pe < n; ++pe) {
       const auto& evs = prof.physical_events(pe);
       merged.insert(merged.end(), evs.begin(), evs.end());
     }
-    if (binary) {
-      emit(binary_file_name(kPhysicalFile), encode_physical(merged),
-           merged.size());
-    } else {
-      Sink out;
-      write_physical(out, merged);
-      emit(kPhysicalFile, std::move(out).str(), merged.size());
-    }
+    emit_rows({BinKind::physical}, merged, {});
   }
   if (binary && cfg.metrics && prof.metric_samples().bound()) {
     // The sample ring has no CSV counterpart (metrics.json is its text
@@ -503,38 +588,13 @@ void write_all(const Profiler& prof, const Config& cfg) {
          prof.metric_samples().size());
   }
 
-  {
-    // MANIFEST last: a loader that sees it knows every listed file was
-    // completely written (and can verify it with the checksum).
-    Sink out;
-    out.append(
-        "# ActorProf trace manifest: file <name> records=<n> bytes=<n> "
-        "fnv1a=<hex64>\n");
-    out.append("num_pes ");
-    out.dec(n);
-    out.put('\n');
-    for (const ManifestEntry& m : written) {
-      out.append("file ");
-      out.append(m.file);
-      out.append(" records=");
-      out.dec(m.records);
-      out.append(" bytes=");
-      out.dec(m.bytes);
-      out.append(" fnv1a=");
-      out.append(hex64(m.fnv1a));
-      out.put('\n');
-    }
-    for (int pe : fi::killed_pes()) {
-      out.append("dead_pe ");
-      out.dec(pe);
-      out.put('\n');
-    }
-    std::string manifest = std::move(out).str();
-    if (!atomic_write_file(cfg.trace_dir, kManifestFile, manifest))
-      failed.push_back(kManifestFile);
-    if (pub != nullptr)
-      pub->publish_file(kManifestFile, std::move(manifest), false);
-  }
+  // MANIFEST last: a loader that sees it knows every listed file was
+  // completely written (and can verify it with the checksum).
+  manifest.dead_pes = fi::killed_pes();
+  std::string text = format_manifest(manifest);
+  if (!write_file_atomic(cfg.trace_dir, kManifestFile, text))
+    failed.push_back(kManifestFile);
+  if (pub != nullptr) pub->publish_file(kManifestFile, std::move(text), false);
 
   if (!failed.empty()) {
     std::string msg = "write_all: failed to write " +
@@ -554,252 +614,6 @@ void write_all(const Profiler& prof, const Config& cfg) {
     // final bytes; a dead collector costs at most the flush timeout.
     pub->flush();
   }
-}
-
-// ------------------------------------------------------------------ parsers
-
-void parse_logical_into(std::istream& is,
-                        std::vector<LogicalSendRecord>& out) {
-  out.reserve(out.size() + 1024);
-  std::vector<std::string_view> f;
-  f.reserve(8);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (skippable(line)) continue;
-    split_csv(line, f);
-    if (f.size() != 5) parse_fail(line_no, line, "expected 5 fields");
-    LogicalSendRecord r;
-    r.src_node = to_num<int>(f[0], line_no, line);
-    r.src_pe = to_num<int>(f[1], line_no, line);
-    r.dst_node = to_num<int>(f[2], line_no, line);
-    r.dst_pe = to_num<int>(f[3], line_no, line);
-    r.msg_bytes = to_num<std::uint32_t>(f[4], line_no, line);
-    out.push_back(r);
-  }
-}
-
-void parse_papi_into(std::istream& is, std::vector<PapiSegmentRecord>& out) {
-  out.reserve(out.size() + 1024);
-  std::vector<std::string_view> f;
-  f.reserve(16);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (skippable(line)) continue;
-    split_csv(line, f);
-    if (f.size() < 8) parse_fail(line_no, line, "expected >= 8 fields");
-    PapiSegmentRecord r;
-    r.src_node = to_num<int>(f[0], line_no, line);
-    r.src_pe = to_num<int>(f[1], line_no, line);
-    r.dst_node = to_num<int>(f[2], line_no, line);
-    r.dst_pe = to_num<int>(f[3], line_no, line);
-    r.pkt_bytes = to_num<std::uint32_t>(f[4], line_no, line);
-    r.mailbox_id = to_num<int>(f[5], line_no, line);
-    r.num_sends = to_num<std::uint64_t>(f[6], line_no, line);
-    std::size_t k = 7;
-    int slot = 0;
-    for (; k < f.size(); ++k) {
-      if (f[k] == "MAIN" || f[k] == "PROC") {
-        r.is_proc = (f[k] == "PROC");
-        break;
-      }
-      if (slot < papi::kMaxEventsPerSet)
-        r.counters[static_cast<std::size_t>(slot++)] =
-            to_num<std::uint64_t>(f[k], line_no, line);
-    }
-    out.push_back(r);
-  }
-}
-
-void parse_overall_into(std::istream& is, std::vector<OverallRecord>& out) {
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (skippable(line)) continue;
-    if (line.rfind("Absolute", 0) != 0) continue;  // Relative lines derived
-    // Absolute [PE3] TCOMM_PROFILING (T_MAIN, T_COMM, T_PROC) = (a, b, c)
-    const auto pe_open = line.find("[PE");
-    const auto pe_close = line.find(']', pe_open);
-    const auto eq = line.find('=', pe_close);
-    const auto paren = line.find('(', eq);
-    const auto paren_close = line.find(')', paren);
-    if (pe_open == std::string::npos || pe_close == std::string::npos ||
-        eq == std::string::npos || paren == std::string::npos ||
-        paren_close == std::string::npos)
-      parse_fail(line_no, line, "malformed Absolute line");
-    OverallRecord r;
-    r.pe = to_num<int>(
-        std::string_view(line).substr(pe_open + 3, pe_close - pe_open - 3),
-        line_no, line);
-    std::vector<std::string_view> nums;
-    split_csv(std::string_view(line).substr(paren + 1,
-                                            paren_close - paren - 1),
-              nums);
-    if (nums.size() != 3) parse_fail(line_no, line, "expected 3 numbers");
-    r.t_main = to_num<std::uint64_t>(nums[0], line_no, line);
-    const auto t_comm = to_num<std::uint64_t>(nums[1], line_no, line);
-    r.t_proc = to_num<std::uint64_t>(nums[2], line_no, line);
-    r.t_total = r.t_main + t_comm + r.t_proc;
-    out.push_back(r);
-  }
-}
-
-void parse_physical_into(std::istream& is, std::vector<PhysicalRecord>& out) {
-  out.reserve(out.size() + 1024);
-  std::vector<std::string_view> f;
-  f.reserve(8);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (skippable(line)) continue;
-    split_csv(line, f);
-    if (f.size() != 4) parse_fail(line_no, line, "expected 4 fields");
-    PhysicalRecord r;
-    r.type = parse_send_type(f[0], line_no, line);
-    r.buffer_bytes = to_num<std::uint64_t>(f[1], line_no, line);
-    r.src_pe = to_num<int>(f[2], line_no, line);
-    r.dst_pe = to_num<int>(f[3], line_no, line);
-    out.push_back(r);
-  }
-}
-
-std::vector<LogicalSendRecord> parse_logical(std::istream& is) {
-  std::vector<LogicalSendRecord> out;
-  parse_logical_into(is, out);
-  return out;
-}
-
-std::vector<PapiSegmentRecord> parse_papi(std::istream& is) {
-  std::vector<PapiSegmentRecord> out;
-  parse_papi_into(is, out);
-  return out;
-}
-
-std::vector<OverallRecord> parse_overall(std::istream& is) {
-  std::vector<OverallRecord> out;
-  parse_overall_into(is, out);
-  return out;
-}
-
-void parse_steps_into(std::istream& is, std::vector<SuperstepRecord>& out) {
-  out.reserve(out.size() + 256);
-  std::vector<std::string_view> f;
-  f.reserve(12);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (skippable(line)) continue;
-    split_csv(line, f);
-    if (f.size() != 11) parse_fail(line_no, line, "expected 11 fields");
-    SuperstepRecord r;
-    r.pe = to_num<int>(f[0], line_no, line);
-    r.epoch = to_num<std::uint32_t>(f[1], line_no, line);
-    r.step = to_num<std::uint32_t>(f[2], line_no, line);
-    r.t_main = to_num<std::uint64_t>(f[3], line_no, line);
-    r.t_proc = to_num<std::uint64_t>(f[4], line_no, line);
-    r.t_comm = to_num<std::uint64_t>(f[5], line_no, line);
-    r.msgs_sent = to_num<std::uint64_t>(f[6], line_no, line);
-    r.bytes_sent = to_num<std::uint64_t>(f[7], line_no, line);
-    r.msgs_handled = to_num<std::uint64_t>(f[8], line_no, line);
-    r.barrier_arrive = to_num<std::uint64_t>(f[9], line_no, line);
-    r.barrier_release = to_num<std::uint64_t>(f[10], line_no, line);
-    out.push_back(r);
-  }
-}
-
-void parse_check_into(std::istream& is, std::vector<check::Violation>& out,
-                      std::uint64_t& dropped) {
-  std::vector<std::string_view> f;
-  f.reserve(8);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.rfind("# dropped=", 0) == 0) {
-      dropped = to_num<std::uint64_t>(
-          std::string_view(line).substr(10), line_no, line);
-      continue;
-    }
-    if (skippable(line)) continue;
-    split_csv(line, f);
-    if (f.size() != 8) parse_fail(line_no, line, "expected 8 fields");
-    check::Violation v;
-    if (!check::kind_from_string(f[0], v.kind))
-      parse_fail(line_no, line, "unknown violation kind");
-    v.pe = to_num<int>(f[1], line_no, line);
-    v.other_pe = to_num<int>(f[2], line_no, line);
-    v.superstep = to_num<std::uint32_t>(f[3], line_no, line);
-    v.offset = to_num<std::uint64_t>(f[4], line_no, line);
-    v.bytes = to_num<std::uint64_t>(f[5], line_no, line);
-    v.callsite = std::string(f[6]);
-    v.detail = std::string(f[7]);
-    out.push_back(std::move(v));
-  }
-}
-
-std::vector<PhysicalRecord> parse_physical(std::istream& is) {
-  std::vector<PhysicalRecord> out;
-  parse_physical_into(is, out);
-  return out;
-}
-
-std::vector<SuperstepRecord> parse_steps(std::istream& is) {
-  std::vector<SuperstepRecord> out;
-  parse_steps_into(is, out);
-  return out;
-}
-
-Manifest parse_manifest(std::istream& is) {
-  Manifest m;
-  std::string line;
-  std::size_t line_no = 0;
-  std::vector<std::string_view> f;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (skippable(line)) continue;
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key == "num_pes") {
-      if (!(ls >> m.num_pes)) parse_fail(line_no, line, "bad num_pes");
-    } else if (key == "dead_pe") {
-      int pe = 0;
-      if (!(ls >> pe)) parse_fail(line_no, line, "bad dead_pe");
-      m.dead_pes.push_back(pe);
-    } else if (key == "file") {
-      ManifestEntry e;
-      std::string rec, bytes, sum;
-      if (!(ls >> e.file >> rec >> bytes >> sum))
-        parse_fail(line_no, line, "malformed file entry");
-      const auto kv = [&](const std::string& s, const char* prefix,
-                          int base) -> std::uint64_t {
-        const std::string_view sv(s);
-        const std::string_view pfx(prefix);
-        if (sv.substr(0, pfx.size()) != pfx)
-          parse_fail(line_no, line, "malformed file entry");
-        std::uint64_t v = 0;
-        const std::string_view num = sv.substr(pfx.size());
-        const auto [p, ec] =
-            std::from_chars(num.data(), num.data() + num.size(), v, base);
-        if (ec != std::errc{} || p != num.data() + num.size())
-          parse_fail(line_no, line, "malformed file entry");
-        return v;
-      };
-      e.records = kv(rec, "records=", 10);
-      e.bytes = kv(bytes, "bytes=", 10);
-      e.fnv1a = kv(sum, "fnv1a=", 16);
-      m.files.push_back(std::move(e));
-    } else {
-      parse_fail(line_no, line, "unknown manifest key");
-    }
-  }
-  return m;
 }
 
 // ---------------------------------------------------------------- TraceDir
@@ -851,23 +665,23 @@ SparseCommMatrix TraceDir::physical_sparse(bool include_progress) const {
   return physical_cells<SparseCommMatrix>(*this, include_progress);
 }
 
-namespace {
-
-/// Read an entire file into a string. Returns false when it cannot be
-/// opened (missing / unreadable).
-bool slurp(const std::filesystem::path& p, std::string& out) {
-  std::ifstream is(p, std::ios::binary);
-  if (!is) return false;
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  out = ss.str();
-  return true;
+void TraceDir::absorb(BinKind kind, FileMeta&& meta) {
+  if (kind == BinKind::check) {
+    check_recorded = true;
+    check_dropped = meta.dropped;
+  }
+  if (papi_events.empty()) papi_events = std::move(meta.papi_events);
 }
 
-}  // namespace
-
-TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes) {
-  return load_trace_dir(dir, num_pes, LoadOptions{});
+void TraceDir::read(TraceFile f, std::string_view body) {
+  FileMeta meta;
+  try {
+    with_rows(f, [&](auto& rows) { read_into(body, rows, &meta); });
+  } catch (const TraceParseError&) {
+    absorb(f.kind, std::move(meta));
+    throw;
+  }
+  absorb(f.kind, std::move(meta));
 }
 
 TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes,
@@ -882,10 +696,9 @@ TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes,
   // Its absence is not an error — pre-manifest trace dirs stay loadable.
   Manifest manifest;
   bool have_manifest = false;
-  if (std::string body; slurp(dir / kManifestFile, body)) {
-    std::istringstream is(body);
+  if (std::string body; read_file(dir / kManifestFile, body)) {
     try {
-      manifest = parse_manifest(is);
+      manifest = parse_manifest(body);
       have_manifest = true;
     } catch (const TraceParseError& e) {
       if (!opts.tolerate_partial) throw;
@@ -900,29 +713,21 @@ TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes,
     return false;
   };
 
-  // Load one record kind: resolve the .apt sibling first, then the CSV
-  // name, and dispatch on *content* (the .apt magic), so a renamed file
-  // still loads. Checksum-verify against the MANIFEST, then parse/decode
-  // via the incremental forms so a truncated or corrupt tail still yields
-  // its verified prefix. `decode_bin` may be null for text-only files
-  // (overall.txt has no binary form).
-  const auto load_file = [&](const std::string& name, bool required,
-                             auto&& parse_into, auto&& decode_bin) {
-    const std::string bin_name = binary_file_name(name);
-    std::string actual = bin_name;
-    std::string body;
-    if (!slurp(dir / bin_name, body)) {
-      actual = name;
-      if (!slurp(dir / name, body)) {
-        if (required || (have_manifest && (in_manifest(name) ||
-                                           in_manifest(bin_name)))) {
-          if (!opts.tolerate_partial)
-            throw std::runtime_error(name + ": cannot open trace file in " +
-                                     dir.string());
-          t.issues.push_back(FileIssue{name, 0, "missing trace file"});
-        }
-        return;
+  // Load one file: `actual` names what was read (empty when missing), and
+  // parse(body) reads it into `t` — the incremental forms, so a truncated
+  // or corrupt tail still yields its verified prefix. A missing file is an
+  // issue when the MANIFEST lists either spelling.
+  const auto load = [&](const std::string& name, const std::string& bin_name,
+                        const std::string& actual, std::string_view body,
+                        auto&& parse) {
+    if (actual.empty()) {
+      if (have_manifest && (in_manifest(name) || in_manifest(bin_name))) {
+        if (!opts.tolerate_partial)
+          throw std::runtime_error(name + ": cannot open trace file in " +
+                                   dir.string());
+        t.issues.push_back(FileIssue{name, 0, "missing trace file"});
       }
+      return;
     }
     if (have_manifest && opts.tolerate_partial) {
       for (const ManifestEntry& m : manifest.files) {
@@ -937,67 +742,33 @@ TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes,
       }
     }
     try {
-      if (is_binary_trace(body)) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(decode_bin)>,
-                                     std::nullptr_t>)
-          throw BinaryParseError(0, 0, "binary content in a text-only file");
-        else
-          decode_bin(std::string_view(body));
-      } else {
-        std::istringstream is(body);
-        parse_into(is);
-      }
+      parse(body);
     } catch (const TraceParseError& e) {
       if (!opts.tolerate_partial)
         throw TraceParseError(e.line_no(), actual + ": " + e.what());
       t.issues.push_back(FileIssue{actual, e.line_no(), e.what()});
     }
   };
+  std::string body;
+  const auto load_rows = [&](TraceFile f) {
+    const std::string actual = read_trace_file(dir, f, body);
+    load(file_name(f), file_name(f, true), actual, body,
+         [&](std::string_view b) { t.read(f, b); });
+  };
 
-  for (int pe = 0; pe < num_pes; ++pe) {
-    const auto idx = static_cast<std::size_t>(pe);
-    load_file(
-        logical_file_name(pe), false,
-        [&](std::istream& is) { parse_logical_into(is, t.logical[idx]); },
-        [&](std::string_view b) { decode_logical_into(b, t.logical[idx]); });
-    load_file(
-        papi_file_name(pe), false,
-        [&](std::istream& is) { parse_papi_into(is, t.papi[idx]); },
-        [&](std::string_view b) {
-          decode_papi_into(b, t.papi[idx],
-                           t.papi_events.empty() ? &t.papi_events : nullptr);
-        });
-    load_file(
-        steps_file_name(pe), false,
-        [&](std::istream& is) { parse_steps_into(is, t.steps[idx]); },
-        [&](std::string_view b) { decode_steps_into(b, t.steps[idx]); });
-  }
-  load_file(
-      kOverallFile, false,
-      [&](std::istream& is) { parse_overall_into(is, t.overall); }, nullptr);
-  load_file(
-      kPhysicalFile, false,
-      [&](std::istream& is) { parse_physical_into(is, t.physical); },
-      [&](std::string_view b) { decode_physical_into(b, t.physical); });
-  load_file(
-      kCheckFile, false,
-      [&](std::istream& is) {
-        t.check_recorded = true;
-        parse_check_into(is, t.check, t.check_dropped);
-      },
-      [&](std::string_view b) {
-        t.check_recorded = true;
-        decode_check_into(b, t.check, t.check_dropped);
-      });
+  for (const BinKind k : kRowKinds)
+    for (const TraceFile f : trace_files(k, num_pes)) load_rows(f);
+  const bool have_overall = read_file(dir / kOverallFile, body);
+  load(kOverallFile, kOverallFile, have_overall ? kOverallFile : "", body,
+       [&](std::string_view b) { parse_overall_into(b, t.overall); });
   return t;
 }
 
 int detect_num_pes(const std::filesystem::path& dir) {
   std::string body;
-  if (!slurp(dir / kManifestFile, body)) return 0;
-  std::istringstream is(body);
+  if (!read_file(dir / kManifestFile, body)) return 0;
   try {
-    return parse_manifest(is).num_pes;
+    return parse_manifest(body).num_pes;
   } catch (const TraceParseError&) {
     return 0;
   }

@@ -1,15 +1,23 @@
-// Writers and parsers for ActorProf's trace files (paper §III):
+// ActorProf's trace files (paper §III):
 //   PEi_send.csv  — logical trace, one line per application send
 //   PEi_PAPI.csv  — PAPI segment rows
 //   overall.txt   — Absolute/Relative TCOMM_PROFILING lines per PE
 //   physical.txt  — network transfers of all PEs
+// plus PEi_steps.csv (supersteps), check.csv (BSP conformance) and
+// MANIFEST.txt. Every row kind has one schema (core/trace_schema.hpp) and
+// is read and written by one generic reader and writer, in either
+// container: CSV text or the .apt binary columns (core/trace_binary.hpp).
 // The visualization CLI consumes these files only, so it also works on
 // traces produced by other builds of the tool.
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
-#include <iosfwd>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "check/checker.hpp"
@@ -25,17 +33,65 @@ class Profiler;
 
 namespace ap::prof::io {
 
-/// File-name helpers (exactly the names the paper lists).
-std::string logical_file_name(int pe);   // "PE<i>_send.csv"
-std::string papi_file_name(int pe);      // "PE<i>_PAPI.csv"
-std::string steps_file_name(int pe);     // "PE<i>_steps.csv"
 inline constexpr const char* kOverallFile = "overall.txt";
-inline constexpr const char* kPhysicalFile = "physical.txt";
 inline constexpr const char* kManifestFile = "MANIFEST.txt";
-inline constexpr const char* kCheckFile = "check.csv";
 /// Live-metrics sample ring dump, emitted only by the binary trace format
 /// (there is no CSV counterpart; metrics.json carries the text view).
 inline constexpr const char* kMetricSamplesFile = "metric_samples.apt";
+
+/// Record kinds of the trace files (the .apt header's `kind` byte). All but
+/// `metrics` are row kinds with a schema.
+enum class BinKind : std::uint8_t {
+  send = 1,
+  papi = 2,
+  steps = 3,
+  physical = 4,
+  check = 5,
+  metrics = 6,
+};
+
+/// The record types of the row kinds.
+template <class Rec>
+concept TraceRow = std::is_same_v<Rec, LogicalSendRecord> ||
+                   std::is_same_v<Rec, PapiSegmentRecord> ||
+                   std::is_same_v<Rec, SuperstepRecord> ||
+                   std::is_same_v<Rec, PhysicalRecord> ||
+                   std::is_same_v<Rec, check::Violation>;
+
+/// Every row kind, in write_all's order (overall.txt, which is not a row
+/// kind, goes between steps and check).
+inline constexpr BinKind kRowKinds[] = {BinKind::send, BinKind::papi,
+                                        BinKind::steps, BinKind::check,
+                                        BinKind::physical};
+
+/// One row-kind file: its kind and, for the per-PE shards (send, PAPI,
+/// steps), its PE.
+struct TraceFile {
+  BinKind kind = BinKind::send;
+  int pe = -1;  ///< -1 for physical and check
+};
+
+/// The file's name, exactly as the paper lists it ("PE3_send.csv",
+/// "physical.txt", "check.csv"), or its .apt spelling ("PE3_send.apt").
+[[nodiscard]] std::string file_name(TraceFile f, bool binary = false);
+/// The inverse over both spellings; nullopt for any other name.
+[[nodiscard]] std::optional<TraceFile> parse_file_name(std::string_view name);
+/// The files of row kind `kind` in a run of `num_pes` PEs: one per PE for
+/// the per-PE kinds, else one.
+[[nodiscard]] std::vector<TraceFile> trace_files(BinKind kind, int num_pes);
+
+/// What a file carries besides its rows.
+struct FileMeta {
+  /// PEi_PAPI: the configured events, in configuration order (the CSV
+  /// header names them; the .apt header aux holds their ids).
+  std::vector<papi::Event> papi_events{};
+  /// check: violations past the checker's cap (the CSV "# dropped=<n>"
+  /// marker; the .apt header aux).
+  std::uint64_t dropped = 0;
+
+  /// The PEi_PAPI header of a run configured with `cfg`.
+  static FileMeta papi(const Config& cfg);
+};
 
 /// Parse failure carrying the 1-based line it happened on. Derives from
 /// std::runtime_error, so pre-existing catch sites keep working.
@@ -48,77 +104,47 @@ class TraceParseError : public std::runtime_error {
   std::size_t line_no_;
 };
 
-// ---- writers ---------------------------------------------------------------
-// Every writer exists in two forms: the Sink form is the real
-// implementation (one contiguous buffered build, see core/sink.hpp); the
-// std::ostream form delegates to it and is kept for existing callers.
+// ---- one reader and one writer per container, for every row kind ----------
 
-void write_logical(Sink& out, const std::vector<LogicalSendRecord>& events);
-void write_logical(std::ostream& os,
-                   const std::vector<LogicalSendRecord>& events);
-void write_papi(Sink& out, const std::vector<PapiSegmentRecord>& rows,
-                const Config& cfg);
-void write_papi(std::ostream& os, const std::vector<PapiSegmentRecord>& rows,
-                const Config& cfg);
+/// The CSV form of a row-kind file: header line, then one line per row.
+template <TraceRow Rec>
+void write_csv(Sink& out, const std::vector<Rec>& rows,
+               const FileMeta& meta = {});
+/// The .apt form: a complete file body (header + 4,096-row blocks + CRCs).
+template <TraceRow Rec>
+[[nodiscard]] std::string encode(const std::vector<Rec>& rows,
+                                 const FileMeta& meta = {});
+/// Parse either container (sniffed by content) and append its rows to
+/// `out`, and its header to `meta` when given. Rows append as they verify,
+/// so when damaged input throws TraceParseError the caller keeps the valid
+/// prefix (what tolerant loading renders). CSV skips blank lines and '#'
+/// comments; a last line without its newline is a truncated row and
+/// throws at that line. An .apt error is a BinaryParseError naming the
+/// block and byte offset.
+template <TraceRow Rec>
+void read_into(std::string_view body, std::vector<Rec>& out,
+               FileMeta* meta = nullptr);
+
+/// A row-kind file of kind `kind` (either container) rewritten from its
+/// rows: as CSV (`actorprof export --csv`), or as a dense .apt — full
+/// 4,096-row blocks in the container version of `body`, version 1 for
+/// CSV input (`actorprof compact`). `records` receives the row count.
+[[nodiscard]] std::string rewrite(std::string_view body, BinKind kind,
+                                  TraceFormat to, std::uint64_t& records);
+
+// ---- overall.txt (text only) -----------------------------------------------
+
 void write_overall(Sink& out, const std::vector<OverallRecord>& recs);
-void write_overall(std::ostream& os, const std::vector<OverallRecord>& recs);
 /// "SelfOverhead ..." lines appended to overall.txt when Config::metrics is
 /// on: the measured wall-rdtsc cost of ActorProf's own instrumentation,
-/// per PE and per category. parse_overall skips them (they are not
+/// per PE and per category. parse_overall_into skips them (they are not
 /// "Absolute" lines), so existing consumers are unaffected.
 void write_self_overhead(Sink& out, const metrics::OverheadMeter& m);
-void write_self_overhead(std::ostream& os, const metrics::OverheadMeter& m);
-void write_physical(Sink& out, const std::vector<PhysicalRecord>& events);
-void write_physical(std::ostream& os,
-                    const std::vector<PhysicalRecord>& events);
-/// Superstep rows (PEi_steps.csv, Config::supersteps). Unlike overall.txt,
-/// a killed PE's rows are NOT suppressed: every row was closed at a
-/// collective it actually reached, so the prefix is consistent and is what
-/// post-mortem analysis wants.
-void write_steps(Sink& out, const std::vector<SuperstepRecord>& recs);
-void write_steps(std::ostream& os, const std::vector<SuperstepRecord>& recs);
-/// BSP conformance report (check.csv, Config::check). Written even when
-/// empty — a zero-row check.csv is the evidence a checked run was clean.
-/// `dropped` (violations past the checker's cap) rides in a parsable
-/// "# dropped=<n>" comment.
-void write_check(Sink& out, const std::vector<check::Violation>& v,
-                 std::uint64_t dropped);
-void write_check(std::ostream& os, const std::vector<check::Violation>& v,
-                 std::uint64_t dropped);
+/// Appends one record per "Absolute" line; throws like read_into.
+void parse_overall_into(std::string_view body,
+                        std::vector<OverallRecord>& out);
 
-/// Write every enabled trace of `prof` into cfg.trace_dir (created if
-/// missing). Called by Profiler::write_traces().
-///
-/// Crash-safe: each file is fully built in memory, written to a ".tmp"
-/// sibling, flushed, stream-checked, and atomically renamed into place —
-/// a reader (or a kill) never observes a half-written file. A MANIFEST.txt
-/// (file list, record counts, FNV-1a checksums, dead PEs) is written last.
-/// Failures are aggregated: one std::runtime_error naming every file that
-/// could not be written, thrown after all writable files landed.
-void write_all(const Profiler& prof, const Config& cfg);
-
-// ---- parsers ---------------------------------------------------------------
-// All parsers skip blank lines and '#' comments and throw TraceParseError
-// (a std::runtime_error) with a 1-based line number on malformed input.
-
-std::vector<LogicalSendRecord> parse_logical(std::istream& is);
-std::vector<PapiSegmentRecord> parse_papi(std::istream& is);
-std::vector<OverallRecord> parse_overall(std::istream& is);
-std::vector<PhysicalRecord> parse_physical(std::istream& is);
-std::vector<SuperstepRecord> parse_steps(std::istream& is);
-
-// Incremental variants: records are appended to `out` as they parse, so
-// when a truncated/corrupt file throws mid-way the caller keeps the valid
-// prefix (what `tolerate_partial` loading renders).
-void parse_logical_into(std::istream& is, std::vector<LogicalSendRecord>& out);
-void parse_papi_into(std::istream& is, std::vector<PapiSegmentRecord>& out);
-void parse_overall_into(std::istream& is, std::vector<OverallRecord>& out);
-void parse_physical_into(std::istream& is, std::vector<PhysicalRecord>& out);
-void parse_steps_into(std::istream& is, std::vector<SuperstepRecord>& out);
-/// Parses check.csv rows into `out` and the "# dropped=<n>" marker into
-/// `dropped` (left untouched when the marker is absent).
-void parse_check_into(std::istream& is, std::vector<check::Violation>& out,
-                      std::uint64_t& dropped);
+// ---- files and the MANIFEST ------------------------------------------------
 
 /// One MANIFEST.txt entry, as written by write_all.
 struct ManifestEntry {
@@ -132,10 +158,40 @@ struct Manifest {
   std::vector<ManifestEntry> files;
   std::vector<int> dead_pes;
 };
-Manifest parse_manifest(std::istream& is);
+[[nodiscard]] Manifest parse_manifest(std::string_view body);
+/// MANIFEST.txt's text: the header comment, num_pes, one line per file in
+/// order, then the dead PEs.
+[[nodiscard]] std::string format_manifest(const Manifest& m);
 
 /// FNV-1a 64-bit over a byte buffer (the MANIFEST checksum).
 std::uint64_t fnv1a64(const void* data, std::size_t n);
+
+/// Read a whole file; false when it cannot be opened.
+bool read_file(const std::filesystem::path& p, std::string& out);
+/// Read row-kind file `f` from `dir`, preferring its .apt spelling. Returns
+/// the name read, empty when neither spelling exists.
+std::string read_trace_file(const std::filesystem::path& dir, TraceFile f,
+                            std::string& body);
+/// Write `body` to dir/name through a ".tmp" sibling and an atomic rename,
+/// so a reader (or a kill) never observes a half-written file. Returns
+/// false, with the tmp removed, when any step fails.
+bool write_file_atomic(const std::filesystem::path& dir,
+                       const std::string& name, std::string_view body);
+
+/// Write every enabled trace of `prof` into cfg.trace_dir (created if
+/// missing). Called by Profiler::write_traces().
+///
+/// Crash-safe: each file is fully built in memory and written with
+/// write_file_atomic. A MANIFEST.txt (file list, record counts, FNV-1a
+/// checksums, dead PEs) is written last. Failures are aggregated: one
+/// std::runtime_error naming every file that could not be written, thrown
+/// after all writable files landed.
+///
+/// Superstep rows of a killed PE are kept (each closed at a collective it
+/// reached, so the prefix is the post-mortem evidence); its overall.txt
+/// lines are not. check.csv is written under Config::check even when
+/// empty: a zero-row file is the evidence a checked run was clean.
+void write_all(const Profiler& prof, const Config& cfg);
 
 /// One per-file problem found while loading with tolerate_partial.
 struct FileIssue {
@@ -171,9 +227,20 @@ struct TraceDir {
   /// PEs the MANIFEST marks as killed mid-run (fault injection).
   std::vector<int> dead_pes;
   /// PAPI event ids recovered from a binary PEi_PAPI.apt header (empty for
-  /// CSV traces) — what `actorprof export --csv` uses to rebuild the
-  /// PEi_PAPI.csv header line.
+  /// CSV traces).
   std::vector<papi::Event> papi_events;
+
+  /// Calls fn(rows) with the member holding file `f`'s records:
+  /// logical[pe], papi[pe], steps[pe], physical or check.
+  template <class Fn>
+  void with_rows(TraceFile f, Fn&& fn);
+  /// read_into file `f`'s rows and take its header (absorb), keeping the
+  /// rows and header read before a TraceParseError.
+  void read(TraceFile f, std::string_view body);
+  /// Take what a file of `kind` carried besides rows: the first PAPI event
+  /// list seen, and check's dropped count (which also marks the run as
+  /// checked).
+  void absorb(BinKind kind, FileMeta&& meta);
 
   /// Aggregate the logical events into a src-by-dst matrix. All four
   /// aggregators skip records whose src_pe or dst_pe lies outside
@@ -190,9 +257,21 @@ struct TraceDir {
       bool include_progress = false) const;
 };
 
-TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes);
+template <class Fn>
+void TraceDir::with_rows(TraceFile f, Fn&& fn) {
+  const auto pe = static_cast<std::size_t>(f.pe);
+  switch (f.kind) {
+    case BinKind::send: return fn(logical[pe]);
+    case BinKind::papi: return fn(papi[pe]);
+    case BinKind::steps: return fn(steps[pe]);
+    case BinKind::physical: return fn(physical);
+    case BinKind::check: return fn(check);
+    case BinKind::metrics: break;
+  }
+}
+
 TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes,
-                        const LoadOptions& opts);
+                        const LoadOptions& opts = {});
 
 /// Read the PE count from the trace dir's MANIFEST.txt. Returns 0 when the
 /// manifest is missing or unparsable — callers fall back to --num-pes.

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <system_error>
 
@@ -16,15 +18,6 @@ namespace io = ap::prof::io;
 namespace fs = std::filesystem;
 
 namespace {
-
-bool slurp(const fs::path& p, std::string& out) {
-  std::ifstream is(p, std::ios::binary);
-  if (!is) return false;
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  out = ss.str();
-  return true;
-}
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -99,27 +92,6 @@ std::int64_t now_ms() {
       .count();
 }
 
-/// Kind of a per-PE shard name; accepts both the CSV and .apt spellings.
-enum class ShardKind { send, papi, steps, none };
-
-ShardKind parse_shard_name(std::string_view name, int& pe) {
-  pe = -1;
-  if (name.size() < 3 || name[0] != 'P' || name[1] != 'E') return ShardKind::none;
-  std::size_t i = 2;
-  int v = 0;
-  while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
-    v = v * 10 + (name[i] - '0');
-    ++i;
-  }
-  if (i == 2) return ShardKind::none;
-  pe = v;
-  const std::string_view rest = name.substr(i);
-  if (rest == "_send.csv" || rest == "_send.apt") return ShardKind::send;
-  if (rest == "_PAPI.csv" || rest == "_PAPI.apt") return ShardKind::papi;
-  if (rest == "_steps.csv" || rest == "_steps.apt") return ShardKind::steps;
-  return ShardKind::none;
-}
-
 }  // namespace
 
 TraceService::TraceService(fs::path dir, ServiceOptions opts)
@@ -174,20 +146,17 @@ TraceService::Sig TraceService::stat_file(const std::string& name) const {
 }
 
 void TraceService::scan(int num_pes, std::map<std::string, Sig>& out) const {
-  const auto add = [&](const std::string& name) {
-    out[name] = stat_file(name);
-    out[io::binary_file_name(name)] = stat_file(io::binary_file_name(name));
+  const auto add = [&](io::TraceFile f) {
+    for (const bool binary : {false, true}) {
+      const std::string name = io::file_name(f, binary);
+      out[name] = stat_file(name);
+    }
   };
   out[io::kManifestFile] = stat_file(io::kManifestFile);
   out[io::kOverallFile] = stat_file(io::kOverallFile);
   out["metrics.prom"] = stat_file("metrics.prom");
-  add(io::kPhysicalFile);
-  add(io::kCheckFile);
-  for (int pe = 0; pe < num_pes; ++pe) {
-    add(io::logical_file_name(pe));
-    add(io::papi_file_name(pe));
-    add(io::steps_file_name(pe));
-  }
+  for (const io::BinKind k : io::kRowKinds)
+    for (const io::TraceFile f : io::trace_files(k, num_pes)) add(f);
 }
 
 void TraceService::full_reload() {
@@ -200,49 +169,19 @@ void TraceService::full_reload() {
   trace_ = io::load_trace_dir(dir_, num_pes_, lo);
 }
 
-void TraceService::reload_shard(const std::string& csv_name, int pe) {
-  const auto idx = static_cast<std::size_t>(pe);
-  const std::string bin_name = io::binary_file_name(csv_name);
+void TraceService::reload_shard(io::TraceFile f) {
   // Drop stale issues of this shard; a clean re-parse clears the warning.
+  const std::string csv_name = io::file_name(f);
+  const std::string bin_name = io::file_name(f, true);
   std::erase_if(trace_.issues, [&](const io::FileIssue& i) {
     return i.file == csv_name || i.file == bin_name;
   });
-
-  std::string actual = bin_name;
   std::string body;
-  if (!slurp(dir_ / bin_name, body)) {
-    actual = csv_name;
-    if (!slurp(dir_ / csv_name, body)) return;  // not flushed yet
-  }
-
-  const bool is_send = csv_name == io::logical_file_name(pe);
-  const bool is_papi = csv_name == io::papi_file_name(pe);
-  if (is_send)
-    trace_.logical[idx].clear();
-  else if (is_papi)
-    trace_.papi[idx].clear();
-  else
-    trace_.steps[idx].clear();
+  const std::string actual = io::read_trace_file(dir_, f, body);
+  if (actual.empty()) return;  // not flushed yet
+  trace_.with_rows(f, [](auto& rows) { rows.clear(); });
   try {
-    if (io::is_binary_trace(body)) {
-      if (is_send) {
-        io::decode_logical_into(body, trace_.logical[idx]);
-      } else if (is_papi) {
-        io::decode_papi_into(
-            body, trace_.papi[idx],
-            trace_.papi_events.empty() ? &trace_.papi_events : nullptr);
-      } else {
-        io::decode_steps_into(body, trace_.steps[idx]);
-      }
-    } else {
-      std::istringstream is(body);
-      if (is_send)
-        io::parse_logical_into(is, trace_.logical[idx]);
-      else if (is_papi)
-        io::parse_papi_into(is, trace_.papi[idx]);
-      else
-        io::parse_steps_into(is, trace_.steps[idx]);
-    }
+    trace_.read(f, body);
   } catch (const io::TraceParseError& e) {
     // Mid-flush shard: keep the verified prefix, record the damage — the
     // next refresh re-parses the finished file and clears this issue.
@@ -261,34 +200,19 @@ bool TraceService::refresh() {
   // count learned, MANIFEST/overall/physical/check changed, a file gone or
   // shrunk (rewritten dir) — reloads the whole directory.
   bool full = np != num_pes_;
-  std::vector<std::pair<std::string, int>> changed_shards;
+  std::vector<io::TraceFile> changed_shards;
   if (!full) {
     for (const auto& [name, sig] : cur) {
       const auto it = sigs_.find(name);
       const Sig old = it == sigs_.end() ? Sig{} : it->second;
       if (sig == old) continue;
-      if (old.exists && (!sig.exists || sig.size < old.size)) {
+      const std::optional<io::TraceFile> f = io::parse_file_name(name);
+      if ((old.exists && (!sig.exists || sig.size < old.size)) || !f ||
+          f->pe < 0 || f->pe >= num_pes_) {
         full = true;
         break;
       }
-      int pe = -1;
-      if (name.size() > 2 && name[0] == 'P' && name[1] == 'E')
-        pe = std::atoi(name.c_str() + 2);
-      if (pe < 0 || pe >= num_pes_) {
-        full = true;
-        break;
-      }
-      // Map either form back to the canonical CSV shard name.
-      std::string csv = name;
-      if (csv.size() > 4 && csv.substr(csv.size() - 4) == ".apt") {
-        if (csv.find("_send") != std::string::npos)
-          csv = io::logical_file_name(pe);
-        else if (csv.find("_PAPI") != std::string::npos)
-          csv = io::papi_file_name(pe);
-        else
-          csv = io::steps_file_name(pe);
-      }
-      changed_shards.emplace_back(csv, pe);
+      changed_shards.push_back(*f);
     }
   }
 
@@ -296,7 +220,7 @@ bool TraceService::refresh() {
   if (full) {
     full_reload();
   } else {
-    for (const auto& [csv, pe] : changed_shards) reload_shard(csv, pe);
+    for (const io::TraceFile f : changed_shards) reload_shard(f);
   }
   sigs_ = std::move(cur);
   ++version_;
@@ -331,8 +255,7 @@ void TraceService::apply_segment(const PushSegment& seg) {
   };
 
   if (name == io::kManifestFile) {
-    std::istringstream is{std::string(body)};
-    const io::Manifest m = io::parse_manifest(is);
+    const io::Manifest m = io::parse_manifest(body);
     if (m.num_pes <= 0) throw std::runtime_error("manifest has no PE count");
     // A PE-count change resets the run: every shard indexed by the old
     // world is meaningless (the publisher always sends the MANIFEST before
@@ -364,9 +287,8 @@ void TraceService::apply_segment(const PushSegment& seg) {
     return;
   }
   if (name == io::kOverallFile) {
-    std::istringstream is{std::string(body)};
     std::vector<ap::prof::OverallRecord> scratch;
-    io::parse_overall_into(is, scratch);
+    io::parse_overall_into(body, scratch);
     trace_.overall = std::move(scratch);
     account();
     return;
@@ -379,101 +301,26 @@ void TraceService::apply_segment(const PushSegment& seg) {
     account();
     return;
   }
-  if (name == io::kPhysicalFile || name == io::binary_file_name(io::kPhysicalFile)) {
-    std::vector<ap::prof::PhysicalRecord> scratch;
-    if (io::is_binary_trace(body)) {
-      io::decode_physical_into(body, scratch);
-    } else {
-      std::istringstream is{std::string(body)};
-      io::parse_physical_into(is, scratch);
-    }
-    if (seg.append)
-      trace_.physical.insert(trace_.physical.end(), scratch.begin(),
-                             scratch.end());
-    else
-      trace_.physical = std::move(scratch);
-    account();
-    return;
-  }
-  if (name == io::kCheckFile || name == io::binary_file_name(io::kCheckFile)) {
-    std::vector<ap::check::Violation> scratch;
-    std::uint64_t dropped = 0;
-    if (io::is_binary_trace(body)) {
-      io::decode_check_into(body, scratch, dropped);
-    } else {
-      std::istringstream is{std::string(body)};
-      io::parse_check_into(is, scratch, dropped);
-    }
-    trace_.check = std::move(scratch);
-    trace_.check_dropped = dropped;
-    trace_.check_recorded = true;
-    account();
-    return;
-  }
 
-  int pe = -1;
-  const ShardKind kind = parse_shard_name(name, pe);
-  if (kind == ShardKind::none)
-    throw std::runtime_error("unknown trace file name");
-  if (pe < 0 || pe >= num_pes_)
+  const std::optional<io::TraceFile> f = io::parse_file_name(name);
+  if (!f) throw std::runtime_error("unknown trace file name");
+  if (f->pe >= num_pes_)
     throw std::runtime_error(
-        "PE " + std::to_string(pe) +
+        "PE " + std::to_string(f->pe) +
         " out of range (is the MANIFEST segment missing?)");
-  const auto idx = static_cast<std::size_t>(pe);
-
-  // Decode into scratch first: a BinaryParseError mid-body must not leave
-  // the run with half a segment spliced in.
-  switch (kind) {
-    case ShardKind::send: {
-      std::vector<ap::prof::LogicalSendRecord> scratch;
-      if (io::is_binary_trace(body)) {
-        io::decode_logical_into(body, scratch);
-      } else {
-        std::istringstream is{std::string(body)};
-        io::parse_logical_into(is, scratch);
-      }
-      if (seg.append)
-        trace_.logical[idx].insert(trace_.logical[idx].end(), scratch.begin(),
-                                   scratch.end());
-      else
-        trace_.logical[idx] = std::move(scratch);
-      break;
-    }
-    case ShardKind::papi: {
-      std::vector<ap::prof::PapiSegmentRecord> scratch;
-      std::vector<ap::papi::Event> events;
-      if (io::is_binary_trace(body)) {
-        io::decode_papi_into(body, scratch, &events);
-      } else {
-        std::istringstream is{std::string(body)};
-        io::parse_papi_into(is, scratch);
-      }
-      if (seg.append)
-        trace_.papi[idx].insert(trace_.papi[idx].end(), scratch.begin(),
-                                scratch.end());
-      else
-        trace_.papi[idx] = std::move(scratch);
-      if (trace_.papi_events.empty() && !events.empty())
-        trace_.papi_events = std::move(events);
-      break;
-    }
-    case ShardKind::steps: {
-      std::vector<ap::prof::SuperstepRecord> scratch;
-      if (io::is_binary_trace(body)) {
-        io::decode_steps_into(body, scratch);
-      } else {
-        std::istringstream is{std::string(body)};
-        io::parse_steps_into(is, scratch);
-      }
-      if (seg.append)
-        trace_.steps[idx].insert(trace_.steps[idx].end(), scratch.begin(),
-                                 scratch.end());
-      else
-        trace_.steps[idx] = std::move(scratch);
-      break;
-    }
-    case ShardKind::none: break;
-  }
+  // Read into scratch first: a parse error mid-body must not leave the run
+  // with half a segment spliced in.
+  trace_.with_rows(*f, [&](auto& rows) {
+    std::remove_reference_t<decltype(rows)> scratch;
+    io::FileMeta meta;
+    io::read_into(body, scratch, &meta);
+    if (seg.append)
+      rows.insert(rows.end(), std::make_move_iterator(scratch.begin()),
+                  std::make_move_iterator(scratch.end()));
+    else
+      rows = std::move(scratch);
+    trace_.absorb(f->kind, std::move(meta));
+  });
   account();
 }
 
@@ -619,7 +466,7 @@ Response TraceService::metrics_text() {
   if (push_mode_)
     body = metrics_prom_;
   else
-    slurp(dir_ / "metrics.prom", body);
+    io::read_file(dir_ / "metrics.prom", body);
   if (body.empty()) {
     Response r;
     r.status = 404;

@@ -135,7 +135,7 @@ class TraceService {
   void scan(int num_pes, std::map<std::string, Sig>& out) const;
   void full_reload();
   /// Re-parse one per-PE shard in place (the incremental path).
-  void reload_shard(const std::string& csv_name, int pe);
+  void reload_shard(ap::prof::io::TraceFile f);
   /// Reset the run to `np` empty PEs (push mode, on a PE-count change).
   void resize_world(int np);
   /// Splice one validated push segment into the run; throws on bad data

@@ -21,10 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,8 +29,6 @@
 
 #include "analysis/analysis.hpp"
 #include "core/advisor.hpp"
-#include "core/sink.hpp"
-#include "core/trace_binary.hpp"
 #include "core/trace_io.hpp"
 #include "serve/http.hpp"
 #include "serve/publisher.hpp"
@@ -45,16 +40,6 @@
 #include "viz/svg.hpp"
 
 namespace {
-
-/// Read a whole file; false when it cannot be opened.
-bool slurp_file(const std::filesystem::path& p, std::string& out) {
-  std::ifstream is(p, std::ios::binary);
-  if (!is) return false;
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  out = ss.str();
-  return true;
-}
 
 void usage(const char* argv0) {
   std::cerr
@@ -201,20 +186,23 @@ void maybe_svg(const Args& a, const std::string& name,
   std::cout << "[svg] wrote " << path << "\n";
 }
 
-// ------------------------------------------------------- analyze / diff
+// ------------------------------------------------------ loading a trace
 
-/// Load one trace dir for analysis. num_pes <= 0 auto-detects from the
-/// MANIFEST. Returns 0 on success, the process exit code otherwise.
-/// Damage is warned about and tolerated for rendering (like the plot
-/// flags); without tolerate_partial it still fails the exit code.
-int load_analysis_dir(const std::string& dir, int num_pes,
-                      bool tolerate_partial, ap::prof::io::TraceDir& out) {
+/// `num_pes`, or the MANIFEST's PE count when it is not positive; 0, with
+/// the error printed, when neither is known.
+int resolve_num_pes(const std::string& dir, int num_pes) {
   if (num_pes <= 0) num_pes = ap::prof::io::detect_num_pes(dir);
-  if (num_pes <= 0) {
+  if (num_pes <= 0)
     std::cerr << "error: cannot determine the PE count of " << dir
               << " (no readable MANIFEST.txt) — pass --num-pes N\n";
-    return 2;
-  }
+  return num_pes;
+}
+
+/// Always load tolerantly: per-file parse errors become warnings and the
+/// surviving records still render (--tolerate-partial only decides the
+/// exit code, see damage_exit). Returns 0, or 1 when nothing loads.
+int load_tolerant(const std::string& dir, int num_pes,
+                  ap::prof::io::TraceDir& out) {
   try {
     ap::prof::io::LoadOptions lo;
     lo.tolerate_partial = true;
@@ -232,6 +220,28 @@ int load_analysis_dir(const std::string& dir, int num_pes,
   for (int pe : out.dead_pes)
     std::cerr << "note: PE" << pe
               << " was killed mid-run; its trace is a partial prefix\n";
+  return 0;
+}
+
+/// The exit code of a damaged trace: 1 unless --tolerate-partial.
+int damage_exit(const ap::prof::io::TraceDir& t, bool tolerate_partial) {
+  if (t.issues.empty() || tolerate_partial) return 0;
+  std::cerr << "error: " << t.issues.size()
+            << " damaged trace file(s); rerun with --tolerate-partial to "
+               "accept a partial trace\n";
+  return 1;
+}
+
+// ------------------------------------------------------- analyze / diff
+
+/// Load one trace dir for analysis. num_pes <= 0 auto-detects from the
+/// MANIFEST. Returns 0 on success, the process exit code otherwise.
+/// Damage is warned about and tolerated for rendering (like the plot
+/// flags); without tolerate_partial it still fails the exit code.
+int load_analysis_dir(const std::string& dir, int num_pes,
+                      bool tolerate_partial, ap::prof::io::TraceDir& out) {
+  if ((num_pes = resolve_num_pes(dir, num_pes)) <= 0) return 2;
+  if (const int rc = load_tolerant(dir, num_pes, out)) return rc;
   bool any_steps = false;
   for (const auto& per_pe : out.steps) any_steps |= !per_pe.empty();
   if (!any_steps) {
@@ -240,13 +250,7 @@ int load_analysis_dir(const std::string& dir, int num_pes,
                  "or ACTORPROF_SUPERSTEPS=1)\n";
     return 1;
   }
-  if (!out.issues.empty() && !tolerate_partial) {
-    std::cerr << "error: " << out.issues.size()
-              << " damaged trace file(s); rerun with --tolerate-partial to "
-                 "accept a partial trace\n";
-    return 1;
-  }
-  return 0;
+  return damage_exit(out, tolerate_partial);
 }
 
 int cmd_analyze(int argc, char** argv) {
@@ -334,35 +338,29 @@ int cmd_check(int argc, char** argv) {
   }
   if (dir.empty()) return usage(argv[0]), 2;
 
-  // Prefer the binary shard, fall back to CSV, and dispatch on content:
-  // check.csv / check.apt hold the same rows, only the container differs.
+  // check.csv and check.apt hold the same rows; only the container differs.
   namespace io = ap::prof::io;
-  const std::filesystem::path base = std::filesystem::path(dir);
-  std::filesystem::path path = base / io::binary_file_name(io::kCheckFile);
+  const io::TraceFile file{io::BinKind::check};
   std::string body;
-  if (!slurp_file(path, body)) {
-    path = base / io::kCheckFile;
-    if (!slurp_file(path, body)) {
-      std::cerr << "error: cannot open " << path.string()
-                << " — record the run with ACTORPROF_CHECK=1 (or "
-                   "Config::check) so write_traces() emits check.csv\n";
-      return 1;
-    }
+  const std::string name = io::read_trace_file(dir, file, body);
+  const std::filesystem::path path =
+      std::filesystem::path(dir) / (name.empty() ? io::file_name(file) : name);
+  if (name.empty()) {
+    std::cerr << "error: cannot open " << path.string()
+              << " — record the run with ACTORPROF_CHECK=1 (or "
+                 "Config::check) so write_traces() emits check.csv\n";
+    return 1;
   }
   std::vector<ap::check::Violation> violations;
-  std::uint64_t dropped = 0;
+  io::FileMeta meta;
   try {
-    if (io::is_binary_trace(body)) {
-      io::decode_check_into(body, violations, dropped);
-    } else {
-      std::istringstream is(body);
-      io::parse_check_into(is, violations, dropped);
-    }
+    io::read_into(body, violations, &meta);
   } catch (const std::exception& e) {
     std::cerr << "error parsing " << path.string() << ": " << e.what()
               << "\n";
     return 1;
   }
+  const std::uint64_t dropped = meta.dropped;
   if (json)
     ap::check::write_json(std::cout, violations, dropped);
   else
@@ -438,27 +436,9 @@ int cmd_heatmap(int argc, char** argv) {
     }
   }
   if (dir.empty()) return usage(argv[0]), 2;
-  if (num_pes <= 0) num_pes = ap::prof::io::detect_num_pes(dir);
-  if (num_pes <= 0) {
-    std::cerr << "error: cannot determine the PE count of " << dir
-              << " (no readable MANIFEST.txt) — pass --num-pes N\n";
-    return 2;
-  }
+  if ((num_pes = resolve_num_pes(dir, num_pes)) <= 0) return 2;
   ap::prof::io::TraceDir trace;
-  try {
-    ap::prof::io::LoadOptions lo;
-    lo.tolerate_partial = true;
-    trace = ap::prof::io::load_trace_dir(dir, num_pes, lo);
-  } catch (const std::exception& e) {
-    std::cerr << "error loading traces from " << dir << ": " << e.what()
-              << "\n";
-    return 1;
-  }
-  for (const auto& issue : trace.issues) {
-    std::cerr << "warning: " << issue.file;
-    if (issue.line_no > 0) std::cerr << ":" << issue.line_no;
-    std::cerr << ": " << issue.message << " — continuing with remaining PEs\n";
-  }
+  if (const int rc = load_tolerant(dir, num_pes, trace)) return rc;
   if (json) {
     ap::viz::write_heatmap_json(std::cout, trace);
   } else {
@@ -473,13 +453,7 @@ int cmd_heatmap(int argc, char** argv) {
         "nonblock_send)";
     std::cout << ap::viz::render_heatmap(trace.physical_sparse(), ho) << "\n";
   }
-  if (!trace.issues.empty() && !tolerate_partial) {
-    std::cerr << "error: " << trace.issues.size()
-              << " damaged trace file(s); rerun with --tolerate-partial to "
-                 "accept a partial trace\n";
-    return 1;
-  }
-  return 0;
+  return damage_exit(trace, tolerate_partial);
 }
 
 /// `export --csv`: decode every .apt shard back to the CSV/text files the
@@ -518,12 +492,7 @@ int cmd_export(int argc, char** argv) {
     std::cerr << "error: export needs a target format (only --csv for now)\n";
     return 2;
   }
-  if (num_pes <= 0) num_pes = io::detect_num_pes(dir);
-  if (num_pes <= 0) {
-    std::cerr << "error: cannot determine the PE count of " << dir
-              << " (no readable MANIFEST.txt) — pass --num-pes N\n";
-    return 2;
-  }
+  if ((num_pes = resolve_num_pes(dir, num_pes)) <= 0) return 2;
   const bool in_place = outdir.empty() || fs::path(outdir) == fs::path(dir);
   const fs::path out = in_place ? fs::path(dir) : fs::path(outdir);
   if (!in_place) {
@@ -537,192 +506,80 @@ int cmd_export(int argc, char** argv) {
   }
 
   // Source MANIFEST (optional) supplies the dead-PE markers.
-  io::Manifest manifest;
-  if (std::string body; slurp_file(fs::path(dir) / io::kManifestFile, body)) {
-    std::istringstream is(body);
+  io::Manifest written{num_pes, {}, {}};
+  if (std::string body;
+      io::read_file(fs::path(dir) / io::kManifestFile, body)) {
     try {
-      manifest = io::parse_manifest(is);
+      written.dead_pes = io::parse_manifest(body).dead_pes;
     } catch (const io::TraceParseError&) {
     }
   }
 
-  std::vector<io::ManifestEntry> written;
   int failures = 0;
   const auto put = [&](const std::string& name, const std::string& body,
                        std::uint64_t records) {
-    std::ofstream os(out / name, std::ios::binary | std::ios::trunc);
-    os.write(body.data(), static_cast<std::streamsize>(body.size()));
-    os.flush();
-    if (!os.good()) {
+    if (!io::write_file_atomic(out, name, body)) {
       std::cerr << "error: cannot write " << (out / name).string() << "\n";
       ++failures;
       return;
     }
-    written.push_back(io::ManifestEntry{
+    written.files.push_back(io::ManifestEntry{
         name, records, body.size(), io::fnv1a64(body.data(), body.size())});
   };
-  // Convert name.apt when present; otherwise carry the existing CSV/text
-  // file over (copy on -o). `records(body)` counts rows for the MANIFEST.
-  const auto convert = [&](const std::string& name, auto&& decode_to_csv,
-                           auto&& count_records) {
+  // Convert name.apt when present; otherwise carry the existing CSV file
+  // over (copy on -o), counting its rows for the MANIFEST.
+  const auto convert = [&](io::TraceFile f) {
+    const std::string name = io::file_name(f);
+    const std::string bin_name = io::file_name(f, true);
     std::string body;
-    if (slurp_file(fs::path(dir) / io::binary_file_name(name), body) &&
-        io::is_binary_trace(body)) {
+    std::uint64_t records = 0;
+    if (io::read_file(fs::path(dir) / bin_name, body)) {
       std::string csv_body;
       try {
-        csv_body = decode_to_csv(body);
+        csv_body = io::rewrite(body, f.kind, ap::prof::TraceFormat::csv,
+                               records);
       } catch (const std::exception& e) {
-        std::cerr << "error decoding " << io::binary_file_name(name) << ": "
-                  << e.what() << "\n";
+        std::cerr << "error decoding " << bin_name << ": " << e.what() << "\n";
         ++failures;
         return;
       }
-      put(name, csv_body, count_records(csv_body));
-    } else if (slurp_file(fs::path(dir) / name, body)) {
-      if (!in_place) put(name, body, count_records(body));
-    }
-  };
-  const auto count_rows = [](auto&& parse) {
-    return [parse](const std::string& body) -> std::uint64_t {
-      std::istringstream is(body);
+      put(name, csv_body, records);
+    } else if (!in_place && io::read_file(fs::path(dir) / name, body)) {
       try {
-        return parse(is);
+        (void)io::rewrite(body, f.kind, ap::prof::TraceFormat::csv, records);
       } catch (const std::exception&) {
-        return 0;
+        records = 0;
       }
-    };
+      put(name, body, records);
+    }
   };
 
-  for (int pe = 0; pe < num_pes; ++pe) {
-    convert(
-        io::logical_file_name(pe),
-        [](std::string_view b) {
-          std::vector<ap::prof::LogicalSendRecord> rows;
-          io::decode_logical_into(b, rows);
-          ap::prof::io::Sink s;
-          io::write_logical(s, rows);
-          return std::move(s).str();
-        },
-        count_rows([](std::istream& is) {
-          return ap::prof::io::parse_logical(is).size();
-        }));
+  // overall.txt is text in both formats: copied, in write_all's order.
+  const auto copy_overall = [&] {
+    std::vector<ap::prof::OverallRecord> recs;
+    std::string body;
+    if (in_place || !io::read_file(fs::path(dir) / io::kOverallFile, body))
+      return;
+    try {
+      io::parse_overall_into(body, recs);
+    } catch (const std::exception&) {
+      recs.clear();
+    }
+    put(io::kOverallFile, body, recs.size());
+  };
+  for (const io::BinKind k : io::kRowKinds) {
+    if (k == io::BinKind::check) copy_overall();
+    for (const io::TraceFile f : io::trace_files(k, num_pes)) convert(f);
   }
-  for (int pe = 0; pe < num_pes; ++pe) {
-    convert(
-        io::papi_file_name(pe),
-        [](std::string_view b) {
-          std::vector<ap::prof::PapiSegmentRecord> rows;
-          std::vector<ap::papi::Event> events;
-          io::decode_papi_into(b, rows, &events);
-          // Rebuild the CSV header from the event ids the .apt header
-          // carries.
-          ap::prof::Config cfg;
-          cfg.papi_events.fill(ap::papi::Event::kCount);
-          for (std::size_t i = 0;
-               i < events.size() && i < cfg.papi_events.size(); ++i)
-            cfg.papi_events[i] = events[i];
-          ap::prof::io::Sink s;
-          io::write_papi(s, rows, cfg);
-          return std::move(s).str();
-        },
-        count_rows(
-            [](std::istream& is) { return ap::prof::io::parse_papi(is).size(); }));
-  }
-  for (int pe = 0; pe < num_pes; ++pe) {
-    convert(
-        io::steps_file_name(pe),
-        [](std::string_view b) {
-          std::vector<ap::prof::SuperstepRecord> rows;
-          io::decode_steps_into(b, rows);
-          ap::prof::io::Sink s;
-          io::write_steps(s, rows);
-          return std::move(s).str();
-        },
-        count_rows([](std::istream& is) {
-          return ap::prof::io::parse_steps(is).size();
-        }));
-  }
-  convert(
-      io::kOverallFile, [](std::string_view) { return std::string{}; },
-      count_rows([](std::istream& is) {
-        return ap::prof::io::parse_overall(is).size();
-      }));
-  convert(
-      io::kCheckFile,
-      [](std::string_view b) {
-        std::vector<ap::check::Violation> rows;
-        std::uint64_t dropped = 0;
-        io::decode_check_into(b, rows, dropped);
-        ap::prof::io::Sink s;
-        io::write_check(s, rows, dropped);
-        return std::move(s).str();
-      },
-      [](const std::string& body) -> std::uint64_t {
-        std::istringstream is(body);
-        std::vector<ap::check::Violation> rows;
-        std::uint64_t dropped = 0;
-        try {
-          ap::prof::io::parse_check_into(is, rows, dropped);
-        } catch (const std::exception&) {
-        }
-        return rows.size();
-      });
-  convert(
-      io::kPhysicalFile,
-      [](std::string_view b) {
-        std::vector<ap::prof::PhysicalRecord> rows;
-        io::decode_physical_into(b, rows);
-        ap::prof::io::Sink s;
-        io::write_physical(s, rows);
-        return std::move(s).str();
-      },
-      count_rows([](std::istream& is) {
-        return ap::prof::io::parse_physical(is).size();
-      }));
 
-  if (!in_place) {
-    // Regenerate the MANIFEST over what landed, same shape as write_all.
-    ap::prof::io::Sink s;
-    s.append(
-        "# ActorProf trace manifest: file <name> records=<n> bytes=<n> "
-        "fnv1a=<hex64>\n");
-    s.append("num_pes ");
-    s.dec(num_pes);
-    s.put('\n');
-    for (const io::ManifestEntry& m : written) {
-      s.append("file ");
-      s.append(m.file);
-      s.append(" records=");
-      s.dec(m.records);
-      s.append(" bytes=");
-      s.dec(m.bytes);
-      s.append(" fnv1a=");
-      char buf[17];
-      static const char* digits = "0123456789abcdef";
-      std::uint64_t v = m.fnv1a;
-      for (int i = 15; i >= 0; --i) {
-        buf[i] = digits[v & 0xf];
-        v >>= 4;
-      }
-      buf[16] = '\0';
-      s.append(buf);
-      s.put('\n');
-    }
-    for (int pe : manifest.dead_pes) {
-      s.append("dead_pe ");
-      s.dec(pe);
-      s.put('\n');
-    }
-    std::ofstream os(out / io::kManifestFile,
-                     std::ios::binary | std::ios::trunc);
-    os << std::move(s).str();
-    if (!os.good()) {
-      std::cerr << "error: cannot write "
-                << (out / io::kManifestFile).string() << "\n";
-      ++failures;
-    }
+  // Regenerate the MANIFEST over what landed, same shape as write_all.
+  if (!in_place && !io::write_file_atomic(out, io::kManifestFile,
+                                          io::format_manifest(written))) {
+    std::cerr << "error: cannot write "
+              << (out / io::kManifestFile).string() << "\n";
+    ++failures;
   }
-  std::cerr << "export: wrote " << written.size() << " file(s) to "
+  std::cerr << "export: wrote " << written.files.size() << " file(s) to "
             << out.string() << "\n";
   return failures == 0 ? 0 : 1;
 }
@@ -904,183 +761,66 @@ int cmd_compact(int argc, char** argv) {
     }
   }
   if (dir.empty()) return usage(argv[0]), 2;
-  if (num_pes <= 0) num_pes = io::detect_num_pes(dir);
-  if (num_pes <= 0) {
-    std::cerr << "error: cannot determine the PE count of " << dir
-              << " (no readable MANIFEST.txt) — pass --num-pes N\n";
-    return 2;
-  }
+  if ((num_pes = resolve_num_pes(dir, num_pes)) <= 0) return 2;
   const fs::path base(dir);
 
   // The existing MANIFEST supplies entry order, record counts of files we
   // do not touch, and the dead-PE markers.
   io::Manifest manifest;
   bool have_manifest = false;
-  if (std::string body; slurp_file(base / io::kManifestFile, body)) {
-    std::istringstream is(body);
+  if (std::string body; io::read_file(base / io::kManifestFile, body)) {
     try {
-      manifest = io::parse_manifest(is);
+      manifest = io::parse_manifest(body);
       have_manifest = true;
     } catch (const io::TraceParseError&) {
     }
   }
 
-  int failures = 0;
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> rewritten;
+  int failures = 0, rewritten = 0;
   // Decode rows, re-encode densely, and atomically swap the file when the
-  // bytes changed; missing/CSV files are silently skipped.
-  const auto compact_file = [&](const std::string& name,
-                                auto&& reencode) -> void {
-    const fs::path path = base / name;
+  // bytes changed; missing files are silently skipped.
+  const auto compact_file = [&](io::TraceFile f) {
+    const std::string name = io::file_name(f, true);
     std::string body;
-    if (!slurp_file(path, body) || !io::is_binary_trace(body)) return;
-    const bool was_compressed = io::is_compressed_trace(body);
+    if (!io::read_file(base / name, body)) return;
     std::string dense;
     std::uint64_t records = 0;
     try {
-      dense = reencode(body, records);
+      dense = io::rewrite(body, f.kind, ap::prof::TraceFormat::binary,
+                          records);
     } catch (const std::exception& e) {
       std::cerr << "compact: cannot re-encode " << name << ": " << e.what()
                 << "\n";
       ++failures;
       return;
     }
-    if (was_compressed) dense = io::compress_trace(dense);
     if (dense == body) return;  // already dense
-    const fs::path tmp = base / (name + ".tmp");
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      os.write(dense.data(), static_cast<std::streamsize>(dense.size()));
-      os.flush();
-      if (!os.good()) {
-        std::cerr << "compact: cannot write " << tmp.string() << "\n";
-        ++failures;
-        return;
-      }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-      std::cerr << "compact: cannot replace " << name << ": " << ec.message()
-                << "\n";
-      fs::remove(tmp, ec);
+    if (!io::write_file_atomic(base, name, dense)) {
+      std::cerr << "compact: cannot replace " << name << "\n";
       ++failures;
       return;
     }
     std::cout << "compact: " << name << " " << body.size() << " -> "
               << dense.size() << " bytes\n";
-    rewritten[name] = {records, dense.size()};
+    ++rewritten;
+    // The MANIFEST entry gets the new byte count and checksum.
+    for (io::ManifestEntry& e : manifest.files)
+      if (e.file == name)
+        e = {name, records, dense.size(),
+             io::fnv1a64(dense.data(), dense.size())};
   };
 
-  for (int pe = 0; pe < num_pes; ++pe) {
-    compact_file(io::binary_file_name(io::logical_file_name(pe)),
-                 [](std::string_view b, std::uint64_t& records) {
-                   std::vector<ap::prof::LogicalSendRecord> rows;
-                   io::decode_logical_into(b, rows);
-                   records = rows.size();
-                   return io::encode_logical(rows);
-                 });
-    compact_file(io::binary_file_name(io::papi_file_name(pe)),
-                 [](std::string_view b, std::uint64_t& records) {
-                   std::vector<ap::prof::PapiSegmentRecord> rows;
-                   std::vector<ap::papi::Event> events;
-                   io::decode_papi_into(b, rows, &events);
-                   records = rows.size();
-                   ap::prof::Config cfg;
-                   cfg.papi_events.fill(ap::papi::Event::kCount);
-                   for (std::size_t i = 0;
-                        i < events.size() && i < cfg.papi_events.size(); ++i)
-                     cfg.papi_events[i] = events[i];
-                   return io::encode_papi(rows, cfg);
-                 });
-    compact_file(io::binary_file_name(io::steps_file_name(pe)),
-                 [](std::string_view b, std::uint64_t& records) {
-                   std::vector<ap::prof::SuperstepRecord> rows;
-                   io::decode_steps_into(b, rows);
-                   records = rows.size();
-                   return io::encode_steps(rows);
-                 });
-  }
-  compact_file(io::binary_file_name(io::kPhysicalFile),
-               [](std::string_view b, std::uint64_t& records) {
-                 std::vector<ap::prof::PhysicalRecord> rows;
-                 io::decode_physical_into(b, rows);
-                 records = rows.size();
-                 return io::encode_physical(rows);
-               });
-  compact_file(io::binary_file_name(io::kCheckFile),
-               [](std::string_view b, std::uint64_t& records) {
-                 std::vector<ap::check::Violation> rows;
-                 std::uint64_t dropped = 0;
-                 io::decode_check_into(b, rows, dropped);
-                 records = rows.size();
-                 return io::encode_check(rows, dropped);
-               });
+  for (const io::BinKind k : io::kRowKinds)
+    for (const io::TraceFile f : io::trace_files(k, num_pes)) compact_file(f);
 
-  // MANIFEST rewrite: entries of rewritten files get the new byte counts
-  // and checksums (write_all's exact line format); everything else is
-  // carried over. Without a readable MANIFEST there is nothing to rewrite.
-  if (have_manifest && !rewritten.empty()) {
-    ap::prof::io::Sink s;
-    s.append(
-        "# ActorProf trace manifest: file <name> records=<n> bytes=<n> "
-        "fnv1a=<hex64>\n");
-    s.append("num_pes ");
-    s.dec(num_pes);
-    s.put('\n');
-    for (const io::ManifestEntry& m : manifest.files) {
-      std::uint64_t records = m.records;
-      std::uint64_t fnv = m.fnv1a;
-      std::uint64_t bytes = m.bytes;
-      if (const auto it = rewritten.find(m.file); it != rewritten.end()) {
-        records = it->second.first;
-        bytes = it->second.second;
-        std::string body;
-        slurp_file(base / m.file, body);
-        fnv = io::fnv1a64(body.data(), body.size());
-      }
-      s.append("file ");
-      s.append(m.file);
-      s.append(" records=");
-      s.dec(records);
-      s.append(" bytes=");
-      s.dec(bytes);
-      s.append(" fnv1a=");
-      char buf[17];
-      static const char* digits = "0123456789abcdef";
-      std::uint64_t v = fnv;
-      for (int i = 15; i >= 0; --i) {
-        buf[i] = digits[v & 0xf];
-        v >>= 4;
-      }
-      buf[16] = '\0';
-      s.append(buf);
-      s.put('\n');
-    }
-    for (int pe : manifest.dead_pes) {
-      s.append("dead_pe ");
-      s.dec(pe);
-      s.put('\n');
-    }
-    const fs::path tmp = base / (std::string(io::kManifestFile) + ".tmp");
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      os << std::move(s).str();
-      os.flush();
-      if (!os.good()) {
-        std::cerr << "compact: cannot write " << tmp.string() << "\n";
-        return 1;
-      }
-    }
-    std::error_code ec;
-    fs::rename(tmp, base / io::kManifestFile, ec);
-    if (ec) {
-      std::cerr << "compact: cannot replace MANIFEST.txt: " << ec.message()
-                << "\n";
-      return 1;
-    }
+  // Without a readable MANIFEST there is nothing to rewrite.
+  if (have_manifest && rewritten > 0 &&
+      !io::write_file_atomic(base, io::kManifestFile,
+                             io::format_manifest(manifest))) {
+    std::cerr << "compact: cannot replace MANIFEST.txt\n";
+    return 1;
   }
-  if (rewritten.empty() && failures == 0)
+  if (rewritten == 0 && failures == 0)
     std::cout << "compact: nothing to do (shards already dense)\n";
   return failures == 0 ? 0 : 1;
 }
@@ -1120,28 +860,8 @@ int main(int argc, char** argv) {
               << "; records naming PEs outside [0, " << a.num_pes
               << ") are skipped\n";
 
-  // Always load tolerantly: per-file parse errors become warnings and the
-  // surviving records still render. --tolerate-partial only decides the
-  // exit code (0 vs 1) when damage was found.
   ap::prof::io::TraceDir trace;
-  try {
-    ap::prof::io::LoadOptions lo;
-    lo.tolerate_partial = true;
-    trace = ap::prof::io::load_trace_dir(a.dir, a.num_pes, lo);
-  } catch (const std::exception& e) {
-    std::cerr << "error loading traces from " << a.dir << ": " << e.what()
-              << "\n";
-    return 1;
-  }
-  for (const auto& issue : trace.issues) {
-    std::cerr << "warning: " << issue.file;
-    if (issue.line_no > 0) std::cerr << ":" << issue.line_no;
-    std::cerr << ": " << issue.message
-              << " — continuing with remaining PEs\n";
-  }
-  for (int pe : trace.dead_pes)
-    std::cerr << "note: PE" << pe
-              << " was killed mid-run; its trace is a partial prefix\n";
+  if (const int rc = load_tolerant(a.dir, a.num_pes, trace)) return rc;
 
   const bool log_scale = !a.linear;
   const ap::shmem::Topology topo(a.num_pes,
@@ -1285,12 +1005,5 @@ int main(int argc, char** argv) {
         any_ins ? ins : std::vector<std::uint64_t>{}, topo);
     std::cout << ap::prof::format_report(report);
   }
-
-  if (!trace.issues.empty() && !a.tolerate_partial) {
-    std::cerr << "error: " << trace.issues.size()
-              << " damaged trace file(s); rerun with --tolerate-partial to "
-                 "accept a partial trace\n";
-    return 1;
-  }
-  return 0;
+  return damage_exit(trace, a.tolerate_partial);
 }

@@ -375,7 +375,7 @@ std::string send_shard(std::size_t blocks, bool compressed) {
                     static_cast<int>((x >> 40) % 16),
                     static_cast<std::uint32_t>(8 + (x >> 52) % 64)});
   }
-  const std::string body = ap::prof::io::encode_logical(recs);
+  const std::string body = ap::prof::io::encode(recs);
   return compressed ? ap::prof::io::compress_trace(body) : body;
 }
 
@@ -384,7 +384,7 @@ std::string send_shard(std::size_t blocks, bool compressed) {
 std::uint64_t decode_allocations(const std::string& body) {
   std::vector<ap::prof::LogicalSendRecord> out;
   const std::uint64_t before = AllocProbe::count();
-  ap::prof::io::decode_logical_into(body, out);
+  ap::prof::io::read_into(body, out);
   const std::uint64_t allocations = AllocProbe::count() - before;
   EXPECT_FALSE(out.empty());
   EXPECT_EQ(out.capacity(), out.size());

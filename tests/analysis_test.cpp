@@ -130,10 +130,10 @@ TEST(Analysis, StepsCsvRoundTripsExactly) {
     r.barrier_release = (1u << i) + 17u;
     recs.push_back(r);
   }
-  std::ostringstream os;
-  prof::io::write_steps(os, recs);
-  std::istringstream is(os.str());
-  const auto back = prof::io::parse_steps(is);
+  prof::io::Sink s;
+  prof::io::write_csv(s, recs);
+  std::vector<prof::SuperstepRecord> back;
+  prof::io::read_into(s.str(), back);
   EXPECT_EQ(back, recs);
 }
 
@@ -206,7 +206,8 @@ TEST(Advisor, NoStepsMeansNoFindings) {
 
 // ---- end-to-end: profiled run -> steps files -> analyze ----------------
 
-void run_histogram_traced(const fs::path& dir, std::size_t updates) {
+void run_histogram_traced(const fs::path& dir, std::size_t updates,
+                          rt::Backend backend = rt::Backend::auto_) {
   fs::remove_all(dir);
   prof::Config pc;
   pc.overall = true;
@@ -216,6 +217,7 @@ void run_histogram_traced(const fs::path& dir, std::size_t updates) {
   rt::LaunchConfig lc;
   lc.num_pes = kPes;
   lc.pes_per_node = kPes / 2;
+  lc.backend = backend;
   shmem::run(lc, [&] {
     (void)apps::histogram_actor(64, updates, 1234, &profiler);
   });
@@ -253,8 +255,9 @@ TEST(AnalysisPipeline, SameSeedGivesByteIdenticalAnalysisJson) {
   const ap::testutil::TestTmpDir tmp;
   const fs::path da = tmp / "an_det_a";
   const fs::path db = tmp / "an_det_b";
-  run_histogram_traced(da, 2000);
-  run_histogram_traced(db, 2000);
+  // Pinned to fiber: two runs giving the same records is a fiber guarantee.
+  run_histogram_traced(da, 2000, rt::Backend::fiber);
+  run_histogram_traced(db, 2000, rt::Backend::fiber);
   std::ostringstream ja, jb;
   write_json(ja, analyze(prof::io::load_trace_dir(da, kPes)));
   write_json(jb, analyze(prof::io::load_trace_dir(db, kPes)));

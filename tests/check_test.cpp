@@ -301,13 +301,12 @@ TEST(CheckReport, JsonIsByteStable) {
 
 TEST(CheckReport, CheckCsvRoundTrips) {
   const auto v = sample_violations();
-  std::ostringstream os;
-  prof::io::write_check(os, v, 5);
-  std::istringstream is(os.str());
+  prof::io::Sink s;
+  prof::io::write_csv(s, v, {.dropped = 5});
   std::vector<Violation> back;
-  std::uint64_t dropped = 0;
-  prof::io::parse_check_into(is, back, dropped);
-  EXPECT_EQ(dropped, 5u);
+  prof::io::FileMeta meta;
+  prof::io::read_into(s.str(), back, &meta);
+  EXPECT_EQ(meta.dropped, 5u);
   ASSERT_EQ(back.size(), v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_EQ(back[i].kind, v[i].kind) << i;
@@ -322,11 +321,10 @@ TEST(CheckReport, CheckCsvRoundTrips) {
 }
 
 TEST(CheckReport, ParseRejectsUnknownKind) {
-  std::istringstream is("bogus_kind, 0, -1, 0, 0, 0, , x\n");
   std::vector<Violation> out;
-  std::uint64_t dropped = 0;
-  EXPECT_THROW(prof::io::parse_check_into(is, out, dropped),
-               prof::io::TraceParseError);
+  EXPECT_THROW(
+      prof::io::read_into("bogus_kind, 0, -1, 0, 0, 0, , x\n", out),
+      prof::io::TraceParseError);
 }
 
 // ----------------------------------------------------------- env parsing

@@ -449,11 +449,20 @@ TEST(Profiler, MaxEventsCapBoundsMemoryButNotMatrix) {
 
 // ----------------------------------------------------------- trace files
 
+/// Write `rows` as CSV and read them back.
+template <class Rec>
+std::vector<Rec> csv_round_trip(const std::vector<Rec>& rows,
+                                const io::FileMeta& meta = {}) {
+  io::Sink s;
+  io::write_csv(s, rows, meta);
+  std::vector<Rec> back;
+  io::read_into(s.str(), back);
+  return back;
+}
+
 TEST(TraceIo, LogicalRoundTrip) {
   std::vector<LogicalSendRecord> evs{{0, 1, 1, 3, 8}, {0, 0, 0, 1, 16}};
-  std::stringstream ss;
-  io::write_logical(ss, evs);
-  EXPECT_EQ(io::parse_logical(ss), evs);
+  EXPECT_EQ(csv_round_trip(evs), evs);
 }
 
 TEST(TraceIo, PhysicalRoundTrip) {
@@ -461,18 +470,17 @@ TEST(TraceIo, PhysicalRoundTrip) {
       {ap::convey::SendType::local_send, 4096, 0, 1},
       {ap::convey::SendType::nonblock_send, 2048, 1, 5},
       {ap::convey::SendType::nonblock_progress, 8, 1, 5}};
-  std::stringstream ss;
-  io::write_physical(ss, evs);
-  EXPECT_EQ(io::parse_physical(ss), evs);
+  EXPECT_EQ(csv_round_trip(evs), evs);
 }
 
 TEST(TraceIo, OverallRoundTrip) {
   std::vector<OverallRecord> recs;
   recs.push_back(OverallRecord{0, 100, 300, 1000});
   recs.push_back(OverallRecord{1, 50, 150, 400});
-  std::stringstream ss;
-  io::write_overall(ss, recs);
-  const auto parsed = io::parse_overall(ss);
+  io::Sink s;
+  io::write_overall(s, recs);
+  std::vector<OverallRecord> parsed;
+  io::parse_overall_into(s.str(), parsed);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0], recs[0]);
   EXPECT_EQ(parsed[1], recs[1]);
@@ -484,26 +492,24 @@ TEST(TraceIo, PapiRoundTrip) {
   std::vector<PapiSegmentRecord> rows(2);
   rows[0] = {0, 1, 0, 2, 8, 0, 42, {1000, 500, 0, 0}, false};
   rows[1] = {0, 1, 0, 1, 8, 1, 13, {99, 7, 0, 0}, true};
-  std::stringstream ss;
-  io::write_papi(ss, rows, cfg);
-  const auto parsed = io::parse_papi(ss);
+  const auto parsed = csv_round_trip(rows, io::FileMeta::papi(cfg));
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0], rows[0]);
   EXPECT_EQ(parsed[1], rows[1]);
 }
 
 TEST(TraceIo, MalformedInputThrowsWithLineNumber) {
-  std::stringstream ss("1,2,3\n");
+  std::vector<LogicalSendRecord> logical;
   try {
-    io::parse_logical(ss);
+    io::read_into("1,2,3\n", logical);
     FAIL() << "expected parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos);
   }
-  std::stringstream bad_phys("weird_send,1,0,0\n");
-  EXPECT_THROW(io::parse_physical(bad_phys), std::runtime_error);
-  std::stringstream bad_num("a,b,c,d,e\n");
-  EXPECT_THROW(io::parse_logical(bad_num), std::runtime_error);
+  std::vector<PhysicalRecord> physical;
+  EXPECT_THROW(io::read_into("weird_send,1,0,0\n", physical),
+               std::runtime_error);
+  EXPECT_THROW(io::read_into("a,b,c,d,e\n", logical), std::runtime_error);
 }
 
 // Shards are mapped to PE indexes by *constructing* each expected name
@@ -517,8 +523,9 @@ TEST(TraceIo, FourDigitShardNamesMapToTheRightPes) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto write_shard = [&](int pe, int dst) {
-    std::ofstream os(dir / io::logical_file_name(pe));
-    io::write_logical(os, {{0, pe, 0, dst, 8}});
+    io::Sink s;
+    io::write_csv(s, std::vector<LogicalSendRecord>{{0, pe, 0, dst, 8}});
+    std::ofstream(dir / io::file_name({io::BinKind::send, pe})) << s.str();
   };
   write_shard(2, 3);
   write_shard(10, 4);     // "PE10" sorts before "PE2"
@@ -661,8 +668,9 @@ TEST(TraceIoCrashSafe, ManifestRoundTripAndChecksums) {
   io::write_all(prof, c);
 
   ASSERT_TRUE(fs::exists(dir / io::kManifestFile));
-  std::ifstream mis(dir / io::kManifestFile);
-  const io::Manifest m = io::parse_manifest(mis);
+  std::string manifest;
+  ASSERT_TRUE(io::read_file(dir / io::kManifestFile, manifest));
+  const io::Manifest m = io::parse_manifest(manifest);
   EXPECT_EQ(m.num_pes, 2);
   EXPECT_TRUE(m.dead_pes.empty());
   ASSERT_FALSE(m.files.empty());

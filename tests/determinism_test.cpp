@@ -52,7 +52,9 @@ prof::Config kinds_off(const fs::path& dir) {
   return pc;
 }
 
-void run_triangle(const fs::path& dir) {
+void run_triangle(const fs::path& dir,
+                  prof::TraceFormat format = prof::TraceFormat::csv,
+                  bool compress = false) {
   fs::remove_all(dir);
   graph::RmatParams gp;
   gp.scale = 8;
@@ -63,6 +65,8 @@ void run_triangle(const fs::path& dir) {
       graph::Csr::from_edges(graph::Vertex{1} << gp.scale, edges, true);
   prof::Config pc = prof::Config::all_enabled();
   pc.trace_dir = dir;
+  pc.trace_format = format;
+  pc.trace_compress = compress;
   prof::Profiler profiler(pc);
   shmem::run(fiber_launch(), [&] {
     graph::CyclicDistribution dist(shmem::n_pes());
@@ -174,6 +178,20 @@ TEST(Determinism, GoldenTriangleAllEnabled) {
   const testutil::TestTmpDir tmp;
   run_triangle(tmp.path());
   expect_golden(tmp.path(), 0x585fd750b74c6ca3ull);
+}
+
+// The same run in the .apt containers: the MANIFEST checksums pin every
+// byte of the version-1 encoding and of its compressed version-2 form.
+TEST(Determinism, GoldenTriangleAllEnabledBinary) {
+  const testutil::TestTmpDir tmp;
+  run_triangle(tmp.path(), prof::TraceFormat::binary);
+  expect_golden(tmp.path(), 0x496f62bd0a363990ull);
+}
+
+TEST(Determinism, GoldenTriangleAllEnabledCompressed) {
+  const testutil::TestTmpDir tmp;
+  run_triangle(tmp.path(), prof::TraceFormat::binary, true);
+  expect_golden(tmp.path(), 0xdd3c305dce2187b5ull);
 }
 
 }  // namespace

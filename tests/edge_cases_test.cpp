@@ -310,8 +310,9 @@ TEST(EdgePapi, SyncVirtualClockIsNoopUnderRdtsc) {
 // --------------------------------------------------------------- trace_io
 
 TEST(EdgeTraceIo, ToleratesCrLfAndPadding) {
-  std::stringstream ss("# header\r\n 0 , 1 , 0 , 2 , 8 \r\n\r\n0,0,1,3,16\r\n");
-  const auto recs = ap::prof::io::parse_logical(ss);
+  std::vector<ap::prof::LogicalSendRecord> recs;
+  ap::prof::io::read_into(
+      "# header\r\n 0 , 1 , 0 , 2 , 8 \r\n\r\n0,0,1,3,16\r\n", recs);
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0].dst_pe, 2);
   EXPECT_EQ(recs[1].dst_node, 1);
@@ -319,14 +320,62 @@ TEST(EdgeTraceIo, ToleratesCrLfAndPadding) {
 }
 
 TEST(EdgeTraceIo, OverallParserSkipsRelativeLines) {
-  std::stringstream ss(
+  std::vector<ap::prof::OverallRecord> recs;
+  ap::prof::io::parse_overall_into(
       "Relative [PE0] TCOMM_PROFILING (T_MAIN/T_TOTAL, T_COMM/T_TOTAL, "
       "T_PROC/T_TOTAL) = (0.1, 0.8, 0.1)\n"
       "Absolute [PE0] TCOMM_PROFILING (T_MAIN, T_COMM, T_PROC) = (10, 80, "
-      "10)\n");
-  const auto recs = ap::prof::io::parse_overall(ss);
+      "10)\n",
+      recs);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].t_total, 100u);
+}
+
+// A trace cut mid-row must never yield a wrong record: every writer ends
+// each row with '\n', so an unterminated last line is a truncated row.
+TEST(EdgeTraceIo, RowCutMidNumberThrowsAndKeepsThePrefix) {
+  std::vector<ap::prof::LogicalSendRecord> recs;
+  try {
+    ap::prof::io::read_into("# h\n0,0,0,1,8\n0,0,0,3,1", recs);
+    FAIL() << "a row cut mid-number must throw";
+  } catch (const ap::prof::io::TraceParseError& e) {
+    EXPECT_EQ(e.line_no(), 3u);
+  }
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].msg_bytes, 8u);
+}
+
+TEST(EdgeTraceIo, PapiRowCutBeforeItsRegionIsRejected) {
+  std::vector<ap::prof::PapiSegmentRecord> rows;
+  EXPECT_THROW(ap::prof::io::read_into("0,1,0,2,8,0,42,1000,500", rows),
+               ap::prof::io::TraceParseError);
+  // Terminated but without MAIN/PROC: not a MAIN row either.
+  EXPECT_THROW(ap::prof::io::read_into("0,1,0,2,8,0,42,1000,500\n", rows),
+               ap::prof::io::TraceParseError);
+  EXPECT_TRUE(rows.empty());
+}
+
+TEST(EdgeTraceIo, PapiRowWithSixCountersIsRejected) {
+  std::vector<ap::prof::PapiSegmentRecord> rows;
+  EXPECT_THROW(
+      ap::prof::io::read_into("0,1,0,2,8,0,42,1,2,3,4,5,6,PROC\n", rows),
+      ap::prof::io::TraceParseError);
+  EXPECT_TRUE(rows.empty());
+  // Zero to four counters parse, the region last.
+  ap::prof::io::read_into("0,1,0,2,8,0,42,PROC\n0,1,0,2,8,0,42,1,2,3,4,MAIN\n",
+                          rows);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_TRUE(rows[0].is_proc);
+  EXPECT_EQ(rows[1].counters[3], 4u);
+  EXPECT_FALSE(rows[1].is_proc);
+}
+
+TEST(EdgeTraceIo, PapiFieldsAfterTheRegionAreRejected) {
+  std::vector<ap::prof::PapiSegmentRecord> rows;
+  EXPECT_THROW(
+      ap::prof::io::read_into("0,1,0,2,8,0,42,1000,MAIN,7\n", rows),
+      ap::prof::io::TraceParseError);
+  EXPECT_TRUE(rows.empty());
 }
 
 // ---------------------------------------------------------------- selector

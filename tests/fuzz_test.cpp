@@ -188,30 +188,37 @@ std::size_t complete_lines(const std::string& text) {
 }
 
 /// The two mutation properties every parser must satisfy:
-///  * truncation at ANY byte: the incremental parser yields the records of
-///    the clean prefix (the cut line may itself still be one valid record);
-///    if it throws, the error names the partial line;
+///  * truncation at ANY byte: the parser yields exactly the records of the
+///    complete lines, each equal to the original at its index — a cut row
+///    yields none, and the parse throws at the cut line (every writer ends
+///    each line with '\n');
 ///  * a junk line at ANY line boundary: the parser throws TraceParseError
 ///    carrying exactly the junk line's number, after having produced every
 ///    record that precedes it.
 template <class Rec, class ParseInto>
 void check_parser_mutations(const std::string& name, const std::string& body,
+                            const std::vector<Rec>& recs,
                             const std::string& junk, bool overall_fmt,
                             ParseInto parse_into, SplitMix64& rng) {
   for (int t = 0; t < 8; ++t) {
     const std::size_t cut = rng.next_below(body.size() + 1);
     const std::string text = body.substr(0, cut);
+    const bool partial = !text.empty() && text.back() != '\n';
     std::vector<Rec> out;
-    std::istringstream is(text);
     try {
-      parse_into(is, out);
+      parse_into(text, out);
+      EXPECT_FALSE(partial) << name << " cut at byte " << cut
+                            << ": a cut row must throw";
     } catch (const io::TraceParseError& e) {
+      EXPECT_TRUE(partial) << name << " cut at byte " << cut << ": "
+                           << e.what();
       EXPECT_EQ(e.line_no(), complete_lines(text) + 1)
           << name << " cut at byte " << cut;
     }
-    const std::size_t prefix = records_in_complete_lines(text, overall_fmt);
-    EXPECT_GE(out.size(), prefix) << name << " cut at byte " << cut;
-    EXPECT_LE(out.size(), prefix + 1) << name << " cut at byte " << cut;
+    ASSERT_EQ(out.size(), records_in_complete_lines(text, overall_fmt))
+        << name << " cut at byte " << cut;
+    for (std::size_t i = 0; i < out.size(); ++i)
+      ASSERT_EQ(out[i], recs[i]) << name << " cut at byte " << cut;
   }
 
   std::vector<std::size_t> starts{0};
@@ -222,9 +229,8 @@ void check_parser_mutations(const std::string& name, const std::string& body,
     const std::string text =
         body.substr(0, starts[k]) + junk + "\n" + body.substr(starts[k]);
     std::vector<Rec> out;
-    std::istringstream is(text);
     try {
-      parse_into(is, out);
+      parse_into(text, out);
       FAIL() << name << ": junk line at " << (k + 1) << " must throw";
     } catch (const io::TraceParseError& e) {
       EXPECT_EQ(e.line_no(), k + 1) << name;
@@ -239,6 +245,9 @@ void check_parser_mutations(const std::string& name, const std::string& body,
 class ParserFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
+  const auto read = [](std::string_view b, auto& out) {
+    io::read_into(b, out);
+  };
   const std::uint64_t seed = GetParam();
   SplitMix64 rng(seed * 0x9E3779B97F4A7C15ull + 1);
   const auto n = 3 + rng.next_below(40);
@@ -251,12 +260,10 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
                       static_cast<int>(rng.next_below(4)),
                       static_cast<int>(rng.next_below(16)),
                       static_cast<std::uint32_t>(8 + rng.next_below(4096))});
-    std::ostringstream os;
-    io::write_logical(os, recs);
-    check_parser_mutations<ap::prof::LogicalSendRecord>(
-        "logical", os.str(), "%%junk,###", false,
-        [](std::istream& is, auto& out) { io::parse_logical_into(is, out); },
-        rng);
+    io::Sink os;
+    io::write_csv(os, recs);
+    check_parser_mutations("logical", os.str(), recs, "%%junk,###", false,
+                           read, rng);
   }
   {
     const ap::prof::Config cfg = ap::prof::Config::all_enabled();
@@ -275,12 +282,10 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
       r.is_proc = (rng.next_below(2) == 1);
       recs.push_back(r);
     }
-    std::ostringstream os;
-    io::write_papi(os, recs, cfg);
-    check_parser_mutations<ap::prof::PapiSegmentRecord>(
-        "papi", os.str(), "junk,###", false,
-        [](std::istream& is, auto& out) { io::parse_papi_into(is, out); },
-        rng);
+    io::Sink os;
+    io::write_csv(os, recs, io::FileMeta::papi(cfg));
+    check_parser_mutations("papi", os.str(), recs, "junk,###", false, read,
+                           rng);
   }
   {
     std::vector<ap::prof::OverallRecord> recs;
@@ -292,12 +297,12 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
       r.t_total = r.t_main + r.t_proc + rng.next_below(1 << 30);
       recs.push_back(r);
     }
-    std::ostringstream os;
+    io::Sink os;
     io::write_overall(os, recs);
-    check_parser_mutations<ap::prof::OverallRecord>(
-        "overall", os.str(), "Absolute garbage without the expected shape",
-        true,
-        [](std::istream& is, auto& out) { io::parse_overall_into(is, out); },
+    check_parser_mutations(
+        "overall", os.str(), recs,
+        "Absolute garbage without the expected shape", true,
+        [](std::string_view b, auto& out) { io::parse_overall_into(b, out); },
         rng);
   }
   {
@@ -310,12 +315,10 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
       r.dst_pe = static_cast<int>(rng.next_below(16));
       recs.push_back(r);
     }
-    std::ostringstream os;
-    io::write_physical(os, recs);
-    check_parser_mutations<ap::prof::PhysicalRecord>(
-        "physical", os.str(), "weird_send,###,0,0", false,
-        [](std::istream& is, auto& out) { io::parse_physical_into(is, out); },
-        rng);
+    io::Sink os;
+    io::write_csv(os, recs);
+    check_parser_mutations("physical", os.str(), recs, "weird_send,###,0,0",
+                           false, read, rng);
   }
   {
     std::vector<ap::prof::SuperstepRecord> recs;
@@ -334,12 +337,10 @@ TEST_P(ParserFuzz, TruncationAndJunkNeverBreakInvariants) {
       r.barrier_release = r.barrier_arrive + rng.next_below(1 << 20);
       recs.push_back(r);
     }
-    std::ostringstream os;
-    io::write_steps(os, recs);
-    check_parser_mutations<ap::prof::SuperstepRecord>(
-        "steps", os.str(), "0,zero,##,not_a_superstep", false,
-        [](std::istream& is, auto& out) { io::parse_steps_into(is, out); },
-        rng);
+    io::Sink os;
+    io::write_csv(os, recs);
+    check_parser_mutations("steps", os.str(), recs,
+                           "0,zero,##,not_a_superstep", false, read, rng);
   }
 }
 
@@ -390,6 +391,9 @@ void check_binary_mutations(const std::string& name, const std::string& body,
 class BinaryFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BinaryFuzz, TruncationAndBitFlipsNeverBreakInvariants) {
+  const auto read = [](std::string_view b, auto& out) {
+    io::read_into(b, out);
+  };
   const std::uint64_t seed = GetParam();
   SplitMix64 rng(seed * 0x9E3779B97F4A7C15ull + 3);
   // Sometimes spans multiple 4096-row blocks, sometimes stays inside one.
@@ -403,10 +407,7 @@ TEST_P(BinaryFuzz, TruncationAndBitFlipsNeverBreakInvariants) {
                       static_cast<int>(rng.next_below(4)),
                       static_cast<int>(rng.next_below(16)),
                       static_cast<std::uint32_t>(8 + rng.next_below(4096))});
-    check_binary_mutations(
-        "logical.apt", io::encode_logical(recs), recs,
-        [](std::string_view b, auto& out) { io::decode_logical_into(b, out); },
-        rng);
+    check_binary_mutations("logical.apt", io::encode(recs), recs, read, rng);
   }
   {
     std::vector<ap::prof::SuperstepRecord> recs;
@@ -425,10 +426,7 @@ TEST_P(BinaryFuzz, TruncationAndBitFlipsNeverBreakInvariants) {
       r.barrier_release = r.barrier_arrive + rng.next_below(1 << 20);
       recs.push_back(r);
     }
-    check_binary_mutations(
-        "steps.apt", io::encode_steps(recs), recs,
-        [](std::string_view b, auto& out) { io::decode_steps_into(b, out); },
-        rng);
+    check_binary_mutations("steps.apt", io::encode(recs), recs, read, rng);
   }
   {
     std::vector<ap::prof::PhysicalRecord> recs;
@@ -440,12 +438,8 @@ TEST_P(BinaryFuzz, TruncationAndBitFlipsNeverBreakInvariants) {
       r.dst_pe = static_cast<int>(rng.next_below(16));
       recs.push_back(r);
     }
-    check_binary_mutations(
-        "physical.apt", io::encode_physical(recs), recs,
-        [](std::string_view b, auto& out) {
-          io::decode_physical_into(b, out);
-        },
-        rng);
+    check_binary_mutations("physical.apt", io::encode(recs), recs, read,
+                           rng);
   }
 }
 
@@ -474,17 +468,16 @@ TEST_P(BinaryFuzz, IngestFramingSurvivesTruncationAndBitFlips) {
     r.t_main = rng.next_below(1 << 20);
     rows.push_back(r);
   }
-  const std::string steps_name =
-      io::binary_file_name(io::steps_file_name(0));
+  using Rows = std::vector<ap::prof::SuperstepRecord>;
+  const std::string steps_name = io::file_name({io::BinKind::steps, 0}, true);
   std::string frame;
   ap::serve::append_push_segment(frame, io::kManifestFile, false,
                                  "num_pes 1\n");
   ap::serve::append_push_segment(
-      frame, steps_name,
-      true, io::encode_steps({rows.begin(), rows.begin() + 32}));
-  ap::serve::append_push_segment(
       frame, steps_name, true,
-      io::encode_steps({rows.begin() + 32, rows.end()}));
+      io::encode(Rows(rows.begin(), rows.begin() + 32)));
+  ap::serve::append_push_segment(
+      frame, steps_name, true, io::encode(Rows(rows.begin() + 32, rows.end())));
 
   ap::serve::ServiceRegistry reg({});
   ASSERT_EQ(reg.handle("POST", "/ingest?run=base", frame).status, 200);
@@ -542,11 +535,11 @@ TEST_P(BinaryFuzz, CompressedSegmentMutationsAreRejectedNotCrashed) {
   for (std::uint64_t i = 0; i < 2000; ++i)
     recs.push_back({0, 0, 0, static_cast<int>(rng.next_below(8)),
                     static_cast<std::uint32_t>(8 + rng.next_below(64))});
-  const std::string comp = io::compress_trace(io::encode_logical(recs));
+  const std::string comp = io::compress_trace(io::encode(recs));
   ASSERT_TRUE(io::is_compressed_trace(comp));
 
   ap::serve::ServiceRegistry reg({});
-  const std::string name = io::binary_file_name(io::logical_file_name(0));
+  const std::string name = io::file_name({io::BinKind::send, 0}, true);
   for (int t = 0; t < 24; ++t) {
     const std::size_t pos = rng.next_below(comp.size());
     std::string mutated = comp;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "apps/triangle.hpp"
@@ -227,6 +228,65 @@ TEST(Integration, CliToleratesTruncatedTraceFiles) {
   EXPECT_NE(text.find("continuing with remaining PEs"), std::string::npos);
   EXPECT_NE(text.find("Logical Trace Heatmap"), std::string::npos);
   EXPECT_NE(text.find("Overall Profiling"), std::string::npos);
+}
+
+/// One all_enabled + check triangle run in the given container. Pinned to
+/// fiber: only that backend promises the same rows from two runs.
+void run_checked_triangle(const fs::path& dir, prof::TraceFormat format,
+                          bool compress) {
+  fs::remove_all(dir);
+  graph::RmatParams gp;
+  gp.scale = 8;
+  gp.edge_factor = 8;
+  gp.permute_vertices = false;
+  const auto lower = graph::Csr::from_edges(graph::Vertex{1} << gp.scale,
+                                            graph::rmat_edges(gp), true);
+  prof::Config pc = prof::Config::all_enabled();
+  pc.check = true;
+  pc.trace_dir = dir;
+  pc.trace_format = format;
+  pc.trace_compress = compress;
+  prof::Profiler profiler(pc);
+  rt::LaunchConfig lc;
+  lc.num_pes = kPes;
+  lc.pes_per_node = kPpn;
+  lc.backend = rt::Backend::fiber;
+  shmem::run(lc, [&] {
+    graph::CyclicDistribution dist(shmem::n_pes());
+    apps::count_triangles_actor(lower, dist, &profiler);
+  });
+  profiler.write_traces();
+}
+
+TEST(Integration, ExportCsvOfBinaryTracesMatchesTheCsvRun) {
+  const ap::testutil::TestTmpDir tmp;
+  const fs::path csv = tmp / "export_csv";
+  run_checked_triangle(csv, prof::TraceFormat::csv, false);
+  for (const bool compress : {false, true}) {
+    const fs::path bin = tmp / (compress ? "export_lz" : "export_apt");
+    const fs::path out = tmp / (compress ? "export_lz_csv" : "export_apt_csv");
+    run_checked_triangle(bin, prof::TraceFormat::binary, compress);
+    const fs::path log = tmp / "export_log.txt";
+    ASSERT_EQ(run_cli("export --csv -o " + out.string() + " " + bin.string(),
+                      log),
+              0)
+        << slurp(log);
+    int compared = 0;
+    for (const auto& entry : fs::directory_iterator(csv)) {
+      const fs::path name = entry.path().filename();
+      ASSERT_TRUE(fs::exists(out / name)) << name << " (compress=" << compress
+                                          << ")";
+      EXPECT_EQ(slurp(entry.path()), slurp(out / name))
+          << name << " (compress=" << compress << ")";
+      ++compared;
+    }
+    // 8 each of PEi_send, PEi_PAPI and PEi_steps, overall.txt,
+    // physical.txt, check.csv and MANIFEST.txt.
+    EXPECT_EQ(compared, 28);
+    EXPECT_EQ(std::distance(fs::directory_iterator(out),
+                            fs::directory_iterator{}),
+              compared);
+  }
 }
 #endif
 

@@ -586,8 +586,9 @@ TEST(LiveMetrics, OverallTxtGainsSelfOverheadLines) {
   ss << is.rdbuf();
   EXPECT_NE(ss.str().find("SelfOverhead"), std::string::npos);
   // The parser must still accept the file (SelfOverhead lines are skipped).
-  std::ifstream again(c.trace_dir / "overall.txt");
-  EXPECT_EQ(prof::io::parse_overall(again).size(), 2u);
+  std::vector<prof::OverallRecord> recs;
+  prof::io::parse_overall_into(ss.str(), recs);
+  EXPECT_EQ(recs.size(), 2u);
 }
 
 TEST(LiveMetrics, OverallTxtCleanWithoutMetrics) {

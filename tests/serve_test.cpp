@@ -256,13 +256,14 @@ TEST(Serve, IngestAppendAccumulatesRows) {
     }
     return v;
   }();
-  const std::string name = io::binary_file_name(io::steps_file_name(0));
+  using Rows = std::vector<ap::prof::SuperstepRecord>;
+  const std::string name = io::file_name({io::BinKind::steps, 0}, true);
   std::string frame;
   ap::serve::append_push_segment(frame, io::kManifestFile, /*append=*/false,
                                  "num_pes 1\n");
   ap::serve::append_push_segment(
       frame, name, /*append=*/true,
-      io::encode_steps({rows.begin(), rows.begin() + 3}));
+      io::encode(Rows(rows.begin(), rows.begin() + 3)));
   ASSERT_EQ(reg.handle("POST", "/ingest?run=r", frame).status, 200);
   TraceService* svc = reg.find("r");
   ASSERT_NE(svc, nullptr);
@@ -271,13 +272,13 @@ TEST(Serve, IngestAppendAccumulatesRows) {
   std::string more;
   ap::serve::append_push_segment(
       more, name, /*append=*/true,
-      io::encode_steps({rows.begin() + 3, rows.end()}));
+      io::encode(Rows(rows.begin() + 3, rows.end())));
   ASSERT_EQ(reg.handle("POST", "/ingest?run=r", more).status, 200);
   EXPECT_EQ(svc->trace().steps[0].size(), 6u);
   // A replace frame supersedes the appended rows (write_all's final push).
   std::string final_frame;
   ap::serve::append_push_segment(final_frame, name, /*append=*/false,
-                                 io::encode_steps(rows));
+                                 io::encode(rows));
   ASSERT_EQ(reg.handle("POST", "/ingest?run=r", final_frame).status, 200);
   EXPECT_EQ(svc->trace().steps[0].size(), 6u);
 }
@@ -304,8 +305,8 @@ TEST(Serve, LiveHandleDeliversHelloAndPollDeliversDeltas) {
   r.epoch = 2;
   r.step = 7;
   ap::serve::append_push_segment(
-      frame, io::binary_file_name(io::steps_file_name(1)), true,
-      io::encode_steps({r}));
+      frame, io::file_name({io::BinKind::steps, 1}, true), true,
+      io::encode(std::vector{r}));
   ap::serve::append_push_segment(frame, "anomalies.txt", true,
                                  "straggler pe=1 t_cycles=5 value=9 "
                                  "fleet_median=3\n");
@@ -360,11 +361,11 @@ TEST(Serve, RefreshSeesSameSizeSameMtimeRewrite) {
   const fs::path dir = tmp / "serve_samesize";
   fs::remove_all(dir);
   fs::create_directories(dir);
-  const std::string shard = io::binary_file_name(io::logical_file_name(0));
+  const std::string shard = io::file_name({io::BinKind::send, 0}, true);
   const auto write_rows = [&](int dst) {
     std::ofstream os(dir / shard, std::ios::binary | std::ios::trunc);
     const std::string body =
-        io::encode_logical({ap::prof::LogicalSendRecord{0, 0, 0, dst, 8}});
+        io::encode(std::vector{ap::prof::LogicalSendRecord{0, 0, 0, dst, 8}});
     os.write(body.data(), static_cast<std::streamsize>(body.size()));
   };
   write_rows(5);
@@ -396,13 +397,13 @@ TEST(Serve, MidRunPartialDirServesTolerantAnalysis) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   for (int pe = 0; pe < kPes; ++pe)
-    fs::copy_file(served_dir() / io::binary_file_name(io::steps_file_name(pe)),
-                  dir / io::binary_file_name(io::steps_file_name(pe)));
+    fs::copy_file(served_dir() / io::file_name({io::BinKind::steps, pe}, true),
+                  dir / io::file_name({io::BinKind::steps, pe}, true));
   // Logical shards of only half the PEs; PAPI/physical/check still missing.
   for (int pe = 0; pe < 2; ++pe)
     fs::copy_file(
-        served_dir() / io::binary_file_name(io::logical_file_name(pe)),
-        dir / io::binary_file_name(io::logical_file_name(pe)));
+        served_dir() / io::file_name({io::BinKind::send, pe}, true),
+        dir / io::file_name({io::BinKind::send, pe}, true));
 
   ap::serve::ServiceOptions opts;
   opts.num_pes = kPes;
@@ -437,14 +438,14 @@ TEST(Serve, RefreshIngestsShardsIncrementally) {
   EXPECT_FALSE(svc.refresh()) << "no further change";
 
   // One shard grows (a PE flushed more rows): only that shard re-ingests.
-  const std::string shard = io::binary_file_name(io::logical_file_name(0));
+  const std::string shard = io::file_name({io::BinKind::send, 0}, true);
   auto rows = svc.trace().logical[0];
   const auto before = rows.size();
   ASSERT_GT(before, 0u);
   rows.push_back(rows.back());
   {
     std::ofstream os(dir / shard, std::ios::binary | std::ios::trunc);
-    const std::string body = io::encode_logical(rows);
+    const std::string body = io::encode(rows);
     os.write(body.data(), static_cast<std::streamsize>(body.size()));
   }
   ASSERT_TRUE(svc.refresh());
@@ -474,8 +475,9 @@ TEST(Serve, RefreshMapsFourDigitShardsToTheRightPes) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   const auto write_shard = [&](int pe, std::vector<ap::prof::LogicalSendRecord> rows) {
-    std::ofstream os(dir / io::logical_file_name(pe));
-    io::write_logical(os, rows);
+    io::Sink s;
+    io::write_csv(s, rows);
+    std::ofstream(dir / io::file_name({io::BinKind::send, pe})) << s.str();
   };
   write_shard(2, {{0, 2, 0, 3, 8}});
   write_shard(10, {{0, 10, 0, 4, 8}});

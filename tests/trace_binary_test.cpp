@@ -77,17 +77,17 @@ std::vector<ap::prof::SuperstepRecord> random_steps(std::size_t n,
 
 TEST(TraceBinary, LogicalRoundTripsAcrossBlocks) {
   const auto recs = random_logical(3 * kBlockRows + 17, 42);
-  const std::string body = io::encode_logical(recs);
+  const std::string body = io::encode(recs);
   EXPECT_TRUE(io::is_binary_trace(body));
   std::vector<ap::prof::LogicalSendRecord> out;
-  io::decode_logical_into(body, out);
+  io::read_into(body, out);
   EXPECT_EQ(out, recs);
 
   // CSV -> binary -> CSV is byte-equivalent: the Sink writer applied to
   // the decoded rows reproduces the CSV of the originals exactly.
   io::Sink a, b;
-  io::write_logical(a, recs);
-  io::write_logical(b, out);
+  io::write_csv(a, recs);
+  io::write_csv(b, out);
   EXPECT_EQ(std::move(a).str(), std::move(b).str());
 }
 
@@ -109,27 +109,28 @@ TEST(TraceBinary, PapiRoundTripsRowsAndEventHeader) {
     r.is_proc = (rng.next_below(2) == 1);
     recs.push_back(r);
   }
-  const std::string body = io::encode_papi(recs, cfg);
+  const std::string body = io::encode(recs, io::FileMeta::papi(cfg));
   std::vector<ap::prof::PapiSegmentRecord> out;
-  std::vector<ap::papi::Event> events;
-  io::decode_papi_into(body, out, &events);
+  io::FileMeta meta;
+  io::read_into(body, out, &meta);
   EXPECT_EQ(out, recs);
   // The configured event ids ride in the header aux, in order.
+  const std::vector<ap::papi::Event>& events = meta.papi_events;
   ASSERT_EQ(events.size(),
             static_cast<std::size_t>(cfg.num_papi_events()));
   for (std::size_t k = 0; k < events.size(); ++k)
     EXPECT_EQ(events[k], cfg.papi_events[k]);
 
   io::Sink a, b;
-  io::write_papi(a, recs, cfg);
-  io::write_papi(b, out, cfg);
+  io::write_csv(a, recs, io::FileMeta::papi(cfg));
+  io::write_csv(b, out, meta);
   EXPECT_EQ(std::move(a).str(), std::move(b).str());
 }
 
 TEST(TraceBinary, StepsRoundTrip) {
   const auto recs = random_steps(kBlockRows + 321, 11);
   std::vector<ap::prof::SuperstepRecord> out;
-  io::decode_steps_into(io::encode_steps(recs), out);
+  io::read_into(io::encode(recs), out);
   EXPECT_EQ(out, recs);
 }
 
@@ -145,12 +146,12 @@ TEST(TraceBinary, PhysicalRoundTrip) {
     recs.push_back(r);
   }
   std::vector<ap::prof::PhysicalRecord> out;
-  io::decode_physical_into(io::encode_physical(recs), out);
+  io::read_into(io::encode(recs), out);
   EXPECT_EQ(out, recs);
 
   io::Sink a, b;
-  io::write_physical(a, recs);
-  io::write_physical(b, out);
+  io::write_csv(a, recs);
+  io::write_csv(b, out);
   EXPECT_EQ(std::move(a).str(), std::move(b).str());
 }
 
@@ -169,16 +170,16 @@ TEST(TraceBinary, CheckRoundTripsStringsAndDroppedMarker) {
     x.detail = "range overlaps peer write";
     v.push_back(x);
   }
-  const std::string body = io::encode_check(v, 9);
+  const std::string body = io::encode(v, {.dropped = 9});
   std::vector<ap::check::Violation> out;
-  std::uint64_t dropped = 0;
-  io::decode_check_into(body, out, dropped);
-  EXPECT_EQ(dropped, 9u);
+  io::FileMeta meta;
+  io::read_into(body, out, &meta);
+  EXPECT_EQ(meta.dropped, 9u);
   ASSERT_EQ(out.size(), v.size());
 
   io::Sink a, b;
-  io::write_check(a, v, 9);
-  io::write_check(b, out, dropped);
+  io::write_csv(a, v, {.dropped = 9});
+  io::write_csv(b, out, meta);
   EXPECT_EQ(std::move(a).str(), std::move(b).str());
 }
 
@@ -208,14 +209,14 @@ TEST(TraceBinary, MetricSamplesRoundTripKeepsRetainedWindow) {
 
 TEST(TraceBinary, EmptyInputsRoundTrip) {
   std::vector<ap::prof::LogicalSendRecord> lg;
-  io::decode_logical_into(io::encode_logical({}), lg);
+  io::read_into(io::encode(lg), lg);
   EXPECT_TRUE(lg.empty());
 
   std::vector<ap::check::Violation> cv;
-  std::uint64_t dropped = 0;
-  io::decode_check_into(io::encode_check({}, 0), cv, dropped);
+  io::FileMeta meta;
+  io::read_into(io::encode(cv), cv, &meta);
   EXPECT_TRUE(cv.empty());
-  EXPECT_EQ(dropped, 0u);
+  EXPECT_EQ(meta.dropped, 0u);
 }
 
 TEST(TraceBinary, ExtremeValuesSurviveZigzagDelta) {
@@ -230,14 +231,28 @@ TEST(TraceBinary, ExtremeValuesSurviveZigzagDelta) {
   r.t_main = ~0ull / 2;
   recs.push_back(r);
   std::vector<ap::prof::SuperstepRecord> out;
-  io::decode_steps_into(io::encode_steps(recs), out);
+  io::read_into(io::encode(recs), out);
   EXPECT_EQ(out, recs);
 }
 
 TEST(TraceBinary, FileNamesAndSniffing) {
-  EXPECT_EQ(io::binary_file_name("PE0_send.csv"), "PE0_send.apt");
-  EXPECT_EQ(io::binary_file_name("physical.txt"), "physical.apt");
-  EXPECT_EQ(io::binary_file_name("check.csv"), "check.apt");
+  EXPECT_EQ(io::file_name({io::BinKind::send, 0}), "PE0_send.csv");
+  EXPECT_EQ(io::file_name({io::BinKind::send, 0}, true), "PE0_send.apt");
+  EXPECT_EQ(io::file_name({io::BinKind::papi, 12}, true), "PE12_PAPI.apt");
+  EXPECT_EQ(io::file_name({io::BinKind::physical}), "physical.txt");
+  EXPECT_EQ(io::file_name({io::BinKind::physical}, true), "physical.apt");
+  EXPECT_EQ(io::file_name({io::BinKind::check}, true), "check.apt");
+  // parse_file_name inverts both spellings and rejects everything else.
+  for (const char* name : {"PE7_steps.csv", "PE7_steps.apt", "check.csv",
+                           "physical.apt", "PE0_PAPI.csv"}) {
+    const auto f = io::parse_file_name(name);
+    ASSERT_TRUE(f.has_value()) << name;
+    EXPECT_TRUE(io::file_name(*f) == name || io::file_name(*f, true) == name)
+        << name;
+  }
+  for (const char* name : {"overall.txt", "MANIFEST.txt", "PE_send.csv",
+                           "PE1_send.txt", "PE1physical.txt", "check.apt.tmp"})
+    EXPECT_FALSE(io::parse_file_name(name).has_value()) << name;
   EXPECT_FALSE(io::is_binary_trace("0,0,1,1,64\n"));
   EXPECT_FALSE(io::is_binary_trace(""));
   EXPECT_FALSE(io::is_binary_trace("APT"));  // shorter than the magic
@@ -247,13 +262,13 @@ TEST(TraceBinary, FileNamesAndSniffing) {
 
 TEST(TraceBinary, TruncationKeepsWholeBlockPrefix) {
   const auto recs = random_logical(2 * kBlockRows + 100, 99);
-  const std::string body = io::encode_logical(recs);
+  const std::string body = io::encode(recs);
 
   // Cut inside the last block: both complete blocks survive and the error
   // names block 3.
   std::vector<ap::prof::LogicalSendRecord> out;
   try {
-    io::decode_logical_into(body.substr(0, body.size() - 3), out);
+    io::read_into(body.substr(0, body.size() - 3), out);
     FAIL() << "truncated file must throw";
   } catch (const io::BinaryParseError& e) {
     EXPECT_EQ(e.block(), 3u);
@@ -266,11 +281,15 @@ TEST(TraceBinary, TruncationKeepsWholeBlockPrefix) {
   // Cut inside the header: nothing decodes, the error names "block 0".
   out.clear();
   try {
-    io::decode_logical_into(body.substr(0, 3), out);
+    io::read_into(body.substr(0, 6), out);
     FAIL() << "header-truncated file must throw";
   } catch (const io::BinaryParseError& e) {
     EXPECT_EQ(e.block(), 0u);
   }
+  EXPECT_TRUE(out.empty());
+  // Cut inside the magic, the body does not sniff as .apt; it still
+  // throws (as an unterminated CSV line) and yields nothing.
+  EXPECT_THROW(io::read_into(body.substr(0, 3), out), io::TraceParseError);
   EXPECT_TRUE(out.empty());
 }
 
@@ -280,7 +299,7 @@ TEST(TraceBinary, EveryByteFlipInBlockRegionIsDetected) {
   // exactly the blocks that verified, and must attribute the damage to
   // the right block.
   const auto recs = random_logical(kBlockRows + 5, 1234);
-  const std::string body = io::encode_logical(recs);
+  const std::string body = io::encode(recs);
   // Header of a logical .apt: magic(4) version kind flags ncols aux_len.
   const std::size_t header_len = 9;
   ASSERT_EQ(body[header_len], 'B') << "block marker expected after header";
@@ -290,7 +309,7 @@ TEST(TraceBinary, EveryByteFlipInBlockRegionIsDetected) {
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x40);
     std::vector<ap::prof::LogicalSendRecord> out;
     try {
-      io::decode_logical_into(mutated, out);
+      io::read_into(mutated, out);
       FAIL() << "flip at byte " << pos << " must be detected";
     } catch (const io::BinaryParseError& e) {
       // Whole verified blocks precede the damage; the block index in the
@@ -307,13 +326,13 @@ TEST(TraceBinary, EveryByteFlipInBlockRegionIsDetected) {
 
 TEST(TraceBinary, HeaderDamageNeverFabricatesRecords) {
   const auto recs = random_logical(64, 5);
-  const std::string body = io::encode_logical(recs);
+  const std::string body = io::encode(recs);
   for (std::size_t pos = 0; pos < 9; ++pos) {
     std::string mutated = body;
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x10);
     std::vector<ap::prof::LogicalSendRecord> out;
     try {
-      io::decode_logical_into(mutated, out);
+      io::read_into(mutated, out);
     } catch (const io::TraceParseError&) {
       // Damaged magic/version/kind/ncols throws; unknown flag bits are
       // forward-compatible and may decode fine.
@@ -340,13 +359,13 @@ void reseal_last_block(std::string& body, std::size_t block_start) {
 /// changed to 4 and re-sealed — CRC-valid, but its runs overshoot nrows.
 std::string file_with_malformed_second_block(
     const std::vector<ap::prof::LogicalSendRecord>& recs) {
-  const std::string first = io::encode_logical(
-      {recs.begin(), recs.begin() + static_cast<std::ptrdiff_t>(kBlockRows)});
-  const std::string second = io::encode_logical(
-      {recs.begin() + static_cast<std::ptrdiff_t>(kBlockRows), recs.end()});
+  using Rows = std::vector<ap::prof::LogicalSendRecord>;
+  const auto split = recs.begin() + static_cast<std::ptrdiff_t>(kBlockRows);
+  const std::string first = io::encode(Rows(recs.begin(), split));
+  const std::string second = io::encode(Rows(split, recs.end()));
   const std::size_t header_len = 9;  // a logical .apt has no aux bytes
   std::string body = first + second.substr(header_len);
-  EXPECT_EQ(body, io::encode_logical(recs)) << "blocks encode independently";
+  EXPECT_EQ(body, io::encode(recs)) << "blocks encode independently";
   const std::size_t block2 = first.size();
   EXPECT_EQ(body[block2], 'B');
   EXPECT_EQ(body[block2 + 1], 5) << "single-byte nrows varint expected";
@@ -360,7 +379,7 @@ TEST(TraceBinary, CrcValidButMalformedBlockAppendsNothing) {
   const std::string body = file_with_malformed_second_block(recs);
   std::vector<ap::prof::LogicalSendRecord> out;
   try {
-    io::decode_logical_into(body, out);
+    io::read_into(body, out);
     FAIL() << "a block whose runs do not sum to nrows must throw";
   } catch (const io::BinaryParseError& e) {
     EXPECT_EQ(e.block(), 2u) << e.what();
@@ -386,7 +405,8 @@ TEST(TraceBinary, ForgedRowCountsCannotInflateTheReservation) {
   // header may declare.
   constexpr std::size_t kMaxRows = std::size_t{1} << 22;
   constexpr std::size_t kBlocks = 6;
-  std::string body = io::encode_logical({});  // the header alone
+  std::vector<ap::prof::LogicalSendRecord> out;
+  std::string body = io::encode(out);  // the header alone
   for (std::size_t b = 0; b < kBlocks; ++b) {
     const std::size_t start = body.size();
     body += 'B';
@@ -396,9 +416,8 @@ TEST(TraceBinary, ForgedRowCountsCannotInflateTheReservation) {
     body.append(4, '\0');
     reseal_last_block(body, start);
   }
-  std::vector<ap::prof::LogicalSendRecord> out;
   try {
-    io::decode_logical_into(body, out);
+    io::read_into(body, out);
     FAIL() << "empty columns cannot hold the declared rows";
   } catch (const io::BinaryParseError& e) {
     EXPECT_EQ(e.block(), 1u) << e.what();
@@ -408,9 +427,9 @@ TEST(TraceBinary, ForgedRowCountsCannotInflateTheReservation) {
 }
 
 TEST(TraceBinary, WrongKindIsRejected) {
-  const std::string body = io::encode_logical(random_logical(16, 3));
+  const std::string body = io::encode(random_logical(16, 3));
   std::vector<ap::prof::SuperstepRecord> out;
-  EXPECT_THROW(io::decode_steps_into(body, out), io::BinaryParseError);
+  EXPECT_THROW(io::read_into(body, out), io::BinaryParseError);
   EXPECT_TRUE(out.empty());
 }
 
@@ -489,8 +508,8 @@ TEST(TraceBinaryDir, BothFormatsLoadIdenticalRecords) {
   EXPECT_EQ(tb.check_recorded, tc.check_recorded);
   EXPECT_EQ(tb.check_dropped, tc.check_dropped);
   io::Sink a, b;
-  io::write_check(a, tc.check, tc.check_dropped);
-  io::write_check(b, tb.check, tb.check_dropped);
+  io::write_csv(a, tc.check, {.dropped = tc.check_dropped});
+  io::write_csv(b, tb.check, {.dropped = tb.check_dropped});
   EXPECT_EQ(std::move(a).str(), std::move(b).str());
 }
 
@@ -559,13 +578,13 @@ TEST(TraceBinaryDir, AggregatorsSkipPesBeyondNumPes) {
       sends.push_back({0, src, 0, dst, 8});
       physical.push_back({ap::convey::SendType::local_send, 64, src, dst});
     }
-    std::ofstream(dir / io::binary_file_name(io::logical_file_name(src)),
+    std::ofstream(dir / io::file_name({io::BinKind::send, src}, true),
                   std::ios::binary)
-        << io::encode_logical(sends);
+        << io::encode(sends);
   }
-  std::ofstream(dir / io::binary_file_name(io::kPhysicalFile),
+  std::ofstream(dir / io::file_name({io::BinKind::physical}, true),
                 std::ios::binary)
-      << io::encode_physical(physical);
+      << io::encode(physical);
 
   const auto t = io::load_trace_dir(dir, kLoaded);
   const auto expect_in_range = [&](const auto& m, const char* what) {
@@ -615,7 +634,7 @@ TEST(TraceCompress, LzRoundTripsRandomAndRepetitiveBuffers) {
 
 TEST(TraceCompress, CompressTraceRoundTripsByteIdentical) {
   const auto recs = random_logical(3 * kBlockRows + 17, 1234);
-  const std::string v1 = io::encode_logical(recs);
+  const std::string v1 = io::encode(recs);
   const std::string v2 = io::compress_trace(v1);
   ASSERT_FALSE(io::is_compressed_trace(v1));
   ASSERT_TRUE(io::is_compressed_trace(v2));
@@ -629,15 +648,15 @@ TEST(TraceCompress, CompressTraceRoundTripsByteIdentical) {
 
   // The decoders accept both containers and yield the same rows.
   std::vector<ap::prof::LogicalSendRecord> from_v1, from_v2;
-  io::decode_logical_into(v1, from_v1);
-  io::decode_logical_into(v2, from_v2);
+  io::read_into(v1, from_v1);
+  io::read_into(v2, from_v2);
   EXPECT_EQ(from_v1, recs);
   EXPECT_EQ(from_v2, recs);
 }
 
 TEST(TraceCompress, CompressedMutationsRejectedWithAttribution) {
   const auto recs = random_logical(2 * kBlockRows, 77);
-  const std::string v2 = io::compress_trace(io::encode_logical(recs));
+  const std::string v2 = io::compress_trace(io::encode(recs));
   SplitMix64 rng(78);
   for (int t = 0; t < 32; ++t) {
     const std::size_t pos = rng.next_below(v2.size());
@@ -646,7 +665,7 @@ TEST(TraceCompress, CompressedMutationsRejectedWithAttribution) {
         mutated[pos] ^ static_cast<char>(1u << rng.next_below(8)));
     std::vector<ap::prof::LogicalSendRecord> out;
     try {
-      io::decode_logical_into(mutated, out);
+      io::read_into(mutated, out);
     } catch (const io::TraceParseError&) {
       // expected for nearly every flip (CRC covers the whole block)
     }
@@ -659,7 +678,7 @@ TEST(TraceCompress, CompressedMutationsRejectedWithAttribution) {
     const std::size_t cut = rng.next_below(v2.size());
     std::vector<ap::prof::LogicalSendRecord> out;
     try {
-      io::decode_logical_into(std::string_view(v2).substr(0, cut), out);
+      io::read_into(std::string_view(v2).substr(0, cut), out);
     } catch (const io::TraceParseError&) {
     }
     ASSERT_EQ(out.size() % kBlockRows, 0u) << "cut at " << cut;
@@ -692,6 +711,9 @@ TEST(TraceCompress, WriteAllWithCompressionLoadsIdentically) {
     ap::rt::LaunchConfig lc;
     lc.num_pes = 4;
     lc.pes_per_node = 4;
+    // Pinned to fiber: the two runs must give the same records, which only
+    // that backend promises.
+    lc.backend = ap::rt::Backend::fiber;
     ap::shmem::run(lc, [&] {
       ap::graph::RangeDistribution dist(ap::shmem::n_pes(), lower);
       ap::apps::count_triangles_actor(lower, dist, &profiler);
@@ -724,8 +746,9 @@ TEST(TraceCompress, WriteAllWithCompressionLoadsIdentically) {
 
   // The MANIFEST entries describe the compressed bytes actually on disk
   // (size + checksum verified by the loader's strict path above).
-  std::ifstream ms(comp / io::kManifestFile);
-  const io::Manifest m = io::parse_manifest(ms);
+  std::string manifest;
+  ASSERT_TRUE(io::read_file(comp / io::kManifestFile, manifest));
+  const io::Manifest m = io::parse_manifest(manifest);
   for (const auto& e : m.files)
     if (e.file == "PE0_send.apt")
       EXPECT_EQ(e.bytes, comp_shard.size());

@@ -24,7 +24,11 @@
 #      getcontext, setcontext and the x86-64 routine ap_fiber_switch) appear
 #      only in src/runtime/fiber.cpp: every PE switch goes through Fiber,
 #      so a switch with a system call in it cannot come back elsewhere.
-#   8. clang-tidy over the check/runtime/shmem sources when installed
+#   8. The container sniffers is_binary_trace and is_compressed_trace are
+#      called only in the src/core/trace_* files: the trace layer alone
+#      decides between CSV and .apt, and everyone else reads and writes
+#      through its one reader and writer.
+#   9. clang-tidy over the check/runtime/shmem sources when installed
 #      (.clang-tidy at the repo root); skipped with a note otherwise.
 set -uo pipefail
 
@@ -98,13 +102,24 @@ if [ -n "${hits}" ]; then
     "${hits}"
 fi
 
+# Rule 8: the CSV-or-.apt decision stays in the trace layer (comment lines
+# may name the sniffers).
+hits=$(grep -rnE '\b(is_binary_trace|is_compressed_trace)[[:space:]]*\(' \
+  src examples --include='*.cpp' --include='*.hpp' \
+  | grep -vE '^src/core/trace_[^/]*:' \
+  | grep -vE '^\S+:[0-9]+:[[:space:]]*(//|\*)' || true)
+if [ -n "${hits}" ]; then
+  violation "container sniffer called outside src/core/trace_* (rule 8)" \
+    "${hits}"
+fi
+
 if [ "${fail}" -ne 0 ]; then
   echo "lint: FAILED" >&2
   exit 1
 fi
 echo "lint: grep rules OK"
 
-# Rule 8: clang-tidy (optional — absent from minimal containers).
+# Rule 9: clang-tidy (optional — absent from minimal containers).
 if command -v clang-tidy >/dev/null 2>&1; then
   tidy_files=(src/check/*.cpp src/runtime/*.cpp src/shmem/*.cpp
               src/conveyor/*.cpp src/core/config.cpp)
