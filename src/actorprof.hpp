@@ -20,7 +20,6 @@
 #include "apps/toposort.hpp"
 #include "apps/triangle.hpp"
 #include "conveyor/conveyor.hpp"
-#include "conveyor/elastic.hpp"
 #include "core/advisor.hpp"
 #include "core/chrome_trace.hpp"
 #include "core/profiler.hpp"

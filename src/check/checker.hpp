@@ -50,8 +50,8 @@ struct Violation {
     /// quiet() suspended mid-application, exposing partially-applied state
     /// to other fibers (fault injection).
     QuietInterrupted,
-    /// Conveyor or actor API protocol misuse (pull during drain, nested
-    /// drain_begin, push after done, send after done, ...).
+    /// Conveyor or actor API protocol misuse (nested drain_begin, push
+    /// after done, send after done, ...).
     ApiMisuse,
   };
 

@@ -41,7 +41,7 @@ TransferObserver* transfer_observer() { return g_observer; }
 //   [int32 final_dst][int32 orig_src][uint64 flow][payload item_bytes]
 // Delivered records keep the full wire layout (final_dst included) so a
 // contiguous run of records for this PE moves from the landing buffer into
-// the receive queue with a single memcpy; pull()/drain() skip the header.
+// the receive queue with a single memcpy; drain() skips the header.
 // The copy budget per record is documented in docs/PERFORMANCE.md.
 // ---------------------------------------------------------------------------
 
@@ -68,7 +68,7 @@ std::int32_t load_dst(const std::byte* record) {
 // ever resumed on its owning worker. Increments stay plain on purpose —
 // even a relaxed atomic_ref load+store pair acts as a compiler
 // optimization barrier on the per-item hot paths and costs double-digit
-// percent on the micro_conveyor pull/drain gates. The price is a
+// percent on the micro_conveyor drain gate. The price is a
 // quiescence contract on readers: total_stats() may only be called when
 // the caller is barrier-separated from every remote PE's conveyor
 // activity (e.g. after shmem::barrier_all(), or after advance() has
@@ -556,7 +556,6 @@ void Conveyor::account_dead_endpoint() {
 const Options& Conveyor::options() const { return group_->opts; }
 const ConveyorStats& Conveyor::stats() const { return self_->stats; }
 const Router& Conveyor::router() const { return group_->router; }
-std::size_t Conveyor::record_bytes() const { return group_->record_bytes; }
 
 ConveyorStats Conveyor::total_stats() const {
   std::lock_guard<std::mutex> lk(group_->retire_mu);
@@ -870,7 +869,7 @@ void Conveyor::deliver_incoming() {
           while (off + run < end && load_dst(data + off + run) == e.pe)
             run += rec_sz;
           // Final destination: wire records land verbatim in the recv
-          // queue (pull/drain skip the header fields).
+          // queue (drain skips the header fields).
           std::memcpy(e.recv.append(run, g.outbuf_capacity()), data + off,
                       run);
           bump(e.stats.memcpys);
@@ -930,35 +929,7 @@ void Conveyor::deliver_incoming() {
   }
 }
 
-// -------------------------------------------------------------- pull / drain
-
-bool Conveyor::pull(void* item, int* from_pe, std::uint64_t* flow_id) {
-  Group& g = *group_;
-  Endpoint& e = *self_;
-  // Documented misuse (see drain() in conveyor.hpp): a pull inside a drain
-  // batch consumes from the swapped-in queue, losing ordering against the
-  // batch being handed out.
-  if (e.check_events && e.draining)
-    notify_misuse("conveyor: pull() inside a drain batch loses ordering");
-  if (e.recv.pending() < g.record_bytes) {
-    e.recv.compact();
-    return false;
-  }
-  const std::byte* rec = e.recv.bytes.data() + e.recv.head;
-  std::int32_t src32 = 0;
-  std::memcpy(&src32, rec + sizeof(std::int32_t), sizeof src32);
-  std::uint64_t flow = 0;
-  if (g.flow_bytes != 0)
-    std::memcpy(&flow, rec + kRecordHeader, sizeof flow);
-  std::memcpy(item, rec + kRecordHeader + g.flow_bytes, g.opts.item_bytes);
-  bump(e.stats.memcpys);
-  e.recv.head += g.record_bytes;
-  if (e.recv.head == e.recv.tail) e.recv.compact();
-  if (from_pe != nullptr) *from_pe = src32;
-  if (flow_id != nullptr) *flow_id = flow;
-  bump(e.stats.pulled);
-  return true;
-}
+// -------------------------------------------------------------------- drain
 
 Conveyor::DrainBatch Conveyor::drain_begin() {
   Group& g = *group_;
@@ -991,9 +962,9 @@ void Conveyor::drain_end(std::size_t count) {
 void Conveyor::drain_abort(std::size_t consumed) {
   Group& g = *group_;
   Endpoint& e = *self_;
-  // The record the callback threw on counts as consumed (pull semantics:
-  // the message left the queue before the handler ran). Requeue the rest
-  // ahead of anything delivered meanwhile.
+  // The record the callback threw on counts as consumed (the message left
+  // the queue before the handler ran). Requeue the rest ahead of anything
+  // delivered meanwhile.
   e.drain_buf.head += consumed * g.record_bytes;
   const std::size_t rest = e.drain_buf.pending();
   if (rest != 0) {
@@ -1033,7 +1004,7 @@ bool Conveyor::advance(bool done) {
   if (g_observer != nullptr) {
     // Backpressure snapshot before this round moves anything: bytes queued
     // toward all touched next hops plus bytes delivered here but not yet
-    // pulled.
+    // drained.
     std::size_t out_pending = 0;
     for (const HopState& hs : e.hops) out_pending += hs.out.pending();
     g_observer->on_advance(out_pending,

@@ -29,8 +29,7 @@
 //
 // push() may refuse (buffer/back-pressure); the caller must then advance().
 // advance(done) keeps returning true until *every* PE passed done=true and
-// every in-flight item has been drained. The per-item pull() remains as a
-// compatibility shim over the same receive queue.
+// every in-flight item has been drained. drain() is the only receive path.
 #pragma once
 
 #include <cstddef>
@@ -64,7 +63,7 @@ struct Options {
 /// Per-endpoint statistics (this PE's view).
 struct ConveyorStats {
   std::uint64_t pushed = 0;
-  std::uint64_t pulled = 0;          // items consumed via pull() or drain()
+  std::uint64_t pulled = 0;          // records handed out by drain()
   std::uint64_t forwarded = 0;       // items re-aggregated at this hop
   std::uint64_t local_sends = 0;
   std::uint64_t nonblock_sends = 0;
@@ -103,22 +102,17 @@ class Conveyor {
   /// Try to enqueue one item for PE `dst`. Returns false when aggregation
   /// buffers are full and back-pressure requires an advance() first.
   /// `flow_id` is carried with the record iff Options::carry_flow_ids
-  /// (ignored otherwise) and resurfaces at the destination's pull().
+  /// (ignored otherwise) and resurfaces as Delivered::flow at the
+  /// destination's drain().
   bool push(const void* item, int dst_pe, std::uint64_t flow_id = 0);
-
-  /// Dequeue one delivered item. Returns false when none is available
-  /// right now. `from_pe` receives the original sender; `flow_id` (when
-  /// non-null) the id given to push, or 0 if the conveyor does not carry
-  /// flow ids. Compatibility shim: drain() is the batch fast path.
-  bool pull(void* item, int* from_pe, std::uint64_t* flow_id = nullptr);
 
   /// Batch-drain everything currently delivered: invokes `fn(Delivered)`
   /// once per record, in arrival order, directly over the receive queue —
   /// no per-item copy, no per-item queue bookkeeping. Returns the number
   /// of records handled. The callback may push() (including to this
   /// conveyor) and may call advance(); newly delivered records land in a
-  /// fresh queue and are picked up by the next drain() call. Do not mix
-  /// pull() into a drain callback — ordering across the two would be lost.
+  /// fresh queue and are picked up by the next drain() call. A drain()
+  /// nested inside the callback hands out nothing (a checker misuse).
   /// If the callback throws, the record it threw on counts as consumed and
   /// the remainder of the batch is requeued ahead of later deliveries.
   template <class Fn>
@@ -155,8 +149,6 @@ class Conveyor {
   [[nodiscard]] const Options& options() const;
   [[nodiscard]] const ConveyorStats& stats() const;
   [[nodiscard]] const Router& router() const;
-  /// Bytes of one wire record: header + optional flow id + payload.
-  [[nodiscard]] std::size_t record_bytes() const;
   /// Sum of stats over all PEs (any PE may call). Under the threads
   /// backend the per-endpoint counters are plain single-writer values:
   /// call this only when barrier-separated from remote PEs' conveyor
@@ -166,7 +158,7 @@ class Conveyor {
   /// Items delivered group-wide so far (relaxed atomic — safe to poll
   /// mid-run from any worker; captures remote PEs' progress).
   [[nodiscard]] std::uint64_t delivered_total() const;
-  /// Items pushed but not yet pulled anywhere (global).
+  /// Items pushed but not yet delivered or lost anywhere (global).
   [[nodiscard]] std::uint64_t items_in_flight() const;
 
  private:

@@ -52,8 +52,8 @@ class TransferObserver {
   /// protocol misuse below. Endpoints cache this per advance(), so the
   /// default-false answer costs the data plane nothing.
   virtual bool wants_conformance_events() const { return false; }
-  /// Conveyor API protocol misuse on the calling PE (pull() inside a drain
-  /// batch, nested drain_begin, push after done). Default no-op.
+  /// Conveyor API protocol misuse on the calling PE (nested drain_begin,
+  /// push after done). Default no-op.
   virtual void on_conveyor_misuse(const char* what) { (void)what; }
 };
 

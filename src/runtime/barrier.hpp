@@ -1,6 +1,7 @@
-// Generation-counting (sense-reversing) barriers for the threads backend.
+// Generation-counting (sense-reversing) combining-tree barrier for the
+// threads backend.
 //
-// Both barriers split arrival from completion so they compose with the
+// The barrier splits arrival from completion so it composes with the
 // cooperative scheduler: arrive() registers this PE and returns a ticket,
 // passed(ticket) is the predicate the PE hands to rt::wait_until. Under the
 // fiber backend the predicate flips within the same thread; under the
@@ -10,10 +11,9 @@
 // round g poll for gen >= g+1, so reuse across rounds can never confuse a
 // late waiter from the previous round.
 //
-// SenseBarrier is the flat counter (one contended cache line — fine up to a
-// few dozen PEs); TreeBarrier fans arrivals into a fan_in-ary combining
-// tree so large fleets don't serialize on one line. make_barrier() picks
-// between them by participant count.
+// Arrivals fan into a fan_in-ary combining tree so large fleets don't
+// serialize on one cache line; a fleet of at most fan_in PEs is one node,
+// which is the flat counter.
 #pragma once
 
 #include <algorithm>
@@ -23,55 +23,6 @@
 #include <vector>
 
 namespace ap::rt {
-
-/// Flat centralized barrier: one arrival counter, one generation counter.
-class SenseBarrier {
- public:
-  explicit SenseBarrier(int participants) : participants_(participants) {}
-
-  /// Register one arrival; returns the generation to wait for. The caller
-  /// must not arrive again before passed(ticket) holds.
-  std::uint64_t arrive(int /*pe*/ = 0) {
-    // Our own arrival is part of this round, so the round cannot complete
-    // (and gen_ cannot advance past ticket-1) between the load and the
-    // fetch_add below.
-    const std::uint64_t ticket = gen_.load(std::memory_order_acquire) + 1;
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        participants_) {
-      // Reset before publishing: re-arrivals are gated on the gen_ release
-      // store, so no thread can touch arrived_ for the next round until
-      // the reset is visible.
-      arrived_.store(0, std::memory_order_relaxed);
-      gen_.store(ticket, std::memory_order_release);
-    }
-    return ticket;
-  }
-
-  [[nodiscard]] bool passed(std::uint64_t ticket) const {
-    return gen_.load(std::memory_order_acquire) >= ticket;
-  }
-
-  /// Permanently remove one participant (a fault-injected kill). Kills are
-  /// fiber-backend-only, so this is never concurrent with an arrive(); if
-  /// every remaining participant had already arrived, complete the round
-  /// on the dead PE's behalf so the waiters are released.
-  void deactivate(int /*pe*/ = 0) {
-    --participants_;
-    if (participants_ > 0 &&
-        arrived_.load(std::memory_order_relaxed) >= participants_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      gen_.store(gen_.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_release);
-    }
-  }
-
-  [[nodiscard]] int participants() const { return participants_; }
-
- private:
-  int participants_;
-  std::atomic<int> arrived_{0};
-  std::atomic<std::uint64_t> gen_{0};
-};
 
 /// Combining-tree barrier: PEs arrive at a leaf; the last arriver of each
 /// node climbs to its parent; the final climber at the root publishes the
@@ -97,7 +48,11 @@ class TreeBarrier {
     }
   }
 
+  /// Register `pe`'s arrival; returns the generation to wait for. The
+  /// caller must not arrive again before passed(ticket) holds.
   std::uint64_t arrive(int pe) {
+    // Our own arrival is part of this round, so the round cannot complete
+    // (and gen_ cannot advance past ticket-1) before our arrival below.
     const std::uint64_t ticket = gen_.load(std::memory_order_acquire) + 1;
     int n = pe / fan_in_;  // this PE's leaf
     while (true) {
@@ -181,37 +136,6 @@ class TreeBarrier {
   int fan_in_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::atomic<std::uint64_t> gen_{0};
-};
-
-/// Arrival barrier behind one interface; picks the tree once the flat
-/// counter's single cache line would start to hurt.
-class ArrivalBarrier {
- public:
-  static constexpr int kTreeThreshold = 32;
-
-  explicit ArrivalBarrier(int participants) {
-    if (participants >= kTreeThreshold)
-      tree_ = std::make_unique<TreeBarrier>(participants);
-    else
-      flat_ = std::make_unique<SenseBarrier>(participants);
-  }
-
-  std::uint64_t arrive(int pe) {
-    return tree_ ? tree_->arrive(pe) : flat_->arrive(pe);
-  }
-  [[nodiscard]] bool passed(std::uint64_t ticket) const {
-    return tree_ ? tree_->passed(ticket) : flat_->passed(ticket);
-  }
-  void deactivate(int pe) {
-    tree_ ? tree_->deactivate(pe) : flat_->deactivate(pe);
-  }
-  [[nodiscard]] int participants() const {
-    return tree_ ? tree_->participants() : flat_->participants();
-  }
-
- private:
-  std::unique_ptr<SenseBarrier> flat_;
-  std::unique_ptr<TreeBarrier> tree_;
 };
 
 }  // namespace ap::rt

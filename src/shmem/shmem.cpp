@@ -69,10 +69,10 @@ struct World {
   int live = 0;
   CollectiveState coll;
   std::mutex coll_mu;  // guards coll, alive, live
-  /// Sense-reversing (tree for large fleets) barrier for the data-less
-  /// collective rounds — barrier_all/sync_all never touch CollectiveState
-  /// unless fault injection is shrinking the fleet.
-  rt::ArrivalBarrier barrier{topo.num_pes()};
+  /// Combining-tree barrier for the data-less collective rounds (one
+  /// node, the flat counter, up to 4 PEs) — barrier_all/sync_all never
+  /// touch CollectiveState unless fault injection is shrinking the fleet.
+  rt::TreeBarrier barrier{topo.num_pes()};
 };
 
 // Plain global (not thread_local): the worker threads of the threads
@@ -242,11 +242,11 @@ void collective_round(const void* contribution, std::size_t elem_bytes,
   // arrives. The profiler stamps its arrival here (before the wait).
   if (RmaObserver* o = rma_observer()) o->on_collective_arrive();
 
-  // Data-less round: take the sense-reversing/tree arrival barrier and
-  // skip CollectiveState entirely — O(1) contended lines flat, O(log P)
-  // hops in the tree, no mutex. The barrier tracks the live set under
-  // fault injection too (mark_current_pe_dead deactivates the dying PE),
-  // so this stays the fast path even while PEs are being killed.
+  // Data-less round: take the tree arrival barrier and skip
+  // CollectiveState entirely — O(log P) hops in the tree, no mutex. The
+  // barrier tracks the live set under fault injection too
+  // (mark_current_pe_dead deactivates the dying PE), so this stays the
+  // fast path even while PEs are being killed.
   if (elem_bytes == 0 && out == nullptr && !combine) {
     const std::uint64_t ticket = w.barrier.arrive(me);
     rt::wait_until([&w, ticket] { return w.barrier.passed(ticket); });

@@ -1,8 +1,8 @@
 // Fast-path regression tests for the flat-buffer conveyor data plane
-// (docs/PERFORMANCE.md): steady-state push/advance/pull cycles perform
+// (docs/PERFORMANCE.md): steady-state push/advance/drain cycles perform
 // zero heap allocations, and ConveyorStats.memcpys matches the documented
 // copy budget exactly — push 1/item, flush 1/buffer, delivery 1/run,
-// pull 1/item, drain 0/item.
+// drain 0/item.
 //
 // Allocation contract (docs/PERFORMANCE.md, "Memory at scale"): a
 // destination's out-buffer — and, inter-node, its staging slots — is
@@ -25,7 +25,7 @@
 // routes (intermediate PEs must keep forwarding) and piles deliveries into
 // a burst that distorts steady-state buffer occupancy. Instead PEs pass a
 // cooperative fence — an arrival counter spun on while still advancing and
-// pulling. Two full warmup cycles grow every buffer to its steady capacity
+// draining. Two full warmup cycles grow every buffer to its steady capacity
 // (cycle 2 starts from the same mid-stream state cycle 3 does); cycle 3 is
 // the measured window.
 #include <gtest/gtest.h>
@@ -61,9 +61,20 @@ LaunchConfig cfg_of(int pes, int ppn) {
 
 constexpr std::size_t kMsgs = 3000;  // per PE, per cycle
 
-/// Push `kMsgs` items round-robin, advancing and pulling as we go, without
+/// Drain everything delivered, folding each payload and source into
+/// `sink` so the tests can check that payloads really flowed.
+void drain_into(convey::Conveyor& c, std::int64_t& sink) {
+  c.drain([&sink](const convey::Delivered& d) {
+    std::int64_t v;
+    std::memcpy(&v, d.payload, sizeof v);
+    sink += v + d.src;
+  });
+}
+
+/// Push `kMsgs` items round-robin, advancing and draining as we go, without
 /// entering the endgame (no done=true): the steady-state inner loop only.
-void steady_rounds(convey::Conveyor& c, std::int64_t base) {
+void steady_rounds(convey::Conveyor& c, std::int64_t base,
+                   std::int64_t& sink) {
   const int me = shmem::my_pe();
   const int n = shmem::n_pes();
   std::size_t i = 0;
@@ -75,37 +86,28 @@ void steady_rounds(convey::Conveyor& c, std::int64_t base) {
       if (!c.push(&v, dst)) break;
     }
     (void)c.advance(false);
-    std::int64_t item;
-    int from;
-    while (c.pull(&item, &from)) {
-    }
+    drain_into(c, sink);
     ap::rt::yield();
   }
 }
 
 /// Cooperative fence: announce arrival, then keep the conveyor moving until
 /// every PE arrived, plus a few settle rounds to drain in-flight tails.
-void fence(convey::Conveyor& c, std::atomic<int>& gate) {
+void fence(convey::Conveyor& c, std::atomic<int>& gate, std::int64_t& sink) {
   gate.fetch_add(1, std::memory_order_relaxed);
-  std::int64_t item;
-  int from;
   int settle = 8;
   while (gate.load(std::memory_order_relaxed) < shmem::n_pes() ||
          settle-- > 0) {
     (void)c.advance(false);
-    while (c.pull(&item, &from)) {
-    }
+    drain_into(c, sink);
     ap::rt::yield();
   }
 }
 
 /// Drive the endgame: declare done and drain until global completion.
-void finish(convey::Conveyor& c) {
+void finish(convey::Conveyor& c, std::int64_t& sink) {
   while (c.advance(true)) {
-    std::int64_t item;
-    int from;
-    while (c.pull(&item, &from)) {
-    }
+    drain_into(c, sink);
     ap::rt::yield();
   }
 }
@@ -120,28 +122,30 @@ void expect_zero_steady_allocs(int pes, int ppn) {
     o.item_bytes = sizeof(std::int64_t);
     o.buffer_bytes = 512;
     auto c = convey::Conveyor::create(o);
+    std::int64_t sink = 0;
 
-    steady_rounds(*c, 0);  // cycle 1: first-touch growth
-    fence(*c, gate1);
-    steady_rounds(*c, 1 << 20);  // cycle 2: growth from mid-stream state
-    fence(*c, gate2);
+    steady_rounds(*c, 0, sink);  // cycle 1: first-touch growth
+    fence(*c, gate1, sink);
+    steady_rounds(*c, 1 << 20, sink);  // cycle 2: growth from mid-stream
+    fence(*c, gate2, sink);
 
     if (shmem::my_pe() == 0) {
       before = AllocProbe::count();
       AllocProbe::trap = true;  // dump a backtrace per (unexpected) alloc
     }
 
-    steady_rounds(*c, 2 << 20);  // cycle 3: measured
-    fence(*c, gate3);
+    steady_rounds(*c, 2 << 20, sink);  // cycle 3: measured
+    fence(*c, gate3, sink);
 
     if (shmem::my_pe() == 0) {
       AllocProbe::trap = false;
       const std::uint64_t after = AllocProbe::count();
       EXPECT_EQ(after - before, 0u)
-          << "steady-state push/advance/pull allocated " << (after - before)
+          << "steady-state push/advance/drain allocated " << (after - before)
           << " times on " << shmem::n_pes() << " PEs";
     }
-    finish(*c);
+    finish(*c, sink);
+    EXPECT_NE(sink, 0);  // payloads really flowed through the callback
   });
 }
 
@@ -154,6 +158,10 @@ TEST(AllocBudget, SteadyStateIsAllocationFreeMultiNode) {
   expect_zero_steady_allocs(8, 4);  // nbi + quiet + signal path, 2D mesh
 }
 
+// drain() snapshots by swapping the receive queue with a spare one. Here
+// the callback also yields and advances mid-batch, so new deliveries land
+// in the swapped-in queue while views into the other are still live: once
+// both queues have grown, that pattern must allocate nothing either.
 TEST(AllocBudget, SteadyStateDrainIsAllocationFree) {
   std::atomic<int> gate1{0}, gate2{0}, gate3{0};
   std::uint64_t before = 0;
@@ -165,12 +173,17 @@ TEST(AllocBudget, SteadyStateDrainIsAllocationFree) {
     const int me = shmem::my_pe();
     const int n = shmem::n_pes();
     std::int64_t sink = 0;
+    std::size_t handled = 0;
 
     auto drain_all = [&] {
       c->drain([&](const convey::Delivered& d) {
         std::int64_t v;
         std::memcpy(&v, d.payload, sizeof v);
         sink += v + d.src;
+        if (++handled % 64 == 0) {
+          ap::rt::yield();  // let the other PEs send meanwhile
+          (void)c->advance(false);
+        }
       });
     };
     auto drain_rounds = [&](std::int64_t base) {
@@ -221,6 +234,7 @@ TEST(AllocBudget, SteadyStateDrainIsAllocationFree) {
       ap::rt::yield();
     }
     EXPECT_NE(sink, 0);  // payloads really flowed through the callback
+    EXPECT_GT(handled, 0u);
   });
 }
 
@@ -241,6 +255,7 @@ TEST(AllocBudget, AllocationHappensOnFirstTouchOfADestinationOnly) {
     auto c = convey::Conveyor::create(o);
     const int me = shmem::my_pe();
     const int n = shmem::n_pes();
+    std::int64_t sink = 0;
 
     // Like steady_rounds, but every item goes to the single destination
     // me+offset — so each cycle touches exactly one (new or old) dst.
@@ -253,10 +268,7 @@ TEST(AllocBudget, AllocationHappensOnFirstTouchOfADestinationOnly) {
           if (!c->push(&v, dst)) break;
         }
         (void)c->advance(false);
-        std::int64_t item;
-        int from;
-        while (c->pull(&item, &from)) {
-        }
+        drain_into(*c, sink);
         ap::rt::yield();
       }
     };
@@ -277,30 +289,30 @@ TEST(AllocBudget, AllocationHappensOnFirstTouchOfADestinationOnly) {
     mark();
     rounds_to(1, 0);  // first touch of me+1: must allocate its buffers
     if (me == 0) first_touch = delta();
-    fence(*c, gate1);
+    fence(*c, gate1, sink);
     rounds_to(1, 1 << 20);  // two warmups from mid-stream state
-    fence(*c, gate2);
+    fence(*c, gate2, sink);
     rounds_to(1, 6 << 20);
-    fence(*c, gate2b);
+    fence(*c, gate2b, sink);
     mark();
     rounds_to(1, 2 << 20);  // re-touch: free
     if (me == 0) retouch = delta();
-    fence(*c, gate3);
+    fence(*c, gate3, sink);
 
     mark();
     rounds_to(2, 3 << 20);  // brand-new destination: fresh one-time cost
     if (me == 0) fresh_touch = delta();
-    fence(*c, gate4);
+    fence(*c, gate4, sink);
     rounds_to(2, 4 << 20);
-    fence(*c, gate5);
+    fence(*c, gate5, sink);
     rounds_to(2, 7 << 20);
-    fence(*c, gate5b);
+    fence(*c, gate5b, sink);
     mark();
     rounds_to(2, 5 << 20);  // ... itself free once touched
     if (me == 0) refresh = delta();
-    fence(*c, gate6);
+    fence(*c, gate6, sink);
 
-    finish(*c);
+    finish(*c, sink);
   });
   EXPECT_GT(first_touch, 0u) << "first sends should build dst buffers";
   EXPECT_EQ(retouch, 0u) << "re-touching a destination must be free";
@@ -310,28 +322,8 @@ TEST(AllocBudget, AllocationHappensOnFirstTouchOfADestinationOnly) {
 
 // On a single node routing is direct, so every delivered buffer is one
 // contiguous same-destination run: the documented budget is exact, not a
-// bound. Pull path: memcpys == pushed + pulled + 2*sends (flush + run per
-// buffer). Drain path drops the per-item pull copy entirely.
-TEST(AllocBudget, MemcpysMatchDocumentedBudgetPullPath) {
-  convey::ConveyorStats total{};
-  shmem::run(cfg_of(8, 8), [&total] {
-    convey::Options o;
-    o.item_bytes = sizeof(std::int64_t);
-    o.buffer_bytes = 256;
-    auto c = convey::Conveyor::create(o);
-    steady_rounds(*c, 0);
-    finish(*c);
-    shmem::barrier_all();
-    if (shmem::my_pe() == 0) total = c->total_stats();
-    shmem::barrier_all();
-  });
-  EXPECT_EQ(total.pushed, 8u * kMsgs);
-  EXPECT_EQ(total.pulled, total.pushed);
-  EXPECT_EQ(total.nonblock_sends, 0u);
-  EXPECT_EQ(total.memcpys,
-            total.pushed + total.pulled + 2 * total.local_sends);
-}
-
+// bound. memcpys == pushed + 2*sends (flush + run per buffer); drain hands
+// out views, so the consume side adds no copy.
 TEST(AllocBudget, MemcpysMatchDocumentedBudgetDrainPath) {
   convey::ConveyorStats total{};
   shmem::run(cfg_of(8, 8), [&total] {
@@ -358,9 +350,10 @@ TEST(AllocBudget, MemcpysMatchDocumentedBudgetDrainPath) {
     if (me == 0) total = c->total_stats();
     shmem::barrier_all();
   });
+  EXPECT_EQ(total.pushed, 8u * kMsgs);
   EXPECT_EQ(total.pulled, total.pushed);
   EXPECT_GT(total.drains, 0u);
-  // No per-item copy on the consume side: only push + flush + run copies.
+  EXPECT_EQ(total.nonblock_sends, 0u);
   EXPECT_EQ(total.memcpys, total.pushed + 2 * total.local_sends);
 }
 

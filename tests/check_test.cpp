@@ -220,10 +220,10 @@ TEST(Checker, QuietSuspendFlagsInterruption) {
 TEST(Checker, MisuseIsRecordedVerbatim) {
   Checker c;
   c.bind(1);
-  c.on_misuse(0, "pull during drain");
+  c.on_misuse(0, "nested drain_begin");
   ASSERT_EQ(c.violations().size(), 1u);
   EXPECT_EQ(c.violations()[0].kind, Kind::ApiMisuse);
-  EXPECT_EQ(c.violations()[0].detail, "pull during drain");
+  EXPECT_EQ(c.violations()[0].detail, "nested drain_begin");
 }
 
 TEST(Checker, DeadPeLeavesTheCollectiveRound) {

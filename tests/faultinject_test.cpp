@@ -252,8 +252,8 @@ TEST(FaultInject, KillDuringConveyorRunIsContained) {
 }
 
 TEST(FaultInject, KillAtBarrierOnTreeBarrierPathReleasesSurvivors) {
-  // 40 PEs puts barrier_all's data-less fast path on the combining-tree
-  // arrival barrier (ArrivalBarrier::kTreeThreshold = 32). The kill fires
+  // At 40 PEs barrier_all's data-less fast path is a three-level combining
+  // tree (fan-in 4: 10 leaves, 3 inner nodes, the root). The kill fires
   // at barrier entry before arrive(), so mark_current_pe_dead must
   // deactivate the dead PE's leaf-to-root path or every survivor of that
   // round — and of all later rounds — parks forever.

@@ -8,6 +8,7 @@
 // by tools/check.sh).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -80,12 +81,12 @@ TEST_P(ConveyorFuzz, RandomTrafficConservesEverything) {
         sent_sum += v;
         ++i;
       }
-      std::int64_t item;
-      int from;
-      while (c->pull(&item, &from)) {
+      c->drain([&](const convey::Delivered& d) {
+        std::int64_t item;
+        std::memcpy(&item, d.payload, sizeof item);
         recv_sum += item;
         ++recv_count;
-      }
+      });
       done = (i == msgs);
       ap::rt::yield();
     }

@@ -6,6 +6,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -440,14 +441,13 @@ TEST(ConveyorFlow, FlowIdsSurviveAggregation) {
         const int dst = static_cast<int>((me + i) % static_cast<std::size_t>(n));
         if (!c->push(&payload, dst, flow)) break;
       }
-      std::int64_t item;
-      int from;
-      std::uint64_t flow = 0;
-      while (c->pull(&item, &from, &flow)) {
-        EXPECT_EQ(flow, static_cast<std::uint64_t>(item) + 7)
+      c->drain([&received](const convey::Delivered& d) {
+        std::int64_t item;
+        std::memcpy(&item, d.payload, sizeof item);
+        EXPECT_EQ(d.flow, static_cast<std::uint64_t>(item) + 7)
             << "flow id lost or reordered through aggregation";
         ++received;
-      }
+      });
       done = (i == per_pe);
       rt::yield();
     }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 
+#include <atomic>
 #include <cfenv>
 #include <csignal>
 #include <cstdint>
@@ -274,16 +275,18 @@ TEST(Scheduler, RoundRobinIsDeterministic) {
 TEST(Scheduler, WaitUntilUnblocksWhenPeerActs) {
   LaunchConfig cfg;
   cfg.num_pes = 2;
-  int flag = 0;
+  // PE 1 records itself before it releases the flag, so PE 0's entry is
+  // ordered after it on both backends.
+  std::atomic<int> flag{0};
   std::vector<int> order;
   ap::rt::launch(cfg, [&] {
     if (ap::rt::my_pe() == 0) {
-      ap::rt::wait_until([&flag] { return flag == 1; });
+      ap::rt::wait_until([&flag] { return flag.load() == 1; });
       order.push_back(0);
     } else {
       ap::rt::yield();
-      flag = 1;
       order.push_back(1);
+      flag.store(1);
     }
   });
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
@@ -370,9 +373,11 @@ TEST(Scheduler, ConfigExposesNodeShape) {
 TEST(Finish, BodyRunsInline) {
   LaunchConfig cfg;
   cfg.num_pes = 2;
-  int count = 0;
-  ap::rt::launch(cfg, [&count] { ap::hclib::finish([&count] { ++count; }); });
-  EXPECT_EQ(count, 2);
+  std::atomic<int> count{0};
+  ap::rt::launch(cfg, [&count] {
+    ap::hclib::finish([&count] { count.fetch_add(1); });
+  });
+  EXPECT_EQ(count.load(), 2);
 }
 
 TEST(Finish, AsyncTasksCompleteBeforeFinishReturns) {
@@ -452,23 +457,23 @@ TEST_P(SchedulerPeSweep, BarrierStyleHandshakeAcrossPeCounts) {
   LaunchConfig cfg;
   cfg.num_pes = n;
   // A naive counting barrier built on the primitives; exercises blocking
-  // and wakeup across many PEs.
-  int arrived = 0;
-  std::uint64_t gen = 0;
-  int passed = 0;
+  // and wakeup across many PEs (atomics: under threads PEs run in parallel).
+  std::atomic<int> arrived{0};
+  std::atomic<std::uint64_t> gen{0};
+  std::atomic<int> passed{0};
   ap::rt::launch(cfg, [&] {
     for (int round = 0; round < 3; ++round) {
-      const std::uint64_t g = gen;
-      if (++arrived == n) {
-        arrived = 0;
-        ++gen;
+      const std::uint64_t g = gen.load();
+      if (arrived.fetch_add(1) + 1 == n) {
+        arrived.store(0);
+        gen.fetch_add(1);
       } else {
-        ap::rt::wait_until([&gen, g] { return gen != g; });
+        ap::rt::wait_until([&gen, g] { return gen.load() != g; });
       }
-      ++passed;
+      passed.fetch_add(1);
     }
   });
-  EXPECT_EQ(passed, 3 * n);
+  EXPECT_EQ(passed.load(), 3 * n);
 }
 
 INSTANTIATE_TEST_SUITE_P(PeCounts, SchedulerPeSweep,
@@ -476,8 +481,10 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, SchedulerPeSweep,
 
 // ------------------------------------------------- barrier deactivation
 
+// The Sense* cases run a one-node tree (participants <= fan-in 4): the flat
+// sense-reversing counter every fleet of up to 4 PEs uses.
 TEST(Barrier, SenseDeactivateCompletesOpenRound) {
-  ap::rt::SenseBarrier b(4);
+  ap::rt::TreeBarrier b(4);
   const auto t0 = b.arrive(0);
   const auto t1 = b.arrive(1);
   const auto t2 = b.arrive(2);
@@ -493,7 +500,7 @@ TEST(Barrier, SenseDeactivateCompletesOpenRound) {
 }
 
 TEST(Barrier, SenseDeactivateWithNoArrivalsLeavesRoundOpen) {
-  ap::rt::SenseBarrier b(3);
+  ap::rt::TreeBarrier b(3);
   b.deactivate(2);
   const auto t = b.arrive(0);
   EXPECT_FALSE(b.passed(t));

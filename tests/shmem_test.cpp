@@ -464,10 +464,7 @@ TEST(RmaObserver, SeesConveyorTrafficWithoutConveyorInstrumentation) {
         const std::int64_t v = static_cast<std::int64_t>(i);
         if (!c->push(&v, static_cast<int>(i % 4))) break;
       }
-      std::int64_t item;
-      int from;
-      while (c->pull(&item, &from)) {
-      }
+      c->drain([](const ap::convey::Delivered&) {});
       done = (i == 200);
       ap::rt::yield();
     }

@@ -3,20 +3,22 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 TEST(Umbrella, EverythingIsVisible) {
   ap::rt::LaunchConfig cfg;
   cfg.num_pes = 2;
-  std::int64_t got = 0;
+  std::atomic<std::int64_t> got{0};
   ap::shmem::run(cfg, [&got] {
     ap::actor::Actor<std::int64_t> a;
-    a.mb[0].process = [&got](std::int64_t v, int) { got += v; };
+    a.mb[0].process = [&got](std::int64_t v, int) { got.fetch_add(v); };
     ap::hclib::finish([&] {
       a.start();
       a.send(21, 1 - ap::shmem::my_pe());
       a.done(0);
     });
   });
-  EXPECT_EQ(got, 42);
+  EXPECT_EQ(got.load(), 42);
   // A few type names from every module, proving the includes resolve.
   ap::prof::CommMatrix m(2);
   ap::prof::AdvisorOptions ao;

@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Conveyor fast-path bench baselines: builds the micro benches, runs each
 # in --json mode (fixed comparable configs, best-of-3 inside the binary),
-# and assembles BENCH_conveyor.json at the repo root next to the recorded
-# pre-optimization baseline. Run from anywhere; see docs/PERFORMANCE.md
-# for what the metrics mean and how the baseline was captured.
+# and assembles BENCH_conveyor.json at the repo root. Run from anywhere;
+# see docs/PERFORMANCE.md for what the metrics mean.
 #
 #   tools/bench.sh             # full run (~1 min)
 #   tools/bench.sh --check     # regression gate vs committed baseline
 #   AP_SCALE=9 tools/bench.sh  # smaller triangle graph
 #
-# --check reruns micro_conveyor only and compares its pull/drain
+# --check reruns micro_conveyor only and compares its drain
 # items_per_sec against the committed BENCH_conveyor.json; a fresh number
 # more than AP_BENCH_TOLERANCE percent (default 15) below the committed
 # one fails the script. Used by CI as a cheap perf smoke.
@@ -37,8 +36,8 @@ run() {
   fi
 }
 
-# Pull `"items_per_sec"` off the result line for one bench key ("pull",
-# "drain", ...). Works on both the committed aggregate file and a fresh
+# Pull `"items_per_sec"` off the result line for one bench key ("drain",
+# "csv_read", ...). Works on both the committed aggregate file and a fresh
 # single-bench JSON, so no JSON tooling is assumed.
 items_per_sec() { # file key
   awk -v key="\"$2\"" '
@@ -80,21 +79,19 @@ if [[ "${1:-}" == "--check" ]]; then
   tol="${AP_BENCH_TOLERANCE:-15}"
   run "${bin}/micro_conveyor" --json="${tmp}/conveyor.json"
   fail=0
-  for key in pull drain; do
-    old=$(items_per_sec BENCH_conveyor.json "${key}")
-    new=$(items_per_sec "${tmp}/conveyor.json" "${key}")
-    if [[ -z "${old}" || -z "${new}" ]]; then
-      echo "bench --check: missing items_per_sec for '${key}'" >&2
-      exit 1
-    fi
-    if awk -v n="${new}" -v o="${old}" -v t="${tol}" \
-         'BEGIN { exit !(n < o * (1 - t / 100)) }'; then
-      echo "REGRESSION ${key}: ${new} items/s vs committed ${old} (> ${tol}% slower)"
-      fail=1
-    else
-      echo "ok ${key}: ${new} items/s vs committed ${old} (tolerance ${tol}%)"
-    fi
-  done
+  old=$(items_per_sec BENCH_conveyor.json drain)
+  new=$(items_per_sec "${tmp}/conveyor.json" drain)
+  if [[ -z "${old}" || -z "${new}" ]]; then
+    echo "bench --check: missing items_per_sec for 'drain'" >&2
+    exit 1
+  fi
+  if awk -v n="${new}" -v o="${old}" -v t="${tol}" \
+       'BEGIN { exit !(n < o * (1 - t / 100)) }'; then
+    echo "REGRESSION drain: ${new} items/s vs committed ${old} (> ${tol}% slower)"
+    fail=1
+  else
+    echo "ok drain: ${new} items/s vs committed ${old} (tolerance ${tol}%)"
+  fi
 
   # Trace-format gates (docs/TRACE_FORMAT.md): the binary format must stay
   # >= 5x smaller than CSV on the scaling_triangle trace, decode at least
@@ -223,20 +220,8 @@ run "${bin}/micro_conveyor" --json="${tmp}/conveyor.json"
 run "${bin}/micro_selector" --json="${tmp}/selector.json"
 AP_SCALE="${AP_SCALE:-10}" run "${bin}/scaling_triangle" --json="${tmp}/triangle.json"
 
-# Pre-optimization baseline: micro_conveyor pull path at the same
-# 8 PEs / 8 per node / 1024-byte-buffer configuration, captured on this
-# machine at the commit before the flat-buffer data plane landed
-# (google-benchmark harness, taskset -c 0, RelWithDebInfo).
-baseline='{
-    "note": "pull path before the flat-buffer rewrite, same 8/8/1024 config",
-    "items_per_sec": 28280000.0,
-    "items_per_sec_256B": 14900000.0,
-    "items_per_sec_8192B": 27690000.0
-  }'
-
 {
   echo '{'
-  echo '  "baseline_pre_rewrite": '"${baseline}"','
   echo '  "micro_conveyor":'
   sed 's/^/  /' "${tmp}/conveyor.json" | sed '$ s/$/,/'
   echo '  "micro_selector":'
