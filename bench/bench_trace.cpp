@@ -64,7 +64,7 @@ Records collect(int scale) {
     apps::count_triangles_actor(lower, dist, &profiler);
   });
   for (int pe = 0; pe < kPes; ++pe) {
-    r.logical.push_back(profiler.logical_events(pe));
+    r.logical.push_back(profiler.logical_events(pe).records());
     r.papi.push_back(profiler.papi_segments(pe));
     r.steps.push_back(profiler.supersteps(pe));
     const auto& phys = profiler.physical_events(pe);

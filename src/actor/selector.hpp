@@ -119,6 +119,7 @@ class Selector {
         state_[static_cast<std::size_t>(k)].conveyor =
             convey::Conveyor::create(opts_);
     }
+    n_pes_ = rt::n_pes();
     started_ = true;
     auto* scope = hclib::FinishScope::current();
     if (scope == nullptr)
@@ -135,6 +136,10 @@ class Selector {
       report_misuse("actor: send() before start()");
       throw std::logic_error("Selector::send before start()");
     }
+    // Before the observer sees the send: a profiler indexes per-destination
+    // rows by dst_pe, and nothing may be charged for a send that never
+    // happens.
+    check_pe(dst_pe);
     MailboxState& st = state_[static_cast<std::size_t>(mb_id)];
     if (st.user_done) {
       report_misuse("actor: send() after done() on the same mailbox");
@@ -227,6 +232,11 @@ class Selector {
   void check_mailbox(int mb_id) const {
     if (mb_id < 0 || mb_id >= NMB)
       throw std::out_of_range("Selector: mailbox id out of range");
+  }
+
+  void check_pe(int dst_pe) const {
+    if (dst_pe < 0 || dst_pe >= n_pes_)
+      throw std::out_of_range("Selector: destination PE out of range");
   }
 
   /// Conformance seam: hand protocol misuse to the observer (and through
@@ -407,6 +417,7 @@ class Selector {
   convey::Options opts_;
   std::array<MailboxState, NMB> state_{};
   bool started_ = false;
+  int n_pes_ = 0;  // the launch's PE count, read in start()
   /// The observer's answers, read once in start() (both false without one).
   bool per_message_ = false;
   bool per_send_charges_ = false;

@@ -88,6 +88,9 @@ struct Config {
   /// Keep individual records in memory (needed to write per-event files).
   /// The aggregated comm matrices are always maintained; disabling this
   /// bounds memory on runs with billions of sends (paper §IV-E / §VI).
+  /// Logical records are kept as runs of consecutive sends with the same
+  /// destination and size, 16 bytes a run, so their memory follows the
+  /// number of runs, not of sends; the files still hold one row per send.
   bool keep_logical_events = true;
   bool keep_physical_events = true;
   /// Hard cap on retained per-event records per PE (0 = unlimited).

@@ -383,10 +383,14 @@ void Profiler::record_send(int mb, int dst_pe, std::size_t bytes,
     ++d.logical_seen;
     if (cfg_.keep_logical_events && sampled &&
         (cfg_.max_events_per_pe == 0 ||
-         d.logical_events.size() < cfg_.max_events_per_pe)) {
-      d.logical_events.push_back(LogicalSendRecord{
-          topo_.node_of(me), me, topo_.node_of(dst_pe), dst_pe,
-          static_cast<std::uint32_t>(bytes)});
+         d.logical_kept < cfg_.max_events_per_pe)) {
+      ++d.logical_kept;
+      const auto msg_bytes = static_cast<std::uint32_t>(bytes);
+      if (!d.logical_runs.empty() && d.logical_runs.back().dst_pe == dst_pe &&
+          d.logical_runs.back().msg_bytes == msg_bytes)
+        ++d.logical_runs.back().count;
+      else
+        d.logical_runs.push_back(LogicalSendRun{dst_pe, msg_bytes, 1});
     }
   }
   if (cfg_.timeline &&
@@ -1048,8 +1052,9 @@ std::vector<std::uint64_t> Profiler::papi_totals(papi::Event e) const {
   return out;
 }
 
-const std::vector<LogicalSendRecord>& Profiler::logical_events(int pe) const {
-  return pe_data(pe).logical_events;
+LogicalSendView Profiler::logical_events(int pe) const {
+  const PeData& d = pe_data(pe);
+  return LogicalSendView(d.logical_runs, d.logical_kept, pe, topo_);
 }
 
 const std::vector<PhysicalRecord>& Profiler::physical_events(int pe) const {

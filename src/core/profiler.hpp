@@ -60,6 +60,48 @@ class Publisher;
 
 namespace ap::prof {
 
+/// A run of consecutive kept logical sends from one PE with the same
+/// destination and message size: `count` rows of PEi_send in 16 bytes.
+struct LogicalSendRun {
+  int dst_pe = 0;
+  std::uint32_t msg_bytes = 0;
+  std::uint64_t count = 0;
+};
+
+/// Read-only view of one PE's logical trace (Profiler::logical_events).
+/// The profiler keeps the trace as runs; size() is the record count, and
+/// records() expands the runs into the rows PEi_send.* holds. The view
+/// refers to the profiler's storage, so it is valid until the profiler is
+/// cleared or destroyed; take a new one after more sends.
+class LogicalSendView {
+ public:
+  LogicalSendView(const std::vector<LogicalSendRun>& runs,
+                  std::uint64_t records, int src_pe,
+                  const shmem::Topology& topo)
+      : runs_(runs), records_(records), src_pe_(src_pe), topo_(topo) {}
+
+  [[nodiscard]] std::size_t size() const { return records_; }
+  [[nodiscard]] const std::vector<LogicalSendRun>& runs() const {
+    return runs_;
+  }
+  [[nodiscard]] std::vector<LogicalSendRecord> records() const {
+    std::vector<LogicalSendRecord> out;
+    out.reserve(records_);
+    const int src_node = topo_.node_of(src_pe_);
+    for (const LogicalSendRun& r : runs_)
+      out.insert(out.end(), r.count,
+                 LogicalSendRecord{src_node, src_pe_, topo_.node_of(r.dst_pe),
+                                   r.dst_pe, r.msg_bytes});
+    return out;
+  }
+
+ private:
+  const std::vector<LogicalSendRun>& runs_;
+  std::uint64_t records_;
+  int src_pe_;
+  shmem::Topology topo_;
+};
+
 class Profiler final : public actor::ActorObserver,
                        public convey::TransferObserver,
                        public shmem::RmaObserver {
@@ -183,8 +225,9 @@ class Profiler final : public actor::ActorObserver,
   /// segments (Fig. 10/11 bar-graph data).
   [[nodiscard]] std::vector<std::uint64_t> papi_totals(papi::Event e) const;
 
-  [[nodiscard]] const std::vector<LogicalSendRecord>& logical_events(
-      int pe) const;
+  /// The kept logical sends of `pe` (Config::keep_logical_events, after
+  /// sample_every and max_events_per_pe), as a view over its runs.
+  [[nodiscard]] LogicalSendView logical_events(int pe) const;
   [[nodiscard]] const std::vector<PhysicalRecord>& physical_events(
       int pe) const;
   [[nodiscard]] std::vector<PapiSegmentRecord> papi_segments(int pe) const;
@@ -326,7 +369,9 @@ class Profiler final : public actor::ActorObserver,
     MainRowKey last_send{-1, -1};  // one-entry cache in front of main_rows
     RowAgg* last_send_row = nullptr;
 
-    std::vector<LogicalSendRecord> logical_events;
+    // The kept logical sends as runs; logical_kept counts their records.
+    std::vector<LogicalSendRun> logical_runs;
+    std::uint64_t logical_kept = 0;
     CommRows rows;                   // per-dst counts, all four channels
     std::uint64_t logical_seen = 0;  // for sampling
     std::vector<PhysicalRecord> physical_events;

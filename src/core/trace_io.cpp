@@ -545,9 +545,11 @@ void write_all(const Profiler& prof, const Config& cfg) {
     }
   };
 
+  // The profiler keeps logical sends as runs; each PE's runs are expanded
+  // here, one PE at a time, so the files hold one row per send.
   if (cfg.logical && cfg.keep_logical_events)
     for (int pe = 0; pe < n; ++pe)
-      emit_rows({BinKind::send, pe}, prof.logical_events(pe), {});
+      emit_rows({BinKind::send, pe}, prof.logical_events(pe).records(), {});
   if (cfg.papi)
     for (int pe = 0; pe < n; ++pe)
       emit_rows({BinKind::papi, pe}, prof.papi_segments(pe),

@@ -16,6 +16,11 @@
 // reused across blocks, so its allocation count does not grow with the
 // number of blocks — a count, unlike a timing, the same on every machine.
 //
+// Logical trace (docs/PERFORMANCE.md, "Logical sends as runs"): the
+// profiler keeps a PE's kept sends as runs of same-destination, same-size
+// sends, so what a profiled launch allocates beyond an unprofiled one does
+// not grow with a burst of sends to one destination.
+//
 // The global counting operator new/delete is installed in this binary
 // only; the probe counters are process-wide, which in the fiber simulator
 // means a fenced window covers every PE's work in that window.
@@ -36,9 +41,12 @@
 #include <string>
 #include <vector>
 
+#include "actor/selector.hpp"
 #include "conveyor/conveyor.hpp"
 #include "core/alloc_probe.hpp"
+#include "core/profiler.hpp"
 #include "core/trace_binary.hpp"
+#include "runtime/finish.hpp"
 #include "runtime/scheduler.hpp"
 #include "shmem/shmem.hpp"
 
@@ -355,6 +363,49 @@ TEST(AllocBudget, MemcpysMatchDocumentedBudgetDrainPath) {
   EXPECT_GT(total.drains, 0u);
   EXPECT_EQ(total.nonblock_sends, 0u);
   EXPECT_EQ(total.memcpys, total.pushed + 2 * total.local_sends);
+}
+
+/// Allocations of one single-PE launch in which the PE sends `sends`
+/// messages to itself, inside an epoch of `prof` when one is given. One PE
+/// keeps the count the same on every execution backend.
+std::uint64_t burst_allocations(std::size_t sends,
+                                ap::prof::Profiler* prof) {
+  const std::uint64_t before = AllocProbe::count();
+  shmem::run(cfg_of(1, 1), [&] {
+    ap::actor::Actor<std::int64_t> a;
+    a.mb[0].process = [](std::int64_t, int) {};
+    if (prof != nullptr) prof->epoch_begin();
+    ap::hclib::finish([&] {
+      a.start();
+      for (std::size_t i = 0; i < sends; ++i)
+        a.send(static_cast<std::int64_t>(i), 0);
+      a.done(0);
+    });
+    if (prof != nullptr) prof->epoch_end();
+  });
+  return AllocProbe::count() - before;
+}
+
+/// What a launch profiled with the logical trace alone allocates beyond
+/// the same launch unprofiled.
+std::uint64_t logical_trace_allocations(std::size_t sends) {
+  const std::uint64_t plain = burst_allocations(sends, nullptr);
+  ap::prof::Config c;
+  c.logical = c.keep_logical_events = true;
+  c.papi = c.overall = c.physical = c.supersteps = false;
+  ap::prof::Profiler prof(c);
+  const std::uint64_t profiled = burst_allocations(sends, &prof);
+  EXPECT_EQ(prof.logical_events(0).size(), sends);
+  EXPECT_EQ(prof.logical_events(0).runs().size(), 1u);
+  return profiled - plain;
+}
+
+TEST(AllocBudget, LogicalTraceGrowsWithRunsNotSends) {
+  (void)burst_allocations(1000, nullptr);  // one-time runtime setup
+  const std::uint64_t few = logical_trace_allocations(1000);
+  const std::uint64_t many = logical_trace_allocations(100000);
+  EXPECT_EQ(few, many) << "1,000 sends cost " << few
+                       << " profiler allocations, 100,000 sends " << many;
 }
 
 /// A PE0_send.apt body of `blocks` blocks (the last one short), as v1 or

@@ -250,7 +250,9 @@ TEST(Profiler, LogicalEventsCarryNodeIds) {
     });
     p->epoch_end();
   });
-  const auto& evs = prof.logical_events(0);
+  const LogicalSendView view = prof.logical_events(0);
+  ASSERT_EQ(view.size(), 1u);
+  const std::vector<LogicalSendRecord> evs = view.records();
   ASSERT_EQ(evs.size(), 1u);
   EXPECT_EQ(evs[0].src_node, 0);
   EXPECT_EQ(evs[0].src_pe, 0);
@@ -445,6 +447,155 @@ TEST(Profiler, MaxEventsCapBoundsMemoryButNotMatrix) {
   });
   EXPECT_EQ(prof.logical_events(0).size(), 10u);     // capped
   EXPECT_EQ(prof.logical_matrix().row_sums()[0], 100u);  // not capped
+}
+
+// A send to a PE that does not exist throws before any observer sees it:
+// it is not logged, counted or charged, and the trace stays writable.
+TEST(Profiler, SendToMissingPeThrowsAndRecordsNothing) {
+  Profiler prof(all_on());
+  shmem::run(cfg_of(4, 2), [&prof] {
+    ap::actor::Actor<std::int64_t> a;
+    a.mb[0].process = [](std::int64_t, int) {};
+    prof.epoch_begin();
+    ap::hclib::finish([&] {
+      a.start();
+      if (shmem::my_pe() == 0) {
+        a.send(1, 3);
+        a.send(1, 3);
+        const std::size_t kept = prof.logical_events(0).size();
+        const std::vector<PapiSegmentRecord> rows = prof.papi_segments(0);
+        const ap::papi::Counters charged = ap::papi::counters();
+        EXPECT_THROW(a.send(1, -1), std::out_of_range);
+        EXPECT_THROW(a.send(1, shmem::n_pes()), std::out_of_range);
+        EXPECT_EQ(prof.logical_events(0).size(), kept);
+        EXPECT_EQ(prof.papi_segments(0), rows);
+        EXPECT_EQ(ap::papi::counters(), charged);
+      }
+      a.done(0);
+    });
+    prof.epoch_end();
+  });
+  const CommMatrix m = prof.logical_matrix();
+  EXPECT_EQ(m.total(), 2u);
+  EXPECT_EQ(m.at(0, 3), 2u);
+  std::uint64_t sent = 0;
+  for (int pe = 0; pe < 4; ++pe) {
+    for (const SuperstepRecord& s : prof.supersteps(pe)) sent += s.msgs_sent;
+    EXPECT_NO_THROW((void)prof.papi_segments(pe)) << "PE " << pe;
+  }
+  EXPECT_EQ(sent, 2u);
+  EXPECT_EQ(prof.logical_events(0).records().size(), 2u);
+}
+
+// ------------------------------------------------------ logical send runs
+
+/// One scripted send of PE 0: to `dst`, from the 16-byte actor when `wide`,
+/// else from the 8-byte one.
+struct ScriptedSend {
+  int dst;
+  bool wide;
+};
+
+struct WideMsg {
+  std::int64_t a, b;
+};
+
+/// A PEi_send row of PE 0 in the 4-PE, 2-node launch of kept_sends().
+LogicalSendRecord row_to(int dst, std::uint32_t bytes) {
+  return LogicalSendRecord{0, 0, dst / 2, dst, bytes};
+}
+
+/// Runs `script` on PE 0 of a 4-PE, 2-node launch profiled under `c`,
+/// checks that PE0_send.csv and PE0_send.apt load back to the records the
+/// view expands, and returns the view's records and run count.
+std::pair<std::vector<LogicalSendRecord>, std::size_t> kept_sends(
+    Config c, const std::vector<ScriptedSend>& script) {
+  const ap::testutil::TestTmpDir tmp;
+  Profiler prof(c);
+  shmem::run(cfg_of(4, 2), [&] {
+    ap::actor::Actor<std::int64_t> narrow;
+    ap::actor::Actor<WideMsg> wide;
+    narrow.mb[0].process = [](std::int64_t, int) {};
+    wide.mb[0].process = [](WideMsg, int) {};
+    prof.epoch_begin();
+    ap::hclib::finish([&] {
+      narrow.start();
+      wide.start();
+      if (shmem::my_pe() == 0)
+        for (const ScriptedSend& s : script) {
+          if (s.wide)
+            wide.send(WideMsg{1, 2}, s.dst);
+          else
+            narrow.send(1, s.dst);
+        }
+      narrow.done(0);
+      wide.done(0);
+    });
+    prof.epoch_end();
+  });
+  EXPECT_EQ(prof.logical_matrix().row_sums()[0], script.size())
+      << "the matrix counts every send";
+  const LogicalSendView view = prof.logical_events(0);
+  std::vector<LogicalSendRecord> records = view.records();
+  EXPECT_EQ(view.size(), records.size());
+  for (const TraceFormat format : {TraceFormat::csv, TraceFormat::binary}) {
+    c.trace_format = format;
+    c.trace_dir = tmp / to_string(format);
+    io::write_all(prof, c);
+    const io::TraceDir t = io::load_trace_dir(c.trace_dir, 4);
+    EXPECT_EQ(t.logical.at(0), records) << to_string(format);
+  }
+  return {std::move(records), view.runs().size()};
+}
+
+TEST(LogicalRuns, AlternatingMessageSizesSplitRuns) {
+  const auto [records, runs] = kept_sends(
+      all_on(), {{1, false}, {1, true}, {1, false}, {1, true}, {1, true},
+                 {1, false}, {1, false}, {1, false}});
+  const std::vector<LogicalSendRecord> expected{
+      row_to(1, 8),  row_to(1, 16), row_to(1, 8), row_to(1, 16),
+      row_to(1, 16), row_to(1, 8),  row_to(1, 8), row_to(1, 8)};
+  EXPECT_EQ(records, expected);
+  EXPECT_EQ(runs, 5u);
+}
+
+TEST(LogicalRuns, InterleavedDestinationsSplitRuns) {
+  const auto [records, runs] = kept_sends(
+      all_on(), {{1, false}, {2, false}, {2, false}, {3, false}, {1, false},
+                 {1, false}, {0, false}, {3, false}});
+  const std::vector<LogicalSendRecord> expected{
+      row_to(1, 8), row_to(2, 8), row_to(2, 8), row_to(3, 8),
+      row_to(1, 8), row_to(1, 8), row_to(0, 8), row_to(3, 8)};
+  EXPECT_EQ(records, expected);
+  EXPECT_EQ(runs, 6u);
+}
+
+// Sampling keeps sends 0, 3, 6 and 9. A sampled-away send to the run's
+// own PE does not extend it, and one to another PE does not split it.
+TEST(LogicalRuns, SamplingKeepsEveryThirdSend) {
+  Config c = all_on();
+  c.sample_every = 3;
+  const auto [records, runs] = kept_sends(
+      c, {{1, false}, {1, false}, {2, false}, {1, false}, {3, false},
+          {3, false}, {1, false}, {2, true}, {2, false}, {3, true}});
+  const std::vector<LogicalSendRecord> expected{
+      row_to(1, 8), row_to(1, 8), row_to(1, 8), row_to(3, 16)};
+  EXPECT_EQ(records, expected);
+  EXPECT_EQ(runs, 2u);
+}
+
+// The cap counts records, not runs: it stops the log inside the run of
+// sends to PE 2.
+TEST(LogicalRuns, CapStopsInTheMiddleOfARun) {
+  Config c = all_on();
+  c.max_events_per_pe = 5;
+  const auto [records, runs] = kept_sends(
+      c, {{1, false}, {1, false}, {2, false}, {2, false}, {2, false},
+          {2, false}, {2, false}, {3, false}});
+  const std::vector<LogicalSendRecord> expected{
+      row_to(1, 8), row_to(1, 8), row_to(2, 8), row_to(2, 8), row_to(2, 8)};
+  EXPECT_EQ(records, expected);
+  EXPECT_EQ(runs, 2u);
 }
 
 // ----------------------------------------------------------- trace files

@@ -171,22 +171,30 @@ TEST(Shmem, GetReadsRemoteValue) {
   });
 }
 
+// A handshake, not yields, orders the two PEs, so the test holds on every
+// execution backend: PE 1 looks at the target after PE 0 staged the put
+// and before PE 0 calls quiet().
 TEST(Shmem, NbiPutInvisibleBeforeQuietVisibleAfter) {
   shmem::run(cfg_of(2), [] {
     shmem::SymmArray<long> a(1);
+    // [0]: PE 0 has staged the put (set on PE 1); [1]: PE 1 has looked
+    // (set on PE 0).
+    shmem::SymmArray<std::int64_t> flags(2);
     shmem::barrier_all();
+    const std::int64_t one = 1;
     if (shmem::my_pe() == 0) {
       const long v = 77;
       shmem::putmem_nbi(&a[0], &v, sizeof v, 1);
       EXPECT_EQ(shmem::pending_nbi_puts(), 1u);
-      // Peer must NOT see the value yet: staged until quiet().
-      ap::rt::yield();
+      shmem::put(&flags[0], &one, sizeof one, 1);
+      shmem::wait_until(&flags[1], shmem::Cmp::eq, 1);
       shmem::quiet();
       EXPECT_EQ(shmem::pending_nbi_puts(), 0u);
     } else {
-      // Runs between PE0's putmem_nbi and quiet (round-robin determinism).
-      ap::rt::yield();  // let PE0 do the nbi put first
+      shmem::wait_until(&flags[0], shmem::Cmp::eq, 1);
+      // Staged until PE 0's quiet(), which waits for the ack below.
       EXPECT_EQ(a[0], 0);
+      shmem::put(&flags[1], &one, sizeof one, 0);
     }
     shmem::barrier_all();
     if (shmem::my_pe() == 1) {
