@@ -2,8 +2,9 @@
 // triangle counting under whatever ACTORPROF_FI_* plan the environment
 // carries, always writing traces — even when a PE was killed mid-run.
 //
-//   $ ACTORPROF_FI_SEED=7 ACTORPROF_FI_KILL_PE=3 ACTORPROF_TRACE_DIR=/tmp/t \
-//     ./examples/chaos_triangle [scale] [pes] [pes_per_node]
+//   $ export ACTORPROF_FI_SEED=7 ACTORPROF_FI_KILL_PE=3
+//   $ export ACTORPROF_TRACE_DIR=/tmp/t
+//   $ ./examples/chaos_triangle [scale] [pes] [pes_per_node]
 //
 // Exit code 0 means the faults were contained: the launch terminated, the
 // trace directory is loadable (tools/chaos.sh then renders it with

@@ -69,12 +69,15 @@ struct LogicalSendRun {
 };
 
 /// Read-only view of one PE's logical trace (Profiler::logical_events).
-/// The profiler keeps the trace as runs; size() is the record count, and
-/// records() expands the runs into the rows PEi_send.* holds. The view
-/// refers to the profiler's storage, so it is valid until the profiler is
-/// cleared or destroyed; take a new one after more sends.
+/// The profiler keeps the trace as runs; size() is the record count,
+/// for_each_run() yields each run's full row (what the trace writers
+/// read), and records() expands the runs into the rows PEi_send.* holds.
+/// The view refers to the profiler's storage, so it is valid until the
+/// profiler is cleared or destroyed; take a new one after more sends.
 class LogicalSendView {
  public:
+  using value_type = LogicalSendRecord;
+
   LogicalSendView(const std::vector<LogicalSendRun>& runs,
                   std::uint64_t records, int src_pe,
                   const shmem::Topology& topo)
@@ -84,14 +87,21 @@ class LogicalSendView {
   [[nodiscard]] const std::vector<LogicalSendRun>& runs() const {
     return runs_;
   }
+  /// Calls fn(row, count) per run.
+  template <class Fn>
+  void for_each_run(Fn&& fn) const {
+    const int src_node = topo_.node_of(src_pe_);
+    for (const LogicalSendRun& r : runs_)
+      fn(LogicalSendRecord{src_node, src_pe_, topo_.node_of(r.dst_pe),
+                           r.dst_pe, r.msg_bytes},
+         r.count);
+  }
   [[nodiscard]] std::vector<LogicalSendRecord> records() const {
     std::vector<LogicalSendRecord> out;
     out.reserve(records_);
-    const int src_node = topo_.node_of(src_pe_);
-    for (const LogicalSendRun& r : runs_)
-      out.insert(out.end(), r.count,
-                 LogicalSendRecord{src_node, src_pe_, topo_.node_of(r.dst_pe),
-                                   r.dst_pe, r.msg_bytes});
+    for_each_run([&](const LogicalSendRecord& row, std::uint64_t count) {
+      out.insert(out.end(), count, row);
+    });
     return out;
   }
 

@@ -2,9 +2,12 @@
 // (paper §III-A/B/C implementation notes).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "conveyor/observer.hpp"
 #include "papi/papi.hpp"
@@ -23,6 +26,77 @@ struct LogicalSendRecord {
   friend bool operator==(const LogicalSendRecord&,
                          const LogicalSendRecord&) = default;
 };
+
+/// One PE's logical trace as loaded from PEi_send: consecutive identical
+/// rows share one run, so memory grows with runs, not sends. A run keeps
+/// the whole row, because a file's rows need not follow any topology.
+/// size() is the record count; records() expands the runs (for tests and
+/// benches: the report path reads runs()).
+class LogicalSendLog {
+ public:
+  using value_type = LogicalSendRecord;
+
+  /// `count` copies of `row` in 24 bytes; a longer stretch splits.
+  struct Run {
+    LogicalSendRecord row;
+    std::uint32_t count = 0;
+
+    friend bool operator==(const Run&, const Run&) = default;
+  };
+  static constexpr std::uint32_t kMaxRun =
+      std::numeric_limits<std::uint32_t>::max();
+
+  [[nodiscard]] std::size_t size() const { return records_; }
+  [[nodiscard]] bool empty() const { return records_ == 0; }
+  [[nodiscard]] const std::vector<Run>& runs() const { return runs_; }
+  [[nodiscard]] std::vector<LogicalSendRecord> records() const {
+    std::vector<LogicalSendRecord> out;
+    out.reserve(records_);
+    for (const Run& r : runs_) out.insert(out.end(), r.count, r.row);
+    return out;
+  }
+  /// Calls fn(row, count) per run, the form the trace writers read.
+  template <class Fn>
+  void for_each_run(Fn&& fn) const {
+    for (const Run& r : runs_) fn(r.row, std::uint64_t{r.count});
+  }
+
+  /// Append `count` copies of `row`, extending the last run when it holds
+  /// the same row.
+  void append(const LogicalSendRecord& row, std::uint64_t count = 1) {
+    records_ += count;
+    while (count > 0) {
+      if (runs_.empty() || runs_.back().row != row ||
+          runs_.back().count == kMaxRun)
+        runs_.push_back(Run{row, 0});
+      const auto k = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(count, kMaxRun - runs_.back().count));
+      runs_.back().count += k;
+      count -= k;
+    }
+  }
+  void push_back(const LogicalSendRecord& row) { append(row); }
+  /// Append every record of `more`: its first run joins this log's last
+  /// one when they hold the same row.
+  void append(const LogicalSendLog& more) {
+    more.for_each_run([&](const LogicalSendRecord& row, std::uint64_t n) {
+      append(row, n);
+    });
+  }
+  void clear() {
+    runs_.clear();
+    records_ = 0;
+  }
+
+  /// Runs merge whenever they can, so equal logs hold equal records.
+  friend bool operator==(const LogicalSendLog&,
+                         const LogicalSendLog&) = default;
+
+ private:
+  std::vector<Run> runs_;
+  std::uint64_t records_ = 0;
+};
+static_assert(sizeof(LogicalSendLog::Run) == 24);
 
 /// One PAPI segment row (a line of PEi_PAPI.csv):
 ///   source node, source PE, dst node, dst PE, pkt size, MAILBOXID,

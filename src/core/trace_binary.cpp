@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "core/profiler.hpp"
 #include "core/trace_schema.hpp"
 #include "metrics/sampler.hpp"
 
@@ -14,7 +15,6 @@ namespace ap::prof::io {
 
 namespace {
 
-constexpr std::size_t kRowsPerBlock = 4096;
 constexpr std::uint8_t kFlagCrc = 0x01;
 /// Header flag bit of the version-2 container: blocks carry a flag byte.
 constexpr std::uint8_t kFlagCompressed = 0x02;
@@ -526,6 +526,44 @@ void encode_column(const Dict<Rec>& col, const Rec* rows, std::size_t n,
   out.push_back({kEncDict, encode_dict(v)});
 }
 
+// ------------------------------------------------------------- row sinks
+// Where the decoder puts a verified block: a vector takes the rows in place,
+// reserved once per file; a run log takes them through one reused block, so
+// it grows with runs, not rows.
+
+template <class Out>
+struct BlockSink;
+
+template <class Rec>
+struct BlockSink<std::vector<Rec>> {
+  std::vector<Rec>& out;
+
+  void reserve(std::uint64_t rows) { out.reserve(out.size() + rows); }
+  Rec* open(std::size_t n) {
+    const std::size_t first = out.size();
+    out.resize(first + n);
+    return out.data() + first;
+  }
+  void close() {}
+};
+
+template <>
+struct BlockSink<LogicalSendLog> {
+  LogicalSendLog& out;
+  std::vector<LogicalSendRecord> block{};
+
+  void reserve(std::uint64_t rows) {
+    block.reserve(std::min<std::uint64_t>(rows, kRowsPerBlock));
+  }
+  LogicalSendRecord* open(std::size_t n) {
+    block.resize(n);
+    return block.data();
+  }
+  void close() {
+    for (const LogicalSendRecord& r : block) out.push_back(r);
+  }
+};
+
 // ---------------------------------------------------------------- header aux
 
 std::string encode_aux(Aux aux, const FileMeta& meta) {
@@ -777,36 +815,35 @@ BinaryParseError::BinaryParseError(std::size_t block, std::size_t offset,
 
 // ---- row kinds -------------------------------------------------------------
 
-template <TraceRow Rec>
-std::string encode(const std::vector<Rec>& rows, const FileMeta& meta) {
+template <RowContainer Src>
+std::string encode(const Src& rows, const FileMeta& meta) {
+  using Rec = typename Src::value_type;
   const auto s = schema(std::type_identity<Rec>{});
   std::string out = header(s.kind, s.kColumns, encode_aux(s.aux, meta));
   std::vector<EncodedColumn> cols;
-  for (std::size_t base = 0; base < rows.size(); base += kRowsPerBlock) {
-    const std::size_t n = std::min(kRowsPerBlock, rows.size() - base);
+  for_each_block(rows, [&](const Rec* block, std::size_t n) {
     cols.clear();
     std::apply(
-        [&](const auto&... col) {
-          (encode_column(col, rows.data() + base, n, cols), ...);
-        },
+        [&](const auto&... col) { (encode_column(col, block, n, cols), ...); },
         s.cols);
     emit_block(out, n, cols);
-  }
+  });
   return out;
 }
 
-/// One reservation per file, and no rows of a block land in `out` until
-/// all of its columns check out — the tolerant-load prefix guarantee.
-template <TraceRow Rec>
-void decode_into(std::string_view body, std::vector<Rec>& out,
-                 FileMeta& meta) {
+/// No rows of a block land in `out` until all of its columns check out —
+/// the tolerant-load prefix guarantee.
+template <class Out>
+void decode_into(std::string_view body, Out& out, FileMeta& meta) {
+  using Rec = typename Out::value_type;
   const auto s = schema(std::type_identity<Rec>{});
+  BlockSink<Out> sink{out};
   std::string_view aux;
   decode_file(
       body, s.kind, s.kColumns, aux,
       [&](std::uint64_t rows) {
         decode_aux(s.aux, aux, meta);
-        out.reserve(out.size() + rows);
+        sink.reserve(rows);
       },
       [&](std::size_t block, std::uint64_t nrows,
           const std::vector<RawColumn>& raw) {
@@ -822,11 +859,11 @@ void decode_into(std::string_view body, std::vector<Rec>& out,
         each([&](const auto& col, const RawColumn* at) {
           check_column(col, at, block, nrows);
         });
-        const std::size_t first = out.size();
-        out.resize(first + nrows);
+        Rec* rows = sink.open(nrows);
         each([&](const auto& col, const RawColumn* at) {
-          expand_column(col, at, block, nrows, out.data() + first);
+          expand_column(col, at, block, nrows, rows);
         });
+        sink.close();
       });
 }
 
@@ -835,6 +872,9 @@ void decode_into(std::string_view body, std::vector<Rec>& out,
   template void decode_into(std::string_view, std::vector<Rec>&, FileMeta&);
 AP_TRACE_ROWS(AP_INSTANTIATE)
 #undef AP_INSTANTIATE
+template std::string encode(const LogicalSendView&, const FileMeta&);
+template std::string encode(const LogicalSendLog&, const FileMeta&);
+template void decode_into(std::string_view, LogicalSendLog&, FileMeta&);
 
 // ---- metric samples --------------------------------------------------------
 

@@ -176,9 +176,11 @@ void get_field(const Dict<Rec>& col, Rec& r, Fields& in) {
   r.*col.field = std::string(in.take());
 }
 
-/// The CSV half of read_into.
-template <TraceRow Rec>
-void parse_csv(std::string_view body, std::vector<Rec>& out, FileMeta& meta) {
+/// The CSV half of read_into: each parsed row appends to `out`, a vector
+/// or a run log.
+template <class Out>
+void parse_csv(std::string_view body, Out& out, FileMeta& meta) {
+  using Rec = typename Out::value_type;
   const auto s = schema(std::type_identity<Rec>{});
   // Fields per row: one per column, but the counters column takes 0 to
   // kMaxEventsPerSet (kColumns counts it at its maximum).
@@ -186,7 +188,8 @@ void parse_csv(std::string_view body, std::vector<Rec>& out, FileMeta& meta) {
   constexpr std::size_t kCols = std::tuple_size_v<decltype(s.cols)>;
   constexpr std::size_t kMin = kMax > kCols ? kCols - 1 : kCols;
   std::array<std::string_view, kMax> f;
-  out.reserve(out.size() + 1024);
+  if constexpr (std::is_same_v<Out, std::vector<Rec>>)
+    out.reserve(out.size() + 1024);
   for_each_line(body, [&](std::string_view line, std::size_t line_no) {
     if (s.aux == Aux::dropped && line.starts_with("# dropped=")) {
       meta.dropped = to_num<std::uint64_t>(line.substr(10), line_no, line);
@@ -252,8 +255,9 @@ std::vector<TraceFile> trace_files(BinKind kind, int num_pes) {
   return out;
 }
 
-template <TraceRow Rec>
-void write_csv(Sink& out, const std::vector<Rec>& rows, const FileMeta& meta) {
+template <RowContainer Src>
+void write_csv(Sink& out, const Src& rows, const FileMeta& meta) {
+  using Rec = typename Src::value_type;
   const auto s = schema(std::type_identity<Rec>{});
   out.reserve(rows.size() * 4 * SchemaOf<Rec>::kColumns + 128);
   std::apply(
@@ -269,19 +273,21 @@ void write_csv(Sink& out, const std::vector<Rec>& rows, const FileMeta& meta) {
     out.dec(meta.dropped);
     out.put('\n');
   }
-  for (const Rec& r : rows) {
-    std::apply(
-        [&](const auto& head, const auto&... tail) {
-          put_field(out, head, r);
-          (put_next(out, tail, r, meta), ...);
-        },
-        s.cols);
-    out.put('\n');
-  }
+  for_each_block(rows, [&](const Rec* block, std::size_t n) {
+    for (const Rec* r = block; r != block + n; ++r) {
+      std::apply(
+          [&](const auto& head, const auto&... tail) {
+            put_field(out, head, *r);
+            (put_next(out, tail, *r, meta), ...);
+          },
+          s.cols);
+      out.put('\n');
+    }
+  });
 }
 
-template <TraceRow Rec>
-void read_into(std::string_view body, std::vector<Rec>& out, FileMeta* meta) {
+template <RowContainer Out>
+void read_into(std::string_view body, Out& out, FileMeta* meta) {
   FileMeta scratch;
   FileMeta& m = meta != nullptr ? *meta : scratch;
   if (is_binary_trace(body))
@@ -295,11 +301,14 @@ void read_into(std::string_view body, std::vector<Rec>& out, FileMeta* meta) {
   template void read_into(std::string_view, std::vector<Rec>&, FileMeta*);
 AP_TRACE_ROWS(AP_INSTANTIATE)
 #undef AP_INSTANTIATE
+template void write_csv(Sink&, const LogicalSendView&, const FileMeta&);
+template void write_csv(Sink&, const LogicalSendLog&, const FileMeta&);
+template void read_into(std::string_view, LogicalSendLog&, FileMeta*);
 
 std::string rewrite(std::string_view body, BinKind kind, TraceFormat to,
                     std::uint64_t& records) {
   return visit(kind, [&]<class Rec>(std::type_identity<Rec>) {
-    std::vector<Rec> rows;
+    Rows<Rec> rows;
     FileMeta meta;
     read_into(body, rows, &meta);
     records = rows.size();
@@ -545,11 +554,11 @@ void write_all(const Profiler& prof, const Config& cfg) {
     }
   };
 
-  // The profiler keeps logical sends as runs; each PE's runs are expanded
-  // here, one PE at a time, so the files hold one row per send.
+  // The profiler keeps logical sends as runs, and the writers read them as
+  // runs: the files hold one row per send, expanded a block at a time.
   if (cfg.logical && cfg.keep_logical_events)
     for (int pe = 0; pe < n; ++pe)
-      emit_rows({BinKind::send, pe}, prof.logical_events(pe).records(), {});
+      emit_rows({BinKind::send, pe}, prof.logical_events(pe), {});
   if (cfg.papi)
     for (int pe = 0; pe < n; ++pe)
       emit_rows({BinKind::papi, pe}, prof.papi_segments(pe),
@@ -628,13 +637,15 @@ bool in_range(int src, int dst, int n) {
   return src >= 0 && src < n && dst >= 0 && dst < n;
 }
 
-/// Count every in-range send of `t` into a CommMatrix or SparseCommMatrix.
+/// Count every in-range send of `t` into a CommMatrix or SparseCommMatrix,
+/// adding each run's count once.
 template <class Matrix>
 Matrix logical_cells(const TraceDir& t) {
   Matrix m(t.num_pes);
-  for (const auto& per_pe : t.logical)
-    for (const LogicalSendRecord& r : per_pe)
-      if (in_range(r.src_pe, r.dst_pe, t.num_pes)) m.add(r.src_pe, r.dst_pe);
+  for (const LogicalSendLog& log : t.logical)
+    for (const LogicalSendLog::Run& r : log.runs())
+      if (in_range(r.row.src_pe, r.row.dst_pe, t.num_pes))
+        m.add(r.row.src_pe, r.row.dst_pe, r.count);
   return m;
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -28,6 +29,7 @@
 #include "metrics/self_overhead.hpp"
 
 namespace ap::prof {
+class LogicalSendView;
 class Profiler;
 }
 
@@ -57,6 +59,20 @@ concept TraceRow = std::is_same_v<Rec, LogicalSendRecord> ||
                    std::is_same_v<Rec, SuperstepRecord> ||
                    std::is_same_v<Rec, PhysicalRecord> ||
                    std::is_same_v<Rec, check::Violation>;
+
+/// The container that holds a row kind's loaded rows (TraceDir, serve's
+/// ingest, rewrite): a run log for the logical sends, whose rows repeat,
+/// and a vector for the other kinds.
+template <TraceRow Rec>
+struct RowsOf {
+  using type = std::vector<Rec>;
+};
+template <>
+struct RowsOf<LogicalSendRecord> {
+  using type = LogicalSendLog;
+};
+template <TraceRow Rec>
+using Rows = typename RowsOf<Rec>::type;
 
 /// Every row kind, in write_all's order (overall.txt, which is not a row
 /// kind, goes between steps and check).
@@ -106,14 +122,21 @@ class TraceParseError : public std::runtime_error {
 
 // ---- one reader and one writer per container, for every row kind ----------
 
+/// The containers the reader and the writers take: a std::vector of any
+/// kind's records, and for the logical kind its runs, from the profiler
+/// (LogicalSendView) or loaded (LogicalSendLog). The writers read runs a
+/// 4,096-row block at a time, so their files are byte-identical to the
+/// vector forms'; the reader appends each parsed row, or each verified
+/// block through one reused block of rows, so a log grows with runs.
+template <class C>
+concept RowContainer = TraceRow<typename C::value_type>;
+
 /// The CSV form of a row-kind file: header line, then one line per row.
-template <TraceRow Rec>
-void write_csv(Sink& out, const std::vector<Rec>& rows,
-               const FileMeta& meta = {});
+template <RowContainer Src>
+void write_csv(Sink& out, const Src& rows, const FileMeta& meta = {});
 /// The .apt form: a complete file body (header + 4,096-row blocks + CRCs).
-template <TraceRow Rec>
-[[nodiscard]] std::string encode(const std::vector<Rec>& rows,
-                                 const FileMeta& meta = {});
+template <RowContainer Src>
+[[nodiscard]] std::string encode(const Src& rows, const FileMeta& meta = {});
 /// Parse either container (sniffed by content) and append its rows to
 /// `out`, and its header to `meta` when given. Rows append as they verify,
 /// so when damaged input throws TraceParseError the caller keeps the valid
@@ -121,9 +144,19 @@ template <TraceRow Rec>
 /// comments; a last line without its newline is a truncated row and
 /// throws at that line. An .apt error is a BinaryParseError naming the
 /// block and byte offset.
-template <TraceRow Rec>
-void read_into(std::string_view body, std::vector<Rec>& out,
-               FileMeta* meta = nullptr);
+template <RowContainer Out>
+void read_into(std::string_view body, Out& out, FileMeta* meta = nullptr);
+
+/// Append `more` after `rows` (push ingest's append segments). A run log
+/// joins `more`'s first run to its last one when they hold the same row.
+template <class Rec>
+void append_rows(std::vector<Rec>& rows, std::vector<Rec>&& more) {
+  rows.insert(rows.end(), std::make_move_iterator(more.begin()),
+              std::make_move_iterator(more.end()));
+}
+inline void append_rows(LogicalSendLog& rows, LogicalSendLog&& more) {
+  rows.append(more);
+}
 
 /// A row-kind file of kind `kind` (either container) rewritten from its
 /// rows: as CSV (`actorprof export --csv`), or as a dense .apt — full
@@ -210,14 +243,14 @@ struct LoadOptions {
 /// Load a whole trace directory produced by write_all.
 struct TraceDir {
   int num_pes = 0;
-  std::vector<std::vector<LogicalSendRecord>> logical;  // per PE (may be empty)
-  std::vector<std::vector<PapiSegmentRecord>> papi;     // per PE
+  std::vector<Rows<LogicalSendRecord>> logical;  // per PE (may be empty)
+  std::vector<Rows<PapiSegmentRecord>> papi;     // per PE
   std::vector<OverallRecord> overall;
-  std::vector<PhysicalRecord> physical;
-  std::vector<std::vector<SuperstepRecord>> steps;  // per PE (may be empty)
+  Rows<PhysicalRecord> physical;
+  std::vector<Rows<SuperstepRecord>> steps;  // per PE (may be empty)
   /// BSP conformance violations (check.csv; empty when the run was clean
   /// or unchecked — check_recorded distinguishes the two).
-  std::vector<check::Violation> check;
+  Rows<check::Violation> check;
   std::uint64_t check_dropped = 0;
   /// True when a check.csv was present: the run executed under the checker.
   bool check_recorded = false;

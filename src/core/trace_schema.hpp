@@ -17,8 +17,13 @@
 // besides rows (FileMeta). The CSV writer and parser (trace_io.cpp) and
 // the .apt encoder and decoder (trace_binary.cpp) are each written once,
 // against these tables (docs/TRACE_FORMAT.md, "Adding a record kind").
+// Which container holds a kind's loaded rows is declared beside the row
+// kinds, as Rows<Rec> (trace_io.hpp): the writers read it a block at a
+// time (for_each_block) and the readers append to it, so their callers
+// never branch on the kind.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <stdexcept>
@@ -205,10 +210,40 @@ decltype(auto) visit(BinKind kind, Fn&& fn) {
   throw std::invalid_argument("not a row kind");
 }
 
+/// Rows per .apt block, as every writer emits them.
+inline constexpr std::size_t kRowsPerBlock = 4096;
+
+/// Calls fn(rows, n) for each block of at most kRowsPerBlock rows, the
+/// form both writers read: a vector's rows in place, and a run source's
+/// (LogicalSendView, LogicalSendLog) expanded into one reused block.
+template <class Rec, class Fn>
+void for_each_block(const std::vector<Rec>& rows, Fn&& fn) {
+  for (std::size_t base = 0; base < rows.size(); base += kRowsPerBlock)
+    fn(rows.data() + base, std::min(kRowsPerBlock, rows.size() - base));
+}
+template <class Runs, class Fn>
+void for_each_block(const Runs& runs, Fn&& fn) {
+  std::vector<LogicalSendRecord> block;
+  block.reserve(std::min(kRowsPerBlock, runs.size()));
+  runs.for_each_run([&](const LogicalSendRecord& row, std::uint64_t count) {
+    while (count > 0) {
+      const auto k = static_cast<std::size_t>(
+          std::min<std::uint64_t>(count, kRowsPerBlock - block.size()));
+      block.insert(block.end(), k, row);
+      count -= k;
+      if (block.size() == kRowsPerBlock) {
+        fn(block.data(), block.size());
+        block.clear();
+      }
+    }
+  });
+  if (!block.empty()) fn(block.data(), block.size());
+}
+
 /// The .apt half of read_into (trace_binary.cpp): decode `body`, appending
-/// rows to `out` block by block and the header aux to `meta`.
-template <TraceRow Rec>
-void decode_into(std::string_view body, std::vector<Rec>& out,
-                 FileMeta& meta);
+/// rows to `out` (a vector, or the run log of Rows<LogicalSendRecord>)
+/// block by block and the header aux to `meta`.
+template <class Out>
+void decode_into(std::string_view body, Out& out, FileMeta& meta);
 
 }  // namespace ap::prof::io

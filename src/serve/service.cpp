@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <fstream>
-#include <iterator>
 #include <optional>
 #include <sstream>
 #include <system_error>
@@ -315,8 +314,7 @@ void TraceService::apply_segment(const PushSegment& seg) {
     io::FileMeta meta;
     io::read_into(body, scratch, &meta);
     if (seg.append)
-      rows.insert(rows.end(), std::make_move_iterator(scratch.begin()),
-                  std::make_move_iterator(scratch.end()));
+      io::append_rows(rows, std::move(scratch));
     else
       rows = std::move(scratch);
     trace_.absorb(f->kind, std::move(meta));

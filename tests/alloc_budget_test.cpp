@@ -454,4 +454,44 @@ TEST(AllocBudget, TraceDecodeAllocationsDoNotGrowWithBlocks) {
   }
 }
 
+/// A PE0_send.apt body of `blocks` full blocks of one repeated row, as v1
+/// or as the v2 container.
+std::string repeated_row_shard(std::size_t blocks, bool compressed) {
+  const std::vector<ap::prof::LogicalSendRecord> recs(blocks * 4096,
+                                                      {0, 0, 1, 5, 8});
+  const std::string body = ap::prof::io::encode(recs);
+  return compressed ? ap::prof::io::compress_trace(body) : body;
+}
+
+/// Bytes allocated by decoding `body` into `out`.
+template <class Out>
+std::uint64_t decode_bytes(const std::string& body, Out& out) {
+  const std::uint64_t before = AllocProbe::bytes_allocated();
+  ap::prof::io::read_into(body, out);
+  return AllocProbe::bytes_allocated() - before;
+}
+
+TEST(AllocBudget, LogicalLogDecodeGrowsWithRunsNotRows) {
+  for (const bool compressed : {false, true}) {
+    const std::string few = repeated_row_shard(8, compressed);
+    const std::string many = repeated_row_shard(200, compressed);
+    ASSERT_EQ(ap::prof::io::is_compressed_trace(many), compressed);
+    ap::prof::LogicalSendLog a, b;
+    const std::uint64_t bytes_few = decode_bytes(few, a);
+    const std::uint64_t bytes_many = decode_bytes(many, b);
+    const char* v = compressed ? "v2" : "v1";
+    EXPECT_EQ(bytes_few, bytes_many)
+        << v << ": 8 blocks allocated " << bytes_few << " B, 200 blocks "
+        << bytes_many << " B";
+    EXPECT_EQ(a.size(), 8u * 4096) << v;
+    EXPECT_EQ(b.size(), 200u * 4096) << v;
+    EXPECT_EQ(b.runs().size(), 1u) << v;
+    // The vector sink holds every row: 20 bytes per record.
+    std::vector<ap::prof::LogicalSendRecord> rows;
+    EXPECT_GE(decode_bytes(many, rows),
+              b.size() * sizeof(ap::prof::LogicalSendRecord))
+        << v;
+  }
+}
+
 }  // namespace

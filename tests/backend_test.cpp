@@ -173,8 +173,8 @@ TEST(BackendEquivalence, TraceLogicalStructureMatches) {
 
     // The multiset of logical sends per PE is invariant; only the order
     // can change (handlers fire in arrival order).
-    auto lf = tf.logical[static_cast<std::size_t>(pe)];
-    auto lt = tt.logical[static_cast<std::size_t>(pe)];
+    auto lf = tf.logical[static_cast<std::size_t>(pe)].records();
+    auto lt = tt.logical[static_cast<std::size_t>(pe)].records();
     auto key = [](const prof::LogicalSendRecord& r) {
       return std::tuple(r.src_node, r.src_pe, r.dst_node, r.dst_pe,
                         r.msg_bytes);

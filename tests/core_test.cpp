@@ -543,7 +543,7 @@ std::pair<std::vector<LogicalSendRecord>, std::size_t> kept_sends(
     c.trace_dir = tmp / to_string(format);
     io::write_all(prof, c);
     const io::TraceDir t = io::load_trace_dir(c.trace_dir, 4);
-    EXPECT_EQ(t.logical.at(0), records) << to_string(format);
+    EXPECT_EQ(t.logical.at(0).records(), records) << to_string(format);
   }
   return {std::move(records), view.runs().size()};
 }
@@ -596,6 +596,57 @@ TEST(LogicalRuns, CapStopsInTheMiddleOfARun) {
       row_to(1, 8), row_to(1, 8), row_to(2, 8), row_to(2, 8), row_to(2, 8)};
   EXPECT_EQ(records, expected);
   EXPECT_EQ(runs, 2u);
+}
+
+// A loaded run counts in 32 bits: a longer stretch of one row splits, and
+// the log still equals one built from the same records another way.
+TEST(LogicalLog, RunPastThirtyTwoBitsSplits) {
+  const LogicalSendRecord row{0, 1, 0, 2, 8};
+  const std::uint64_t n = std::uint64_t{LogicalSendLog::kMaxRun} + 6;
+  LogicalSendLog log;
+  log.append(row, n);
+  EXPECT_EQ(log.size(), n);
+  ASSERT_EQ(log.runs().size(), 2u);
+  EXPECT_EQ(log.runs()[0].count, LogicalSendLog::kMaxRun);
+  EXPECT_EQ(log.runs()[1].count, 6u);
+  LogicalSendLog parts;
+  parts.append(row, 5);
+  LogicalSendLog rest;
+  rest.append(row, n - 5);
+  parts.append(rest);
+  EXPECT_EQ(parts, log);
+}
+
+// The matrices add each run's count once and skip out-of-range PE ids, as
+// summing the expanded records does.
+TEST(LogicalLog, MatricesEqualTheSumOfRecords) {
+  constexpr int kPes = 5;
+  ap::graph::SplitMix64 rng(17);
+  io::Sink csv;
+  std::vector<LogicalSendRecord> rows;
+  while (rows.size() < 20000) {
+    // Ids from -2 to kPes + 1, so some fall outside the matrix.
+    const LogicalSendRecord r{0, static_cast<int>(rng.next_below(kPes + 4)) - 2,
+                              0, static_cast<int>(rng.next_below(kPes + 4)) - 2,
+                              8};
+    rows.insert(rows.end(), 1 + rng.next_below(40), r);
+  }
+  io::write_csv(csv, rows);
+  io::TraceDir t;
+  t.num_pes = kPes;
+  t.logical.resize(1);
+  io::read_into(csv.str(), t.logical[0]);
+  ASSERT_EQ(t.logical[0].records(), rows);
+  ASSERT_LT(t.logical[0].runs().size(), rows.size());
+
+  CommMatrix expected(kPes);
+  for (const LogicalSendRecord& r : t.logical[0].records())
+    if (r.src_pe >= 0 && r.src_pe < kPes && r.dst_pe >= 0 && r.dst_pe < kPes)
+      expected.add(r.src_pe, r.dst_pe);
+  ASSERT_GT(expected.total(), 0u);
+  ASSERT_LT(expected.total(), rows.size());
+  EXPECT_EQ(t.logical_matrix(), expected);
+  EXPECT_EQ(t.logical_sparse().dense(), expected);
 }
 
 // ----------------------------------------------------------- trace files
@@ -694,13 +745,13 @@ TEST(TraceIo, FourDigitShardNamesMapToTheRightPes) {
   EXPECT_EQ(t.num_pes, 1005);
   ASSERT_EQ(t.logical.size(), 1005u);
   ASSERT_EQ(t.logical[2].size(), 1u);
-  EXPECT_EQ(t.logical[2][0].dst_pe, 3);
+  EXPECT_EQ(t.logical[2].records()[0].dst_pe, 3);
   ASSERT_EQ(t.logical[10].size(), 1u);
-  EXPECT_EQ(t.logical[10][0].dst_pe, 4);
+  EXPECT_EQ(t.logical[10].records()[0].dst_pe, 4);
   ASSERT_EQ(t.logical[1000].size(), 1u);
-  EXPECT_EQ(t.logical[1000][0].dst_pe, 5);
+  EXPECT_EQ(t.logical[1000].records()[0].dst_pe, 5);
   ASSERT_EQ(t.logical[1004].size(), 1u);
-  EXPECT_EQ(t.logical[1004][0].dst_pe, 6);
+  EXPECT_EQ(t.logical[1004].records()[0].dst_pe, 6);
   EXPECT_TRUE(t.logical[100].empty());  // a PE with no shard stays empty
   // The sparse aggregation sees the same attribution.
   const auto m = t.logical_sparse();

@@ -409,6 +409,21 @@ TEST_P(BinaryFuzz, TruncationAndBitFlipsNeverBreakInvariants) {
                       static_cast<int>(rng.next_below(16)),
                       static_cast<std::uint32_t>(8 + rng.next_below(4096))});
     check_binary_mutations("logical.apt", io::encode(recs), recs, read, rng);
+    // The same damage decoded into a run log keeps the same prefix.
+    const auto read_as_runs = [](std::string_view b,
+                                 std::vector<ap::prof::LogicalSendRecord>& out) {
+      ap::prof::LogicalSendLog log;
+      try {
+        io::read_into(b, log);
+      } catch (const io::TraceParseError&) {
+        out = log.records();
+        throw;
+      }
+      out = log.records();
+    };
+    SplitMix64 runs_rng(seed + 101);
+    check_binary_mutations("logical.apt as runs", io::encode(recs), recs,
+                           read_as_runs, runs_rng);
   }
   {
     std::vector<ap::prof::SuperstepRecord> recs;
@@ -552,7 +567,9 @@ TEST_P(BinaryFuzz, CompressedSegmentMutationsAreRejectedNotCrashed) {
     ap::serve::append_push_segment(frame, name, false, mutated);
     const ap::serve::Response r =
         reg.handle("POST", "/ingest?run=c", frame);
-    if (r.status != 200) EXPECT_EQ(r.status, 400) << r.body;
+    if (r.status != 200) {
+      EXPECT_EQ(r.status, 400) << r.body;
+    }
   }
 }
 

@@ -283,6 +283,37 @@ TEST(Serve, IngestAppendAccumulatesRows) {
   EXPECT_EQ(svc->trace().steps[0].size(), 6u);
 }
 
+// The logical shard is held as runs: an append segment whose first row
+// repeats the last row ingested extends that row's run, so the pushed run
+// holds the records and runs of loading the concatenated shard.
+TEST(Serve, IngestAppendJoinsARunAcrossSegments) {
+  using R = ap::prof::LogicalSendRecord;
+  using Rows = std::vector<R>;
+  Rows rows(3000, R{0, 0, 0, 1, 8});
+  rows.push_back(R{0, 0, 0, 2, 8});
+  rows.insert(rows.end(), 2000, R{0, 0, 0, 3, 16});
+  const auto split = rows.begin() + 4200;  // inside the run of 2,000
+  const std::string name = io::file_name({io::BinKind::send, 0}, true);
+  std::string frame;
+  ap::serve::append_push_segment(frame, io::kManifestFile, /*append=*/false,
+                                 "num_pes 1\n");
+  ap::serve::append_push_segment(frame, name, /*append=*/true,
+                                 io::encode(Rows(rows.begin(), split)));
+  ap::serve::append_push_segment(frame, name, /*append=*/true,
+                                 io::encode(Rows(split, rows.end())));
+  ServiceRegistry reg({});
+  ASSERT_EQ(reg.handle("POST", "/ingest?run=r", frame).status, 200);
+  TraceService* svc = reg.find("r");
+  ASSERT_NE(svc, nullptr);
+
+  ap::prof::LogicalSendLog whole;
+  io::read_into(io::encode(rows), whole);
+  const ap::prof::LogicalSendLog& pushed = svc->trace().logical[0];
+  EXPECT_EQ(pushed.records(), rows);
+  EXPECT_EQ(pushed.runs(), whole.runs());
+  EXPECT_EQ(pushed.runs().size(), 3u);
+}
+
 TEST(Serve, LiveHandleDeliversHelloAndPollDeliversDeltas) {
   ServiceRegistry reg({});
   // Subscribing before the first POST lazily creates the push run.
@@ -375,7 +406,7 @@ TEST(Serve, RefreshSeesSameSizeSameMtimeRewrite) {
   }
   TraceService svc(dir);
   ASSERT_EQ(svc.trace().logical[0].size(), 1u);
-  ASSERT_EQ(svc.trace().logical[0][0].dst_pe, 5);
+  ASSERT_EQ(svc.trace().logical[0].records()[0].dst_pe, 5);
 
   const auto size_before = fs::file_size(dir / shard);
   const auto mtime_before = fs::last_write_time(dir / shard);
@@ -385,7 +416,7 @@ TEST(Serve, RefreshSeesSameSizeSameMtimeRewrite) {
   fs::last_write_time(dir / shard, mtime_before);
   ASSERT_TRUE(svc.refresh())
       << "content signature must catch a same-size same-mtime rewrite";
-  EXPECT_EQ(svc.trace().logical[0][0].dst_pe, 7);
+  EXPECT_EQ(svc.trace().logical[0].records()[0].dst_pe, 7);
 }
 
 TEST(Serve, MidRunPartialDirServesTolerantAnalysis) {
@@ -439,7 +470,7 @@ TEST(Serve, RefreshIngestsShardsIncrementally) {
 
   // One shard grows (a PE flushed more rows): only that shard re-ingests.
   const std::string shard = io::file_name({io::BinKind::send, 0}, true);
-  auto rows = svc.trace().logical[0];
+  auto rows = svc.trace().logical[0].records();
   const auto before = rows.size();
   ASSERT_GT(before, 0u);
   rows.push_back(rows.back());
@@ -491,16 +522,16 @@ TEST(Serve, RefreshMapsFourDigitShardsToTheRightPes) {
   ASSERT_EQ(svc.trace().num_pes, 1005);
   ASSERT_EQ(svc.trace().logical.size(), 1005u);
   ASSERT_EQ(svc.trace().logical[1000].size(), 1u);
-  EXPECT_EQ(svc.trace().logical[1000][0].dst_pe, 5);
+  EXPECT_EQ(svc.trace().logical[1000].records()[0].dst_pe, 5);
   ASSERT_EQ(svc.trace().logical[10].size(), 1u);
-  EXPECT_EQ(svc.trace().logical[10][0].dst_pe, 4);
+  EXPECT_EQ(svc.trace().logical[10].records()[0].dst_pe, 4);
 
   // PE1000's shard grows: the incremental path must map the name back to
   // PE index 1000 (std::atoi past the "PE" prefix, all four digits).
   write_shard(1000, {{0, 1000, 0, 5, 8}, {0, 1000, 0, 7, 8}});
   ASSERT_TRUE(svc.refresh());
   ASSERT_EQ(svc.trace().logical[1000].size(), 2u);
-  EXPECT_EQ(svc.trace().logical[1000][1].dst_pe, 7);
+  EXPECT_EQ(svc.trace().logical[1000].records()[1].dst_pe, 7);
   // Neighbors in lexicographic order were not disturbed.
   EXPECT_EQ(svc.trace().logical[2].size(), 1u);
   EXPECT_EQ(svc.trace().logical[10].size(), 1u);

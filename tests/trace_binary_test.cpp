@@ -397,7 +397,90 @@ TEST(TraceBinary, CrcValidButMalformedBlockAppendsNothing) {
   const auto t = io::load_trace_dir(dir, 1, lo);
   ASSERT_EQ(t.issues.size(), 1u);
   EXPECT_EQ(t.issues[0].file, "PE0_send.apt");
-  EXPECT_EQ(t.logical[0], out);
+  EXPECT_EQ(t.logical[0].records(), out);
+}
+
+// ------------------------------------------------------- loaded run logs
+
+/// Logical rows whose runs straddle the 4,096-row blocks: 5,000 copies of
+/// one row, 100 single rows of alternating sizes, then a run of two blocks
+/// less 3.
+std::vector<ap::prof::LogicalSendRecord> straddling_rows() {
+  using R = ap::prof::LogicalSendRecord;
+  std::vector<R> rows(5000, R{0, 0, 1, 3, 8});
+  for (std::uint32_t i = 0; i < 100; ++i)
+    rows.push_back(R{0, 0, 0, 1, 8 + 8 * (i % 2)});
+  rows.insert(rows.end(), 2 * kBlockRows - 3, R{0, 0, 1, 2, 8});
+  return rows;
+}
+
+/// `body` loaded as PE0_send of a one-PE trace dir.
+io::TraceDir load_shard(const fs::path& dir, const std::string& body,
+                        bool binary, const io::LoadOptions& lo = {}) {
+  fs::create_directories(dir);
+  std::ofstream(dir / io::file_name({io::BinKind::send, 0}, binary),
+                std::ios::binary)
+      << body;
+  return io::load_trace_dir(dir, 1, lo);
+}
+
+TEST(LogicalLog, RunsStraddlingBlocksLoadBackAsWritten) {
+  const ap::testutil::TestTmpDir tmp;
+  const auto rows = straddling_rows();
+  io::Sink csv;
+  io::write_csv(csv, rows);
+  const std::string apt = io::encode(rows);
+  const auto log = load_shard(tmp / "apt", apt, true).logical[0];
+  EXPECT_EQ(log.records(), rows);
+  ASSERT_EQ(log.runs().size(), 102u);
+  EXPECT_EQ(log.runs().front().count, 5000u)
+      << "a run of 5,000 identical rows across a block boundary is one run";
+  EXPECT_EQ(log.runs().back().count, 2 * kBlockRows - 3);
+  EXPECT_EQ(load_shard(tmp / "aptz", io::compress_trace(apt), true).logical[0],
+            log);
+  // The writers read the loaded runs back to the same bytes.
+  EXPECT_EQ(io::encode(log), apt);
+  io::Sink again;
+  io::write_csv(again, log);
+  EXPECT_EQ(again.str(), csv.str());
+}
+
+TEST(LogicalLog, CsvAndAptFormsOfOneShardLoadToEqualLogs) {
+  const ap::testutil::TestTmpDir tmp;
+  // Random rows, each repeated 1 to 60 times, so runs fall across blocks.
+  SplitMix64 rng(23);
+  std::vector<ap::prof::LogicalSendRecord> rows;
+  for (const auto& r : random_logical(500, 9))
+    rows.insert(rows.end(), 1 + rng.next_below(60), r);
+  ASSERT_GT(rows.size(), 3 * kBlockRows);
+  io::Sink csv;
+  io::write_csv(csv, rows);
+  const auto from_csv = load_shard(tmp / "csv", csv.str(), false).logical[0];
+  const auto from_apt = load_shard(tmp / "apt", io::encode(rows), true).logical[0];
+  EXPECT_EQ(from_csv, from_apt);
+  EXPECT_EQ(from_apt.records(), rows);
+  EXPECT_LE(from_apt.runs().size(), 500u);
+}
+
+// Damage in block 2 cuts the run that straddles blocks 1 and 2 at block 1's
+// last row: a tolerant load keeps exactly block 1's rows.
+TEST(LogicalLog, DamageInBlockTwoKeepsExactlyBlockOne) {
+  const ap::testutil::TestTmpDir tmp;
+  const auto rows = straddling_rows();
+  using Rows = std::vector<ap::prof::LogicalSendRecord>;
+  const Rows block1(rows.begin(),
+                    rows.begin() + static_cast<std::ptrdiff_t>(kBlockRows));
+  std::string body = io::encode(rows);
+  const std::size_t block2 = io::encode(block1).size();
+  ASSERT_EQ(body[block2], 'B');
+  body[block2 + 4] ^= 0x10;  // inside block 2; its CRC no longer matches
+  io::LoadOptions lo;
+  lo.tolerate_partial = true;
+  const io::TraceDir t = load_shard(tmp / "damaged", body, true, lo);
+  ASSERT_EQ(t.issues.size(), 1u);
+  EXPECT_EQ(t.logical[0].records(), block1);
+  ASSERT_EQ(t.logical[0].runs().size(), 1u);
+  EXPECT_EQ(t.logical[0].runs()[0].count, kBlockRows);
 }
 
 TEST(TraceBinary, ForgedRowCountsCannotInflateTheReservation) {
@@ -550,10 +633,11 @@ TEST(TraceBinaryDir, TruncatedShardIsToleratedWithIssue) {
 
   // The surviving rows are a whole-block prefix of the intact shard.
   const auto intact = io::load_trace_dir(d.bin_dir, kPes);
-  ASSERT_LE(t.logical[0].size(), intact.logical[0].size());
-  EXPECT_EQ(t.logical[0].size() % kBlockRows, 0u);
-  for (std::size_t i = 0; i < t.logical[0].size(); ++i)
-    EXPECT_EQ(t.logical[0][i], intact.logical[0][i]);
+  const auto kept = t.logical[0].records();
+  const auto all = intact.logical[0].records();
+  ASSERT_LE(kept.size(), all.size());
+  EXPECT_EQ(kept.size() % kBlockRows, 0u);
+  for (std::size_t i = 0; i < kept.size(); ++i) EXPECT_EQ(kept[i], all[i]);
   // Undamaged PEs are complete.
   EXPECT_EQ(t.logical[1], intact.logical[1]);
 
@@ -749,9 +833,11 @@ TEST(TraceCompress, WriteAllWithCompressionLoadsIdentically) {
   std::string manifest;
   ASSERT_TRUE(io::read_file(comp / io::kManifestFile, manifest));
   const io::Manifest m = io::parse_manifest(manifest);
-  for (const auto& e : m.files)
-    if (e.file == "PE0_send.apt")
+  for (const auto& e : m.files) {
+    if (e.file == "PE0_send.apt") {
       EXPECT_EQ(e.bytes, comp_shard.size());
+    }
+  }
 }
 
 }  // namespace

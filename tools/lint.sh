@@ -28,7 +28,11 @@
 #      called only in the src/core/trace_* files: the trace layer alone
 #      decides between CSV and .apt, and everyone else reads and writes
 #      through its one reader and writer.
-#   9. clang-tidy over the check/runtime/shmem sources when installed
+#   9. No per-send expansion of a logical trace outside tests and benches:
+#      `.records()` (LogicalSendView, LogicalSendLog) is called only under
+#      tests/ and bench/. The writers, the loader, serve and the heatmaps
+#      read runs, so a trace costs memory per run, not per send.
+#  10. clang-tidy over the check/runtime/shmem sources when installed
 #      (.clang-tidy at the repo root); skipped with a note otherwise.
 set -uo pipefail
 
@@ -113,13 +117,22 @@ if [ -n "${hits}" ]; then
     "${hits}"
 fi
 
+# Rule 9: logical traces stay runs in the program (comment lines may name
+# records()).
+hits=$(grep -rnE '\.records\(\)' src examples --include='*.cpp' \
+  --include='*.hpp' | grep -vE '^\S+:[0-9]+:[[:space:]]*(//|\*)' || true)
+if [ -n "${hits}" ]; then
+  violation "logical trace expanded per send outside tests/bench (rule 9)" \
+    "${hits}"
+fi
+
 if [ "${fail}" -ne 0 ]; then
   echo "lint: FAILED" >&2
   exit 1
 fi
 echo "lint: grep rules OK"
 
-# Rule 9: clang-tidy (optional — absent from minimal containers).
+# Rule 10: clang-tidy (optional — absent from minimal containers).
 if command -v clang-tidy >/dev/null 2>&1; then
   tidy_files=(src/check/*.cpp src/runtime/*.cpp src/shmem/*.cpp
               src/conveyor/*.cpp src/core/config.cpp)
