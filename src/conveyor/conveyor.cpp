@@ -1,6 +1,7 @@
 #include "conveyor/conveyor.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <mutex>
@@ -52,10 +53,16 @@ constexpr std::size_t kRecordHeader = 2 * sizeof(std::int32_t);
 /// per-source structure is a dense array indexed by PE id (one array load
 /// on the hot paths — the layout every micro-bench baseline was recorded
 /// against). Above it the endpoint goes *compact*: per-hop state is
-/// created on first send toward that hop and per-source state on first
-/// announced transfer, so a P-PE fleet costs O(P * touched-destinations)
-/// instead of O(P^2) (docs/PERFORMANCE.md, "Memory at scale").
+/// created on first send toward that hop and per-source state when the
+/// source's first publication rings, so a P-PE fleet costs
+/// O(P * touched-destinations) instead of O(P^2) (docs/PERFORMANCE.md,
+/// "Memory at scale").
 constexpr int kCompactThreshold = 64;
+
+/// One cache line of doorbell words (see Conveyor::Group::bells).
+struct alignas(64) BellLine {
+  std::uint64_t w[8];
+};
 
 std::int32_t load_dst(const std::byte* record) {
   std::int32_t d = 0;
@@ -213,6 +220,18 @@ struct Conveyor::Group {
   /// fiber-backend-only, so these adds are never contended.)
   std::atomic<std::uint64_t> lost{0};
   std::atomic<int> done_count{0};
+  /// Doorbells: receiver r's bit s is set by the source in slot s after
+  /// each publication toward r, so r's delivery pass visits only the
+  /// sources that published since their last visit. A slot is the
+  /// source's PE id in dense mode and its announcement index in compact
+  /// mode. Simulator bookkeeping in plain process memory, not a modelled
+  /// SHMEM object: a ring raises no RMA event and no sim-PAPI charge, and
+  /// the checker's edge stays the acquire load of published_from. Each
+  /// receiver's words start on their own cache line; the bitmap is the one
+  /// receive-side structure sized by P (P^2/8 bytes per conveyor).
+  std::size_t bell_words;   // words per receiver: one bit per source slot
+  std::size_t bell_lines;   // cache lines per receiver
+  std::vector<BellLine> bells;
   std::vector<char> done_flags;      // per-PE done (for dead-PE termination)
   std::vector<Endpoint*> endpoints;  // registered per PE (for stats)
   /// Serializes endpoint retirement against total_stats(): a destructor
@@ -230,7 +249,9 @@ struct Conveyor::Group {
         record_bytes(kRecordHeader + flow_bytes + o.item_bytes),
         records_per_buffer(o.buffer_bytes / record_bytes),
         slot_stride(sizeof(std::int64_t) +
-                    records_per_buffer * record_bytes) {
+                    records_per_buffer * record_bytes),
+        bell_words((static_cast<std::size_t>(t.num_pes()) + 63) / 64),
+        bell_lines((bell_words + 7) / 8) {
     if (o.item_bytes == 0)
       throw std::invalid_argument("Conveyor: item_bytes must be > 0");
     if (o.slots < 1)
@@ -240,6 +261,21 @@ struct Conveyor::Group {
           "Conveyor: buffer_bytes too small for even one record");
     endpoints.assign(static_cast<std::size_t>(t.num_pes()), nullptr);
     done_flags.assign(static_cast<std::size_t>(t.num_pes()), 0);
+    bells.assign(static_cast<std::size_t>(t.num_pes()) * bell_lines,
+                 BellLine{});
+  }
+
+  [[nodiscard]] std::uint64_t* bells_of(int pe) {
+    return bells[static_cast<std::size_t>(pe) * bell_lines].w;
+  }
+
+  /// Tell `receiver` that the source in `slot` published. The release pairs
+  /// with the receiver's acquire exchange of the word, which then sees the
+  /// publication the ring follows.
+  void ring(int receiver, int slot) {
+    const auto s = static_cast<std::size_t>(slot);
+    std::atomic_ref<std::uint64_t>(bells_of(receiver)[s / 64])
+        .fetch_or(std::uint64_t{1} << (s % 64), std::memory_order_release);
   }
 
   [[nodiscard]] std::size_t payload_capacity() const {
@@ -265,17 +301,19 @@ struct HopState {
   OutBuf out;
   std::int64_t seq_flushed = 0;    // buffers flushed toward this hop
   std::int64_t seq_published = 0;  // buffers published toward this hop
-  /// Compact mode: whether this endpoint has announced itself to the
-  /// hop's landing ring (see the announcement protocol in try_flush).
-  bool announced = false;
+  /// This endpoint's slot in the hop's doorbell: its PE id in dense mode;
+  /// in compact mode its announcement index, -1 until it has announced
+  /// itself to the hop (see the announcement protocol in try_flush).
+  int bell_slot = -1;
   /// nbi source-stability block, slots * slot_stride bytes, sized on the
   /// first inter-node flush and stable afterwards (pending putmem_nbi
   /// reads it until quiet; vector moves keep the heap block alive).
   std::vector<std::byte> staging;
 };
 
-/// Per-source delivery cursor (compact mode): appended when the source
-/// announces itself, in announcement order.
+/// Per-source delivery cursor, indexed by doorbell slot: PE order in dense
+/// mode; announcement order in compact mode, where the source (-1 until
+/// then) is resolved when its slot first rings.
 struct SrcState {
   int src = -1;
   std::int64_t consumed = 0;  // buffers consumed from this source
@@ -299,25 +337,23 @@ struct Conveyor::Endpoint {
   std::int64_t* acked_by = nullptr;
   /// Compact mode announcement ring (MPSC, wait-free): a sender's first
   /// transfer toward me reserves a slot via atomic_fetch_add(ann_head) and
-  /// release-stores (its PE id + 1) into ann_slots[slot]. deliver_incoming
-  /// scans forward from ann_cursor and stops at the first empty slot, so
-  /// my per-advance poll covers announced sources only — O(touched), not
-  /// O(P). A reserved-but-unwritten slot is simply retried next round.
+  /// release-stores (its PE id + 1) into ann_slots[slot]; that slot is its
+  /// doorbell bit here, so every ring is preceded by its announcement.
   std::int64_t* ann_head = nullptr;
   std::int64_t* ann_slots = nullptr;
 
   // --- plain per-PE state --------------------------------------------------
-  /// Dense mode: hops[h] is next-hop h, hop_of_dense is the routing table,
-  /// consumed_dense[s] the per-source cursor — all index-by-PE arrays.
-  /// Compact mode: hops holds touched next-hops in first-touch order
-  /// (hop_slot maps hop id -> index), srcs holds announced sources in
-  /// announcement order; the dense vectors stay empty.
+  /// Dense mode: hops[h] is next-hop h and hop_of_dense the routing table,
+  /// index-by-PE arrays. Compact mode: hops holds touched next-hops in
+  /// first-touch order (hop_slot maps hop id -> index) and hop_of_dense
+  /// stays empty. srcs is indexed by doorbell slot in both modes; in
+  /// compact mode it grows as slots resolve.
   std::vector<HopState> hops;
   std::vector<std::int32_t> hop_of_dense;
-  std::vector<std::int64_t> consumed_dense;
   FlatMap32 hop_slot;
   std::vector<SrcState> srcs;
-  int ann_cursor = 0;  // next ann_slots index to scan
+  /// The doorbell words taken by the current delivery pass.
+  std::vector<std::uint64_t> rung;
 
   OutBuf recv;       // delivered wire records
   OutBuf drain_buf;  // batch snapshot being drained
@@ -359,6 +395,46 @@ struct Conveyor::Endpoint {
     hops.back().hop = hop;
     hop_slot.put(hop, static_cast<std::int32_t>(hops.size() - 1));
     return hops.back();
+  }
+
+  /// Exchange each non-zero word of my doorbell for 0, into `rung`. False
+  /// when no source rang.
+  bool take_rung(Group& g) {
+    std::uint64_t* bell = g.bells_of(pe);
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < rung.size(); ++w) {
+      std::atomic_ref<std::uint64_t> word(bell[w]);
+      rung[w] = word.load(std::memory_order_relaxed) == 0
+                    ? 0
+                    : word.exchange(0, std::memory_order_acquire);
+      any |= rung[w];
+    }
+    return any != 0;
+  }
+
+  /// `fn(slot)` for each rung slot, in ascending slot order.
+  template <class Fn>
+  void for_each_rung(Fn&& fn) const {
+    for (std::size_t w = 0; w < rung.size(); ++w)
+      for (std::uint64_t bits = rung[w]; bits != 0; bits &= bits - 1)
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
+
+  /// Compact mode: resolve the source of each rung slot seen for the first
+  /// time from the announcement ring. A delivery pass does this before it
+  /// delivers anything, as the announcement scan it replaces did.
+  void resolve_rung(bool annotate) {
+    for_each_rung([&](std::size_t slot) {
+      if (slot >= srcs.size()) srcs.resize(slot + 1);
+      SrcState& ss = srcs[slot];
+      if (ss.src >= 0) return;
+      const std::int64_t v = std::atomic_ref<std::int64_t>(ann_slots[slot])
+                                 .load(std::memory_order_acquire);
+      assert(v != 0 && "a doorbell rang before its announcement");
+      if (annotate)
+        shmem::annotate_acquire_read(ann_slots + slot, sizeof(std::int64_t));
+      ss.src = static_cast<int>(v - 1);
+    });
   }
 };
 
@@ -403,10 +479,14 @@ Conveyor::Conveyor(std::shared_ptr<Group> group, int pe)
     // cost to the recorded micro-bench baselines.
     e.hop_of_dense = g.router.table_for(pe);
     e.hops.resize(static_cast<std::size_t>(n));
-    for (int h = 0; h < n; ++h)
+    e.srcs.resize(static_cast<std::size_t>(n));
+    for (int h = 0; h < n; ++h) {
       e.hops[static_cast<std::size_t>(h)].hop = h;
-    e.consumed_dense.assign(static_cast<std::size_t>(n), 0);
+      e.hops[static_cast<std::size_t>(h)].bell_slot = pe;
+      e.srcs[static_cast<std::size_t>(h)].src = h;
+    }
   }
+  e.rung.assign(g.bell_words, 0);
 
   g.endpoints[static_cast<std::size_t>(pe)] = &e;
   // Everyone must see everyone's rings allocated before any transfer. This
@@ -445,6 +525,7 @@ void accumulate(ConveyorStats& t, const ConveyorStats& s) {
   t.nonblock_send_bytes += s.nonblock_send_bytes;
   t.memcpys += s.memcpys;
   t.drains += s.drains;
+  t.deliver_visits += s.deliver_visits;
 }
 }  // namespace
 
@@ -532,24 +613,12 @@ void Conveyor::account_dead_endpoint() {
       lost += static_cast<std::uint64_t>(len) / g.record_bytes;
     }
   };
-  if (e.compact) {
-    // Drain announcements not yet scanned; fault injection is fiber-only,
-    // so no half-made announcement can be in flight here.
-    const int n = g.topo.num_pes();
-    while (e.ann_cursor < n) {
-      const std::int64_t v =
-          std::atomic_ref<std::int64_t>(e.ann_slots[e.ann_cursor])
-              .load(std::memory_order_acquire);
-      if (v == 0) break;
-      e.srcs.push_back(SrcState{static_cast<int>(v - 1), 0});
-      ++e.ann_cursor;
-    }
-    for (const SrcState& ss : e.srcs) count_landed(ss.src, ss.consumed);
-  } else {
-    const int n = g.topo.num_pes();
-    for (int src = 0; src < n; ++src)
-      count_landed(src, e.consumed_dense[static_cast<std::size_t>(src)]);
-  }
+  // A source that never rang published nothing here, so resolving the
+  // slots rung since the last pass covers every source with landed
+  // buffers.
+  if (e.take_rung(g) && e.compact) e.resolve_rung(/*annotate=*/false);
+  for (const SrcState& ss : e.srcs)
+    if (ss.src >= 0) count_landed(ss.src, ss.consumed);
   g.lost.fetch_add(lost, std::memory_order_relaxed);
 }
 
@@ -663,18 +732,17 @@ bool Conveyor::try_flush(int next_hop) {
     }
   }
 
-  // Compact mode: the receiver polls announced sources only, so the first
-  // transfer toward this hop must announce *before* anything is published
-  // (program order on our side; the receiver's acquire scan of ann_slots
-  // stops at the first empty slot and retries later, so a concurrently
-  // reserved slot is never skipped, only deferred).
-  if (e.compact && !hs.announced) {
+  // Compact mode: the first transfer toward this hop announces this
+  // endpoint in the hop's announcement ring *before* anything is
+  // published; the reserved index is its doorbell slot there, and the
+  // receiver resolves a slot from the ring when it first rings.
+  if (e.compact && hs.bell_slot < 0) {
     const std::int64_t idx = shmem::atomic_fetch_add(e.ann_head, 1, next_hop);
     assert(idx >= 0 && idx < g.topo.num_pes());
     const std::int64_t tagged = e.pe + 1;
     shmem::put(static_cast<void*>(e.ann_slots + idx), &tagged, sizeof tagged,
                next_hop);
-    hs.announced = true;
+    hs.bell_slot = static_cast<int>(idx);
   }
 
   const std::size_t chunk = std::min(ob.pending(), g.payload_capacity());
@@ -722,6 +790,7 @@ bool Conveyor::try_flush(int next_hop) {
     if (e.check_events)
       shmem::annotate_store(static_cast<void*>(e.published_from + e.pe),
                             sizeof(std::int64_t), next_hop);
+    g.ring(next_hop, hs.bell_slot);
     hs.seq_flushed = seq + 1;
     hs.seq_published = seq + 1;
     bump(e.stats.local_sends);
@@ -808,6 +877,7 @@ void Conveyor::progress_pending() {
     const std::int64_t pub = hs.seq_flushed;
     shmem::put(static_cast<void*>(e.published_from + e.pe), &pub, sizeof pub,
                hop);
+    g.ring(hop, hs.bell_slot);
     papi::account_signal_put();
     hs.seq_published = pub;
     notify(SendType::nonblock_progress, sizeof pub, e.pe, hop, 0);
@@ -819,10 +889,23 @@ void Conveyor::progress_pending() {
 void Conveyor::deliver_incoming() {
   Group& g = *group_;
   Endpoint& e = *self_;
+  // Visit only the sources whose doorbell rang, in ascending slot order:
+  // PE order in dense mode, announcement order in compact mode — the order
+  // the full scans this replaces visited them in. On the fiber backend no
+  // other PE runs during a pass, so the rung set is the set of sources
+  // with unconsumed buffers.
+  if (!e.take_rung(g)) return;
+  if (e.compact) e.resolve_rung(e.check_events);
   const std::size_t rec_sz = g.record_bytes;
+  // Added to the shared counter once per pass: no other PE reads it
+  // mid-pass on fiber, and under threads a late add can only delay
+  // termination, never end it early.
+  std::uint64_t delivered = 0;
 
-  const auto deliver_from = [&](int src, std::int64_t& consumed) {
-    const auto s = static_cast<std::size_t>(src);
+  e.for_each_rung([&](std::size_t slot) {
+    SrcState& from = e.srcs[slot];
+    const auto s = static_cast<std::size_t>(from.src);
+    bump(e.stats.deliver_visits);
     // Polling the publication flag with an acquire load is the edge that
     // orders the sender's ring writes (memcpy or quiet-completed nbi put,
     // both sequenced before its release store of the flag) before the
@@ -830,16 +913,18 @@ void Conveyor::deliver_incoming() {
     const std::int64_t pub =
         std::atomic_ref<std::int64_t>(e.published_from[s])
             .load(std::memory_order_acquire);
-    if (e.check_events && consumed < pub)
+    if (e.check_events && from.consumed < pub)
       shmem::annotate_acquire_read(e.published_from + s,
                                    sizeof(std::int64_t));
     bool consumed_any = false;
-    while (consumed < pub) {
-      const std::int64_t seq = consumed;
-      const std::size_t slot = static_cast<std::size_t>(seq % g.opts.slots);
+    while (from.consumed < pub) {
+      const std::int64_t seq = from.consumed;
+      const std::size_t ring_slot =
+          static_cast<std::size_t>(seq % g.opts.slots);
       const std::byte* base =
           e.ring +
-          (s * static_cast<std::size_t>(g.opts.slots) + slot) * g.slot_stride;
+          (s * static_cast<std::size_t>(g.opts.slots) + ring_slot) *
+              g.slot_stride;
       std::int64_t len = 0;
       std::memcpy(&len, base, sizeof len);
       const std::byte* data = base + sizeof len;
@@ -873,7 +958,7 @@ void Conveyor::deliver_incoming() {
           std::memcpy(e.recv.append(run, g.outbuf_capacity()), data + off,
                       run);
           bump(e.stats.memcpys);
-          g.delivered.fetch_add(run / rec_sz, std::memory_order_relaxed);
+          delivered += run / rec_sz;
         } else {
           const std::int32_t hop = e.hop_for(g, dst);
           while (off + run < end) {
@@ -894,39 +979,19 @@ void Conveyor::deliver_incoming() {
         }
         off += run;
       }
-      consumed = seq + 1;
+      from.consumed = seq + 1;
       consumed_any = true;
     }
     if (consumed_any) {
       // Ack so the sender can reuse its ring slots. acked_by[r] on the
       // sender holds what receiver r consumed; we are r, the sender is src.
-      const std::int64_t acked = consumed;
+      const std::int64_t acked = from.consumed;
       shmem::put(static_cast<void*>(e.acked_by + e.pe), &acked, sizeof acked,
-                 src);
+                 from.src);
     }
-  };
-
-  if (e.compact) {
-    // Pick up newly announced sources, then poll only those: the per-
-    // advance delivery scan is O(sources that ever sent here), not O(P).
-    const int n = g.topo.num_pes();
-    while (e.ann_cursor < n) {
-      const std::int64_t v =
-          std::atomic_ref<std::int64_t>(e.ann_slots[e.ann_cursor])
-              .load(std::memory_order_acquire);
-      if (v == 0) break;  // first empty slot: later slots retried next round
-      if (e.check_events)
-        shmem::annotate_acquire_read(e.ann_slots + e.ann_cursor,
-                                     sizeof(std::int64_t));
-      e.srcs.push_back(SrcState{static_cast<int>(v - 1), 0});
-      ++e.ann_cursor;
-    }
-    for (SrcState& ss : e.srcs) deliver_from(ss.src, ss.consumed);
-  } else {
-    const int n = g.topo.num_pes();
-    for (int src = 0; src < n; ++src)
-      deliver_from(src, e.consumed_dense[static_cast<std::size_t>(src)]);
-  }
+  });
+  if (delivered != 0)
+    g.delivered.fetch_add(delivered, std::memory_order_relaxed);
 }
 
 // -------------------------------------------------------------------- drain

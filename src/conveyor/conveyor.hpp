@@ -72,6 +72,10 @@ struct ConveyorStats {
   std::uint64_t nonblock_send_bytes = 0;
   std::uint64_t memcpys = 0;         // copy operations (runs count once)
   std::uint64_t drains = 0;          // drain() batches handed out
+  /// Sources a delivery pass visited: only those whose doorbell rang, so
+  /// on the fiber backend each visit consumes at least one buffer (unless
+  /// a fault-injected quiet delay let a source ring mid-pass).
+  std::uint64_t deliver_visits = 0;
 };
 
 /// Process-wide stats accumulated from every endpoint at its destruction

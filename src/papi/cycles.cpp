@@ -2,18 +2,12 @@
 
 namespace ap::papi {
 
-namespace {
-// Plain global (was thread_local): the threads backend's workers must see
-// the source chosen on the launching thread. Always set before a launch
-// creates workers, so thread creation orders the write.
-CycleSource g_source = CycleSource::virtual_;
-}
+CycleSource detail::g_cycle_source = CycleSource::virtual_;
 
-CycleSource cycle_source() { return g_source; }
-void set_cycle_source(CycleSource s) { g_source = s; }
+void set_cycle_source(CycleSource s) { detail::g_cycle_source = s; }
 
 std::uint64_t cycles_now() {
-  if (g_source == CycleSource::rdtsc) return rdtsc_now();
+  if (cycle_source() == CycleSource::rdtsc) return rdtsc_now();
   return counter_value(Event::TOT_CYC);
 }
 

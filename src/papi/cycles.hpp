@@ -25,7 +25,15 @@ enum class CycleSource {
   virtual_  ///< deterministic: sim-PAPI PAPI_TOT_CYC of the current PE
 };
 
-CycleSource cycle_source();
+namespace detail {
+// Plain global (not thread_local): the threads backend's workers must see
+// the source chosen on the launching thread. Always set before a launch
+// creates workers, so thread creation orders the write.
+extern CycleSource g_cycle_source;
+}  // namespace detail
+
+/// Read on every clock fold, hence inline.
+inline CycleSource cycle_source() { return detail::g_cycle_source; }
 void set_cycle_source(CycleSource s);
 
 /// Current cycle stamp of the calling PE under the active source.

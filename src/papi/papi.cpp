@@ -2,8 +2,9 @@
 #include "papi/papi.hpp"
 
 #include <atomic>
-#include <string>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/scheduler.hpp"
@@ -34,29 +35,114 @@ struct PeCounters {
 // Slot 0 holds the "outside any launch" counters; slot pe+1 holds PE pe.
 // Deliberately thread_local even under the threads backend: a PE's
 // counters live on the one worker that runs it (workers are created fresh
-// per launch), so the hot account_* paths never need atomics.
-thread_local std::vector<PeCounters> g_pes(1);
+// per launch), so the hot account_* paths never need atomics. The vector
+// has a destructor, so each access to it passes a TLS initialisation
+// guard: charges read the constant-initialised view below instead, and
+// the vector itself is touched only when a slot is created or reset.
+std::vector<PeCounters>& pes_storage() {
+  thread_local std::vector<PeCounters> pes(1);
+  return pes;
+}
+constinit thread_local PeCounters* t_pes = nullptr;
+constinit thread_local std::size_t t_num_pes = 0;
+
+void refresh_view(std::vector<PeCounters>& pes) {
+  t_pes = pes.data();
+  t_num_pes = pes.size();
+}
+
+[[gnu::noinline]] PeCounters& grow_pes(std::size_t idx) {
+  std::vector<PeCounters>& pes = pes_storage();
+  if (pes.size() <= idx) pes.resize(idx + 1);
+  refresh_view(pes);
+  return pes[idx];
+}
+
+PeCounters& pe_counters() {
+  const auto idx = static_cast<std::size_t>(rt::my_pe() + 1);
+  if (idx < t_num_pes) [[likely]] return t_pes[idx];
+  return grow_pes(idx);
+}
+
+constexpr std::uint64_t& at(Counters& raw, Event e) {
+  return raw[static_cast<std::size_t>(e)];
+}
+
+/// The per-event amounts of one charge of `ins` instructions etc. under
+/// model `m`, whose `ipc_x16` divisor is `per_ipc`.
+constexpr Counters amounts(const CostModel& m, const Reciprocal& per_ipc,
+                           std::uint64_t ins, std::uint64_t loads,
+                           std::uint64_t stores, std::uint64_t branches,
+                           std::uint64_t l1_dcm, std::uint64_t l2_dcm) {
+  Counters c{};
+  at(c, Event::TOT_INS) = ins;
+  at(c, Event::LD_INS) = loads;
+  at(c, Event::SR_INS) = stores;
+  at(c, Event::LST_INS) = loads + stores;
+  at(c, Event::BR_INS) = branches;
+  at(c, Event::BR_MSP) = branches * m.br_msp_per_1024 / 1024;
+  at(c, Event::L1_DCM) = l1_dcm;
+  at(c, Event::L2_DCM) = l2_dcm;
+  at(c, Event::TOT_CYC) = per_ipc.divide(ins * 16) +
+                          l1_dcm * m.l1_penalty_cycles +
+                          l2_dcm * m.l2_penalty_cycles;
+  return c;
+}
+
+/// What a model fixes for a whole launch, derived once when it is set: the
+/// two divisors as exact reciprocals, and the complete counter increments
+/// of every charge whose amounts do not depend on its argument (network
+/// cycles that do are added on top).
+struct Derived {
+  Reciprocal per_ipc;           // x / ipc_x16 (16 when the model says 0)
+  Reciprocal per_payload_den;   // x / ins_per_payload_byte_den
+  Counters poll{};
+  Counters signal_put{};
+  Counters local_flush{};
+  Counters remote_put{};        // + bytes * net_put_cycles_per_byte_x16 / 16
+  Counters quiet{};             // + outstanding * net_quiet_cycles_per_put
+
+  constexpr explicit Derived(const CostModel& m)
+      : per_ipc(m.ipc_x16 == 0 ? 16 : m.ipc_x16),
+        per_payload_den(m.ins_per_payload_byte_den) {
+    const auto fixed = [&](std::uint64_t ins, std::uint64_t loads,
+                           std::uint64_t stores, std::uint64_t branches,
+                           std::uint64_t l1_dcm, std::uint64_t cycles) {
+      Counters c = amounts(m, per_ipc, ins, loads, stores, branches, l1_dcm, 0);
+      at(c, Event::TOT_CYC) += cycles;
+      return c;
+    };
+    poll = fixed(12, 4, 0, 4, 0, m.net_poll_cycles);
+    signal_put = fixed(15, 2, 2, 2, 0, m.net_signal_put_cycles);
+    local_flush = fixed(20, 4, 4, 4, 0, m.net_local_flush_cycles);
+    remote_put = fixed(40, 6, 6, 6, 1, m.net_put_fixed_cycles);
+    quiet = fixed(30, 4, 2, 6, 0, m.net_quiet_fixed_cycles);
+  }
+};
+
 // The cost model is a plain global: set before a launch (tests, ablation)
 // and read-only inside one, so thread creation orders it for workers.
 CostModel g_model{};
+constinit Derived g_derived{CostModel{}};
+
+template <std::size_t... I>
+void add_each(Counters& raw, const Counters& amount, std::uint64_t n,
+              std::index_sequence<I...>) {
+  ((raw[I] += n * amount[I]), ...);
+}
+
+/// raw += n * amount, event by event, unrolled.
+void add(Counters& raw, const Counters& amount, std::uint64_t n = 1) {
+  add_each(raw, amount, n, std::make_index_sequence<kNumEvents>{});
+}
 
 // Fleet-clock state for the threads backend: with PEs spread over worker
-// threads, the virtual clock sync cannot scan one thread's g_pes to find
-// the fleet max — workers publish their local max into a shared CAS-max
-// cell instead. Enabled by shmem::run around a threads-backend launch.
+// threads, the virtual clock sync cannot scan one thread's counters to
+// find the fleet max — workers publish their local max into a shared
+// CAS-max cell instead. Enabled by shmem::run around a threads-backend
+// launch.
 bool g_shared_clock = false;
 std::atomic<std::uint64_t> g_fleet_max{0};
-
-PeCounters& pe_counters() {
-  const int pe = rt::my_pe();
-  const std::size_t idx = static_cast<std::size_t>(pe + 1);
-  if (g_pes.size() <= idx) g_pes.resize(idx + 1);
-  return g_pes[idx];
-}
-
-std::uint64_t& at(Counters& raw, Event e) {
-  return raw[static_cast<std::size_t>(e)];
-}
 
 /// How many of `total` concurrently running events exist on this PE.
 int total_running_events(const PeCounters& pc) {
@@ -66,35 +152,26 @@ int total_running_events(const PeCounters& pc) {
   return n;
 }
 
-/// Charge `n` identical operations in one call, plus `extra_cycles` of
-/// network time once. Every per-event amount is the single-call rounded
-/// value multiplied by n, so one charge_n(n, ...) is byte-identical to n
-/// charge(...) calls — the property the runtime's once-per-batch
-/// accounting depends on. Callers resolve the PE's counters once.
-void charge_n(Counters& raw, std::uint64_t n, std::uint64_t ins,
-              std::uint64_t loads, std::uint64_t stores,
-              std::uint64_t branches, std::uint64_t l1_dcm,
-              std::uint64_t l2_dcm, std::uint64_t extra_cycles = 0) {
-  const CostModel& m = g_model;
-  at(raw, Event::TOT_INS) += n * ins;
-  at(raw, Event::LD_INS) += n * loads;
-  at(raw, Event::SR_INS) += n * stores;
-  at(raw, Event::LST_INS) += n * (loads + stores);
-  at(raw, Event::BR_INS) += n * branches;
-  at(raw, Event::BR_MSP) += n * (branches * m.br_msp_per_1024 / 1024);
-  at(raw, Event::L1_DCM) += n * l1_dcm;
-  at(raw, Event::L2_DCM) += n * l2_dcm;
-  const std::uint64_t cyc = ins * 16 / (m.ipc_x16 == 0 ? 16 : m.ipc_x16) +
-                            l1_dcm * m.l1_penalty_cycles +
-                            l2_dcm * m.l2_penalty_cycles;
-  at(raw, Event::TOT_CYC) += n * cyc + extra_cycles;
+/// Charge `n` identical operations in one call. Every per-event amount is
+/// the single-call rounded value multiplied by n, so one charge_n(n, ...)
+/// is byte-identical to n charge(...) calls — the property the runtime's
+/// once-per-batch accounting depends on. Callers resolve the PE's counters
+/// once. Inlined into each account_* function, so the single-call ones
+/// (n = 1) fold the multiplies away.
+[[gnu::always_inline]] inline void charge_n(
+    Counters& raw, std::uint64_t n, std::uint64_t ins, std::uint64_t loads,
+    std::uint64_t stores, std::uint64_t branches, std::uint64_t l1_dcm,
+    std::uint64_t l2_dcm) {
+  add(raw,
+      amounts(g_model, g_derived.per_ipc, ins, loads, stores, branches, l1_dcm,
+              l2_dcm),
+      n);
 }
 
 void charge(std::uint64_t ins, std::uint64_t loads, std::uint64_t stores,
             std::uint64_t branches, std::uint64_t l1_dcm,
-            std::uint64_t l2_dcm, std::uint64_t extra_cycles = 0) {
-  charge_n(pe_counters().raw, 1, ins, loads, stores, branches, l1_dcm, l2_dcm,
-           extra_cycles);
+            std::uint64_t l2_dcm) {
+  charge_n(pe_counters().raw, 1, ins, loads, stores, branches, l1_dcm, l2_dcm);
 }
 
 }  // namespace
@@ -124,7 +201,14 @@ std::optional<Event> parse(std::string_view s) {
 }
 
 const CostModel& cost_model() { return g_model; }
-void set_cost_model(const CostModel& m) { g_model = m; }
+
+void set_cost_model(const CostModel& m) {
+  if (m.ins_per_payload_byte_den == 0)
+    throw std::invalid_argument(
+        "sim-PAPI: CostModel::ins_per_payload_byte_den must be > 0");
+  g_model = m;
+  g_derived = Derived(m);
+}
 
 void account(Event e, std::uint64_t n) {
   if (e == Event::kCount) return;
@@ -134,7 +218,7 @@ void account(Event e, std::uint64_t n) {
 void account_message_construct_n(std::size_t bytes, std::uint64_t n) {
   const CostModel& m = g_model;
   const std::uint64_t payload_ins =
-      bytes * m.ins_per_payload_byte_num / m.ins_per_payload_byte_den;
+      g_derived.per_payload_den.divide(bytes * m.ins_per_payload_byte_num);
   const std::uint64_t ins = m.ins_per_message_construct + payload_ins;
   charge_n(pe_counters().raw, n, ins, /*loads=*/2 + bytes / 16,
            /*stores=*/3 + bytes / 8, m.branches_per_message, /*l1=*/0,
@@ -148,7 +232,7 @@ void account_message_construct(std::size_t bytes) {
 void account_message_handle_n(std::size_t bytes, std::uint64_t n) {
   const CostModel& m = g_model;
   const std::uint64_t payload_ins =
-      bytes * m.ins_per_payload_byte_num / m.ins_per_payload_byte_den;
+      g_derived.per_payload_den.divide(bytes * m.ins_per_payload_byte_num);
   const std::uint64_t ins = m.ins_per_message_handle + payload_ins;
   charge_n(pe_counters().raw, n, ins, /*loads=*/3 + bytes / 8,
            /*stores=*/1 + bytes / 16, m.branches_per_message, /*l1=*/0,
@@ -188,32 +272,31 @@ void account_random_access(std::size_t footprint, std::uint64_t n) {
 
 void account_local_flush(std::size_t bytes) {
   (void)bytes;
-  charge(20, 4, 4, 4, 0, 0, g_model.net_local_flush_cycles);
+  add(pe_counters().raw, g_derived.local_flush);
 }
 
 void account_remote_put(std::size_t bytes) {
-  charge(40, 6, 6, 6, 1, 0,
-         g_model.net_put_fixed_cycles +
-             bytes * g_model.net_put_cycles_per_byte_x16 / 16);
+  Counters& raw = pe_counters().raw;
+  add(raw, g_derived.remote_put);
+  at(raw, Event::TOT_CYC) += bytes * g_model.net_put_cycles_per_byte_x16 / 16;
 }
 
 void account_quiet(std::size_t outstanding_puts) {
-  charge(30, 4, 2, 6, 0, 0,
-         g_model.net_quiet_fixed_cycles +
-             outstanding_puts * g_model.net_quiet_cycles_per_put);
+  Counters& raw = pe_counters().raw;
+  add(raw, g_derived.quiet);
+  at(raw, Event::TOT_CYC) +=
+      outstanding_puts * g_model.net_quiet_cycles_per_put;
 }
 
-void account_signal_put() {
-  charge(15, 2, 2, 2, 0, 0, g_model.net_signal_put_cycles);
-}
+void account_signal_put() { add(pe_counters().raw, g_derived.signal_put); }
 
-void account_poll() { charge(12, 4, 0, 4, 0, 0, g_model.net_poll_cycles); }
+void account_poll() { add(pe_counters().raw, g_derived.poll); }
 
 void sync_virtual_clock() {
   if (cycle_source() != CycleSource::virtual_) return;
   std::uint64_t mx = 0;
-  for (const PeCounters& pc : g_pes)
-    mx = std::max(mx, pc.raw[static_cast<std::size_t>(Event::TOT_CYC)]);
+  for (std::size_t i = 0; i < t_num_pes; ++i)
+    mx = std::max(mx, t_pes[i].raw[static_cast<std::size_t>(Event::TOT_CYC)]);
   if (g_shared_clock) {
     // Publish this worker's local max and adopt the fleet-wide one.
     std::uint64_t cur = g_fleet_max.load(std::memory_order_relaxed);
@@ -240,8 +323,10 @@ std::uint64_t counter_value(Event e) {
 const Counters& counters() { return pe_counters().raw; }
 
 void reset_all() {
-  g_pes.clear();
-  g_pes.resize(1);
+  std::vector<PeCounters>& pes = pes_storage();
+  pes.clear();
+  pes.resize(1);
+  refresh_view(pes);
   g_fleet_max.store(0, std::memory_order_relaxed);
 }
 

@@ -88,7 +88,52 @@ struct CostModel {
 
 const CostModel& cost_model();
 /// Replace the model (tests/ablation); affects subsequent accounting only.
+/// The charges' fixed parts and divisors are derived here, once. Throws
+/// std::invalid_argument for a zero `ins_per_payload_byte_den`, which
+/// every message charge would divide by.
 void set_cost_model(const CostModel& m);
+
+/// Exact division by a divisor fixed at construction: divide(n) == n / d
+/// for every 64-bit n. A hardware divide by a run-time divisor costs tens of
+/// cycles; this is a multiply-high and a shift (Granlund & Montgomery's
+/// round-up method, with the 65-bit "add" fix-up where the magic number
+/// needs it). The cost model divides every charge by two of its fields.
+class Reciprocal {
+ public:
+  /// Divides by 1.
+  constexpr Reciprocal() = default;
+  /// `d` must be non-zero.
+  constexpr explicit Reciprocal(std::uint64_t d) {
+    const int log2_d = 63 - __builtin_clzll(d);
+    shift_ = log2_d;
+    if ((d & (d - 1)) == 0) return;  // a power of two is a plain shift
+    const U128 power = U128{1} << (64 + log2_d);
+    auto m = static_cast<std::uint64_t>(power / d);  // < 2^64: d > 2^log2_d
+    const auto rem = static_cast<std::uint64_t>(power % d);
+    if (d - rem >= (std::uint64_t{1} << log2_d)) {
+      // ceil(2^(64+log2_d) / d) is not exact for every n: use the next
+      // power's 65-bit magic, whose top bit divide() adds back.
+      m += m;
+      const std::uint64_t twice_rem = rem + rem;
+      if (twice_rem >= d || twice_rem < rem) ++m;
+      add_ = true;
+    }
+    magic_ = m + 1;
+  }
+
+  [[nodiscard]] constexpr std::uint64_t divide(std::uint64_t n) const {
+    if (magic_ == 0) return n >> shift_;
+    const auto q = static_cast<std::uint64_t>((U128{n} * magic_) >> 64);
+    if (!add_) return q >> shift_;
+    return (((n - q) >> 1) + q) >> shift_;
+  }
+
+ private:
+  using U128 = unsigned __int128;
+  std::uint64_t magic_ = 0;  // 0: d is a power of two
+  int shift_ = 0;
+  bool add_ = false;
+};
 
 /// Raw accounting: add `n` to one event of the current PE.
 void account(Event e, std::uint64_t n);

@@ -20,11 +20,6 @@ namespace {
 // thread creation/join.
 Scheduler* g_scheduler = nullptr;
 
-// The PE currently executing on *this* thread (-1 in scheduler context).
-// Thread-local so each worker of the threads backend tracks the fiber it
-// is running; under the fiber backend only the launching thread uses it.
-thread_local int g_current_pe = -1;
-
 thread_local TickHook g_tick_hook;
 
 // How long the fleet may make zero progress (no fiber resumed anywhere,
@@ -35,6 +30,10 @@ thread_local TickHook g_tick_hook;
 constexpr auto kDeadlockWindow = std::chrono::milliseconds(250);
 
 }  // namespace
+
+// Under the fiber backend only the launching thread sets it.
+constinit thread_local int detail::g_current_pe = -1;
+using detail::g_current_pe;
 
 TickHook set_tick_hook(TickHook hook) {
   TickHook prev = std::move(g_tick_hook);
@@ -310,11 +309,6 @@ void launch(const LaunchConfig& cfg, const std::function<void(int)>& body) {
 
 void launch(const LaunchConfig& cfg, const std::function<void()>& body) {
   launch(cfg, [&body](int) { body(); });
-}
-
-int my_pe() {
-  Scheduler* s = Scheduler::instance();
-  return s == nullptr ? -1 : s->current_pe();
 }
 
 int n_pes() {

@@ -193,8 +193,18 @@ void launch(const LaunchConfig& cfg, const std::function<void()>& body);
 /// Variant receiving the PE rank as an argument.
 void launch(const LaunchConfig& cfg, const std::function<void(int)>& body);
 
-/// SPMD context queries; only valid inside a launch.
-int my_pe();
+namespace detail {
+/// The PE running on this thread; -1 outside any PE fiber (scheduler
+/// context, or no launch at all). Thread-local so each worker of the
+/// threads backend tracks the fiber it is running. Constant-initialised,
+/// so reading it is one TLS load with no initialisation guard.
+extern constinit thread_local int g_current_pe;
+}  // namespace detail
+
+/// SPMD context queries. my_pe() is -1 outside a PE fiber and is read on
+/// every sim-PAPI charge, hence inline; the others are only valid inside a
+/// launch.
+inline int my_pe() { return detail::g_current_pe; }
 int n_pes();
 const LaunchConfig& launch_config();
 bool in_spmd_region();

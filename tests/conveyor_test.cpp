@@ -9,6 +9,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "conveyor/conveyor.hpp"
@@ -431,13 +432,25 @@ TEST(Conveyor, ObservedBytesMatchStats) {
 
 // ----------------------------------------------------- property sweeps
 
+// gtest names each case by the bytes of its parameter (ctest lists those
+// names), so the struct has no padding: the explicit zero word keeps the
+// bytes, and with them the names, the same in every build.
 struct SweepParam {
+  SweepParam(int pes_, int ppn_, std::size_t buffer_bytes_,
+             convey::RouteKind route_, std::size_t msgs_per_pe_)
+      : pes(pes_),
+        ppn(ppn_),
+        buffer_bytes(buffer_bytes_),
+        route(route_),
+        msgs_per_pe(msgs_per_pe_) {}
   int pes;
   int ppn;
   std::size_t buffer_bytes;
   convey::RouteKind route;
+  std::int32_t zero_pad = 0;
   std::size_t msgs_per_pe;
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 class ConveyorSweep : public ::testing::TestWithParam<SweepParam> {};
 

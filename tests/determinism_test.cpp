@@ -112,6 +112,23 @@ void run_index_gather_papi(const fs::path& dir) {
   profiler.write_traces();
 }
 
+/// 80 PEs on 10 nodes: above 64 PEs the conveyor endpoints are compact, so
+/// this run pins the order in which compact receivers deliver their sources
+/// (Auto routes multi-node fleets over Mesh2D, so rows forward too), with
+/// the checker's report among the pinned files.
+void run_histogram_compact(const fs::path& dir) {
+  prof::Config pc = kinds_off(dir);
+  pc.overall = pc.supersteps = pc.physical = pc.check = true;
+  prof::Profiler profiler(pc);
+  rt::LaunchConfig lc = fiber_launch();
+  lc.num_pes = 80;
+  lc.pes_per_node = 8;
+  shmem::run(lc, [&] {
+    apps::histogram_actor(32, 2000, 0xC0FFEE, &profiler);
+  });
+  profiler.write_traces();
+}
+
 /// FNV-1a of MANIFEST.txt, which itself lists an FNV-1a per trace file: one
 /// number pins every byte the run wrote.
 std::uint64_t manifest_checksum(const fs::path& dir, std::string& manifest) {
@@ -192,6 +209,12 @@ TEST(Determinism, GoldenTriangleAllEnabledCompressed) {
   const testutil::TestTmpDir tmp;
   run_triangle(tmp.path(), prof::TraceFormat::binary, true);
   expect_golden(tmp.path(), 0xdd3c305dce2187b5ull);
+}
+
+TEST(Determinism, GoldenHistogramCompactMesh2D) {
+  const testutil::TestTmpDir tmp;
+  run_histogram_compact(tmp.path());
+  expect_golden(tmp.path(), 0xfd2be42c8a7eb885ull);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // the PAPI-compatible event-set API (including the 4-event limit).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "papi/cycles.hpp"
@@ -277,4 +279,167 @@ TEST_F(PapiTest, SingleAccessMissesAccumulateViaResidue) {
   const auto misses = papi::counter_value(Event::L1_DCM);
   EXPECT_GE(misses, 599u);
   EXPECT_LE(misses, 601u);
+}
+
+// --------------------------------------------- precomputed charge divisors
+
+namespace {
+
+std::uint64_t splitmix(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+void expect_divides_like_slash(std::uint64_t d, std::uint64_t& rng) {
+  const papi::Reciprocal r(d);
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const std::uint64_t edges[] = {0,         1,          d - 1,      d,
+                                 d + 1,     2 * d - 1,  2 * d,      kMax,
+                                 kMax - 1,  kMax / d * d, kMax / d * d - 1,
+                                 kMax / 2,  kMax / 2 + 1, d * d,
+                                 std::uint64_t{1} << 32,
+                                 (std::uint64_t{1} << 32) - 1};
+  for (const std::uint64_t n : edges)
+    ASSERT_EQ(r.divide(n), n / d) << n << " / " << d;
+  for (int i = 0; i < 64; ++i) {
+    const std::uint64_t n = splitmix(rng) >> (i % 64);
+    ASSERT_EQ(r.divide(n), n / d) << n << " / " << d;
+  }
+}
+
+}  // namespace
+
+TEST(Reciprocal, EqualsDivisionForEveryDivisorUpTo4096) {
+  std::uint64_t rng = 1;
+  for (std::uint64_t d = 1; d <= 4096; ++d) {
+    SCOPED_TRACE(d);
+    expect_divides_like_slash(d, rng);
+  }
+}
+
+TEST(Reciprocal, EqualsDivisionForLargeDivisors) {
+  std::uint64_t rng = 2;
+  for (int k = 12; k < 64; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    for (const std::uint64_t d : {p - 1, p, p + 1, p | (p >> 1)})
+      expect_divides_like_slash(d, rng);
+  }
+  expect_divides_like_slash(~std::uint64_t{0}, rng);
+  for (int i = 0; i < 512; ++i) {
+    const std::uint64_t d = splitmix(rng) >> (i % 60);
+    if (d != 0) expect_divides_like_slash(d, rng);
+  }
+}
+
+namespace {
+
+/// The charge formulas with the divisions written out, as the cost model
+/// defined them before its divisors became reciprocals.
+papi::Counters slash_charge(const papi::CostModel& m, std::uint64_t n,
+                            std::uint64_t ins, std::uint64_t loads,
+                            std::uint64_t stores, std::uint64_t branches,
+                            std::uint64_t l1, std::uint64_t l2,
+                            std::uint64_t extra_cycles) {
+  papi::Counters c{};
+  const auto at = [&c](Event e) -> std::uint64_t& {
+    return c[static_cast<std::size_t>(e)];
+  };
+  at(Event::TOT_INS) = n * ins;
+  at(Event::LD_INS) = n * loads;
+  at(Event::SR_INS) = n * stores;
+  at(Event::LST_INS) = n * (loads + stores);
+  at(Event::BR_INS) = n * branches;
+  at(Event::BR_MSP) = n * (branches * m.br_msp_per_1024 / 1024);
+  at(Event::L1_DCM) = n * l1;
+  at(Event::L2_DCM) = n * l2;
+  const std::uint64_t cyc = ins * 16 / (m.ipc_x16 == 0 ? 16 : m.ipc_x16) +
+                            l1 * m.l1_penalty_cycles +
+                            l2 * m.l2_penalty_cycles;
+  at(Event::TOT_CYC) = n * cyc + extra_cycles;
+  return c;
+}
+
+/// What `charge()` added to the current PE's counters.
+template <class Fn>
+papi::Counters delta_of(Fn&& charge) {
+  const papi::Counters before = papi::counters();
+  charge();
+  papi::Counters d = papi::counters();
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] -= before[i];
+  return d;
+}
+
+}  // namespace
+
+TEST_F(PapiTest, PrecomputedChargesEqualTheDividingFormulas) {
+  std::vector<papi::CostModel> models(1);  // the default
+  {
+    papi::CostModel m;
+    m.ipc_x16 = 0;  // falls back to 16
+    models.push_back(m);
+  }
+  for (const std::uint64_t ipc : {1u, 3u, 7u, 24u, 48u, 1000u}) {
+    papi::CostModel m;
+    m.ipc_x16 = ipc;
+    m.ins_per_payload_byte_num = ipc % 5 + 1;
+    m.ins_per_payload_byte_den = ipc % 7 + 2;
+    m.net_poll_cycles = 100 + ipc;
+    m.net_put_cycles_per_byte_x16 = ipc;
+    m.br_msp_per_1024 = 3 * ipc;
+    models.push_back(m);
+  }
+  for (const papi::CostModel& m : models) {
+    SCOPED_TRACE(m.ipc_x16);
+    papi::set_cost_model(m);
+    for (std::size_t bytes = 0; bytes <= 520; bytes += 13) {
+      for (const std::uint64_t n : {1u, 2u, 37u}) {
+        const std::uint64_t payload =
+            bytes * m.ins_per_payload_byte_num / m.ins_per_payload_byte_den;
+        EXPECT_EQ(delta_of([&] {
+                    papi::account_message_construct_n(bytes, n);
+                  }),
+                  slash_charge(m, n, m.ins_per_message_construct + payload,
+                               2 + bytes / 16, 3 + bytes / 8,
+                               m.branches_per_message, 0, 0, 0));
+        EXPECT_EQ(delta_of([&] { papi::account_message_handle_n(bytes, n); }),
+                  slash_charge(m, n, m.ins_per_message_handle + payload,
+                               3 + bytes / 8, 1 + bytes / 16,
+                               m.branches_per_message, 0, 0, 0));
+      }
+      const std::uint64_t ops = bytes / 16 + 1;
+      EXPECT_EQ(delta_of([&] { papi::account_buffer_copy(bytes); }),
+                slash_charge(m, 1, 2 * ops, ops, ops, 2, bytes / 256, 0, 0));
+      EXPECT_EQ(delta_of([&] { papi::account_loop_iters(bytes); }),
+                slash_charge(m, 1, 4 * bytes, bytes, 0, bytes, 0, 0, 0));
+      EXPECT_EQ(delta_of([&] { papi::account_random_access(64, bytes); }),
+                slash_charge(m, 1, 2 * bytes, bytes, 0, bytes, 0, 0, 0));
+      EXPECT_EQ(delta_of([&] { papi::account_local_flush(bytes); }),
+                slash_charge(m, 1, 20, 4, 4, 4, 0, 0,
+                             m.net_local_flush_cycles));
+      EXPECT_EQ(delta_of([&] { papi::account_remote_put(bytes); }),
+                slash_charge(m, 1, 40, 6, 6, 6, 1, 0,
+                             m.net_put_fixed_cycles +
+                                 bytes * m.net_put_cycles_per_byte_x16 / 16));
+      EXPECT_EQ(delta_of([&] { papi::account_quiet(bytes); }),
+                slash_charge(m, 1, 30, 4, 2, 6, 0, 0,
+                             m.net_quiet_fixed_cycles +
+                                 bytes * m.net_quiet_cycles_per_put));
+    }
+    EXPECT_EQ(delta_of([] { papi::account_signal_put(); }),
+              slash_charge(m, 1, 15, 2, 2, 2, 0, 0, m.net_signal_put_cycles));
+    EXPECT_EQ(delta_of([] { papi::account_poll(); }),
+              slash_charge(m, 1, 12, 4, 0, 4, 0, 0, m.net_poll_cycles));
+  }
+  papi::set_cost_model(papi::CostModel{});
+}
+
+TEST_F(PapiTest, ZeroPayloadDenominatorIsRejected) {
+  papi::CostModel m;
+  m.ins_per_payload_byte_den = 0;
+  EXPECT_THROW(papi::set_cost_model(m), std::invalid_argument);
+  // The model in force is unchanged.
+  EXPECT_EQ(papi::cost_model().ins_per_payload_byte_den,
+            papi::CostModel{}.ins_per_payload_byte_den);
 }
