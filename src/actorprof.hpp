@@ -13,7 +13,6 @@
 #include "apps/bfs.hpp"
 #include "apps/histogram.hpp"
 #include "apps/index_gather.hpp"
-#include "apps/influence_max.hpp"
 #include "apps/jaccard.hpp"
 #include "apps/pagerank.hpp"
 #include "apps/randperm.hpp"

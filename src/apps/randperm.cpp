@@ -1,5 +1,7 @@
 #include "apps/randperm.hpp"
 
+#include <algorithm>
+
 #include "actor/selector.hpp"
 #include "core/profiler.hpp"
 #include "graph/rmat.hpp"  // SplitMix64
@@ -13,6 +15,12 @@ struct Dart {
   std::int64_t value;
   std::int64_t slot;  // global board slot
 };
+
+/// Board slots per value. With at least half of the board free, every
+/// throw sticks with probability 1/2 or more, so the last dart lands within
+/// O(log N) rounds; a board exactly N slots long leaves one free slot for
+/// the last dart, which then takes about N rounds to find it.
+constexpr std::size_t kBoardSlack = 2;
 }  // namespace
 
 RandPermResult random_permutation_actor(std::size_t per_pe,
@@ -20,15 +28,17 @@ RandPermResult random_permutation_actor(std::size_t per_pe,
                                         prof::Profiler* profiler) {
   const int me = shmem::my_pe();
   const int n = shmem::n_pes();
-  const std::int64_t board_size =
+  const std::int64_t total =
       static_cast<std::int64_t>(per_pe) * static_cast<std::int64_t>(n);
+  const auto board_size = static_cast<std::int64_t>(kBoardSlack) * total;
 
   RandPermResult r;
-  r.local_perm.assign(per_pe, -1);  // board slice: slot t lives at t/n on t%n
+  // This PE's board slice: slot t lives at t/n on PE t%n.
+  std::vector<std::int64_t> board(kBoardSlack * per_pe, -1);
 
   // The values this PE must place (cyclic ownership of the value space).
   std::vector<std::int64_t> pending;
-  for (std::int64_t v = me; v < board_size; v += n) pending.push_back(v);
+  for (std::int64_t v = me; v < total; v += n) pending.push_back(v);
 
   graph::SplitMix64 rng(seed ^ (static_cast<std::uint64_t>(me) * 0x51ED270Bull));
 
@@ -46,8 +56,8 @@ RandPermResult random_permutation_actor(std::size_t per_pe,
     actor::Selector<2, Dart> sel;
     sel.mb[0].process = [&](Dart d, int sender_rank) {
       const auto idx = static_cast<std::size_t>(d.slot / n);
-      if (r.local_perm[idx] < 0) {
-        r.local_perm[idx] = d.value;  // dart sticks
+      if (board[idx] < 0) {
+        board[idx] = d.value;  // dart sticks
       } else {
         sel.send(1, d, sender_rank);  // bounce it back
       }
@@ -69,8 +79,32 @@ RandPermResult random_permutation_actor(std::size_t per_pe,
     pending = std::move(rejected);
   }
 
+  // The permutation reads the stuck darts in PE-major board order: this
+  // PE's first one goes to position `pos`, the count stuck on lower PEs.
+  // Position p lives on PE p%n at index p/n.
+  const auto stuck = static_cast<std::int64_t>(
+      std::count_if(board.begin(), board.end(),
+                    [](std::int64_t v) { return v >= 0; }));
+  shmem::SymmArray<std::int64_t> stuck_on(static_cast<std::size_t>(n));
+  shmem::SymmArray<std::int64_t> perm(per_pe);
+  shmem::barrier_all();  // both exist on every PE before any put lands
+  for (int pe = 0; pe < n; ++pe)
+    shmem::put(&stuck_on[static_cast<std::size_t>(me)], &stuck, sizeof stuck,
+               pe);
+  shmem::barrier_all();
+  std::int64_t pos = 0;
+  for (int pe = 0; pe < me; ++pe) pos += stuck_on[static_cast<std::size_t>(pe)];
+  for (const std::int64_t v : board) {
+    if (v < 0) continue;
+    shmem::put(&perm[static_cast<std::size_t>(pos / n)], &v, sizeof v,
+               static_cast<int>(pos % n));
+    ++pos;
+  }
+
   if (profiler != nullptr) profiler->epoch_end();
   shmem::barrier_all();
+  r.local_perm.resize(per_pe);
+  for (std::size_t s = 0; s < per_pe; ++s) r.local_perm[s] = perm[s];
   return r;
 }
 

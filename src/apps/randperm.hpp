@@ -1,9 +1,10 @@
 // Distributed random permutation — bale's "randperm" kernel, the classic
 // dart-board algorithm: every PE throws darts (candidate values) at random
-// slots of a distributed board; the slot owner accepts the first dart and
-// rejects the rest, and rejected darts are re-thrown. A two-mailbox
-// request/reply selector with data-dependent retries — heavier on the
-// termination protocol than histogram or ig.
+// slots of a distributed board twice as long as the permutation; the slot
+// owner accepts the first dart and rejects the rest, and rejected darts are
+// re-thrown. The permutation is the stuck darts read in board order. A
+// two-mailbox request/reply selector with data-dependent retries — heavier
+// on the termination protocol than histogram or ig.
 #pragma once
 
 #include <cstdint>

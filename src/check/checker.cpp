@@ -65,19 +65,6 @@ const char* to_string(Violation::Kind k) {
   return "unknown";
 }
 
-bool kind_from_string(std::string_view s, Violation::Kind& out) {
-  using K = Violation::Kind;
-  for (K k : {K::WriteReadRace, K::ReadBeforeQuiet, K::UnquiescedAtBarrier,
-              K::NbiReordered, K::NbiDuplicated, K::QuietInterrupted,
-              K::ApiMisuse}) {
-    if (s == to_string(k)) {
-      out = k;
-      return true;
-    }
-  }
-  return false;
-}
-
 void write_text(std::ostream& os, const std::vector<Violation>& v,
                 std::uint64_t dropped) {
   if (v.empty() && dropped == 0) {
@@ -129,20 +116,6 @@ void Checker::bind(int num_pes) {
   staged_.assign(static_cast<std::size_t>(num_pes), {});
   quiet_.assign(static_cast<std::size_t>(num_pes), {});
   step_.assign(static_cast<std::size_t>(num_pes), 0);
-}
-
-void Checker::clear() {
-  num_pes_ = 0;
-  live_ = 0;
-  arrived_ = 0;
-  alive_.clear();
-  vc_.clear();
-  writes_.clear();
-  staged_.clear();
-  quiet_.clear();
-  step_.clear();
-  violations_.clear();
-  dropped_ = 0;
 }
 
 std::uint32_t Checker::superstep_of(int pe) const {
@@ -401,7 +374,7 @@ void Checker::on_atomic(int pe, int target, std::uint64_t off,
 void Checker::on_collective_arrive(int pe) {
   if (!bound()) return;
   // barrier_all quiets before arriving, so its staged set is empty here;
-  // sync_all / reductions / broadcast do not — outstanding staged puts at
+  // sync_all and the reductions do not — outstanding staged puts at
   // those boundaries start the next superstep with invisible writes.
   for (const Staged& s : staged_[static_cast<std::size_t>(pe)]) {
     Violation v;

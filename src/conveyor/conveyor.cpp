@@ -624,7 +624,6 @@ void Conveyor::account_dead_endpoint() {
 
 const Options& Conveyor::options() const { return group_->opts; }
 const ConveyorStats& Conveyor::stats() const { return self_->stats; }
-const Router& Conveyor::router() const { return group_->router; }
 
 ConveyorStats Conveyor::total_stats() const {
   std::lock_guard<std::mutex> lk(group_->retire_mu);
@@ -638,12 +637,6 @@ ConveyorStats Conveyor::total_stats() const {
 
 std::uint64_t Conveyor::delivered_total() const {
   return group_->delivered.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Conveyor::items_in_flight() const {
-  return group_->injected.load(std::memory_order_relaxed) -
-         group_->delivered.load(std::memory_order_relaxed) -
-         group_->lost.load(std::memory_order_relaxed);
 }
 
 // --------------------------------------------------------------------- push

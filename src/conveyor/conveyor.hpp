@@ -152,7 +152,6 @@ class Conveyor {
 
   [[nodiscard]] const Options& options() const;
   [[nodiscard]] const ConveyorStats& stats() const;
-  [[nodiscard]] const Router& router() const;
   /// Sum of stats over all PEs (any PE may call). Under the threads
   /// backend the per-endpoint counters are plain single-writer values:
   /// call this only when barrier-separated from remote PEs' conveyor
@@ -162,8 +161,6 @@ class Conveyor {
   /// Items delivered group-wide so far (relaxed atomic — safe to poll
   /// mid-run from any worker; captures remote PEs' progress).
   [[nodiscard]] std::uint64_t delivered_total() const;
-  /// Items pushed but not yet delivered or lost anywhere (global).
-  [[nodiscard]] std::uint64_t items_in_flight() const;
 
  private:
   struct Group;     // state shared by all endpoints

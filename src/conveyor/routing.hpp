@@ -34,11 +34,9 @@ class Router {
       int a = 1;
       for (int d = 1; d * d <= nodes; ++d)
         if (nodes % d == 0) a = d;
+      // A prime node count leaves dim_a_ == 1: the cube degenerates to a
+      // mesh in that axis.
       dim_a_ = a;
-      dim_b_ = nodes / a;
-      if (dim_a_ == 1 && dim_b_ > 1 && nodes > 1) {
-        // Prime node count: the cube degenerates to a mesh in that axis.
-      }
     }
   }
 
@@ -97,20 +95,6 @@ class Router {
     return t;
   }
 
-  /// Number of hops the full route s->d takes.
-  [[nodiscard]] int hop_count(int src, int dst) const {
-    int hops = 0;
-    int at = src;
-    if (src == dst) return 1;  // self-send still traverses the stack once
-    while (at != dst) {
-      at = next_hop(at, dst);
-      ++hops;
-      if (hops > 4)
-        throw std::logic_error("Router: route does not converge");
-    }
-    return hops;
-  }
-
   static RouteKind resolve(const shmem::Topology& topo, RouteKind kind) {
     if (kind != RouteKind::Auto) return kind;
     return topo.num_nodes() <= 1 ? RouteKind::Linear1D : RouteKind::Mesh2D;
@@ -126,7 +110,6 @@ class Router {
   shmem::Topology topo_;
   RouteKind kind_;
   int dim_a_ = 1;
-  int dim_b_ = 1;
 };
 
 }  // namespace ap::convey

@@ -31,14 +31,6 @@ std::uint64_t CommMatrix::max_cell() const {
   return m;
 }
 
-CommMatrix& CommMatrix::operator+=(const CommMatrix& other) {
-  if (other.n_ != n_)
-    throw std::invalid_argument("CommMatrix += size mismatch");
-  for (std::size_t i = 0; i < counts_.size(); ++i)
-    counts_[i] += other.counts_[i];
-  return *this;
-}
-
 bool CommMatrix::is_lower_triangular() const {
   for (int s = 0; s < n_; ++s)
     for (int d = s + 1; d < n_; ++d)
@@ -66,28 +58,6 @@ std::uint64_t SparseCommMatrix::total() const {
   std::uint64_t t = 0;
   for (const auto& [k, v] : cells_) t += v;
   return t;
-}
-
-std::uint64_t SparseCommMatrix::max_cell() const {
-  std::uint64_t m = 0;
-  for (const auto& [k, v] : cells_) m = std::max(m, v);
-  return m;
-}
-
-bool SparseCommMatrix::is_lower_triangular() const {
-  for (const auto& [k, v] : cells_) {
-    const auto s = k / static_cast<std::uint64_t>(n_);
-    const auto d = k % static_cast<std::uint64_t>(n_);
-    if (v != 0 && d > s) return false;
-  }
-  return true;
-}
-
-SparseCommMatrix& SparseCommMatrix::operator+=(const SparseCommMatrix& other) {
-  if (other.n_ != n_)
-    throw std::invalid_argument("SparseCommMatrix += size mismatch");
-  for (const auto& [k, v] : other.cells_) cells_[k] += v;
-  return *this;
 }
 
 CommMatrix SparseCommMatrix::bucketed(int target) const {

@@ -32,7 +32,6 @@ class CommMatrix {
   [[nodiscard]] std::uint64_t total() const;
   [[nodiscard]] std::uint64_t max_cell() const;
 
-  CommMatrix& operator+=(const CommMatrix& other);
   friend bool operator==(const CommMatrix&, const CommMatrix&) = default;
 
   /// True when every non-zero entry (src,dst) satisfies dst <= src — the
@@ -84,10 +83,6 @@ class SparseCommMatrix {
   [[nodiscard]] std::vector<std::uint64_t> row_sums() const;
   [[nodiscard]] std::vector<std::uint64_t> col_sums() const;
   [[nodiscard]] std::uint64_t total() const;
-  [[nodiscard]] std::uint64_t max_cell() const;
-  [[nodiscard]] bool is_lower_triangular() const;
-
-  SparseCommMatrix& operator+=(const SparseCommMatrix& other);
 
   /// Downsample into at most `target` buckets per side and densify the
   /// result — the only way large matrices should ever become dense. When

@@ -91,10 +91,6 @@ TraceFormat env_format_strict(const char* name, TraceFormat fallback) {
 
 }  // namespace
 
-const char* to_string(TraceFormat f) {
-  return f == TraceFormat::binary ? "binary" : "csv";
-}
-
 Config Config::from_env() {
   Config c;
   c.logical = env_flag("ACTORPROF_TRACE", c.logical);

@@ -24,8 +24,6 @@ namespace ap::prof {
 ///            back for interchange.
 enum class TraceFormat { csv, binary };
 
-[[nodiscard]] const char* to_string(TraceFormat f);
-
 struct Config {
   /// Logical trace (paper §III-A): PEi_send.csv + the in-memory comm matrix.
 #ifdef ENABLE_TRACE

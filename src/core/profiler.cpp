@@ -216,7 +216,7 @@ void Profiler::epoch_begin() {
   if (d.in_epoch)
     throw std::logic_error("Profiler::epoch_begin: epoch already active");
   // Repeated epochs accumulate (e.g. one epoch per BFS level or solver
-  // iteration); clear() starts a fresh experiment.
+  // iteration); a fresh Profiler starts a fresh experiment.
   store_flag(d.in_epoch, true);
   d.region_stack.assign(1, Region::Main);
   const std::uint64_t now = papi::cycles_now();
@@ -281,12 +281,6 @@ void Profiler::epoch_end() {
       io::write_all(*this, cfg_);
     }
   }
-}
-
-bool Profiler::epoch_active() const {
-  const int pe = rt::my_pe();
-  if (pe < 0 || static_cast<std::size_t>(pe) >= pes_.size()) return false;
-  return load_flag(pes_[static_cast<std::size_t>(pe)].in_epoch);
 }
 
 // --------------------------------------------------------------- the fold
@@ -1220,20 +1214,5 @@ void Profiler::write_metrics() const {
 }
 
 void Profiler::write_traces() const { io::write_all(*this, cfg_); }
-
-void Profiler::clear() {
-  pes_.clear();
-  topo_known_ = false;
-  if (cfg_.check) checker_.clear();
-  if (cfg_.metrics || cfg_.check) meter_.reset();
-  if (cfg_.metrics) {
-    if (registry_.bound()) registry_.reset_values();
-    ring_.clear();
-    anomalies_.clear();
-    have_sample_baseline_ = false;
-    last_sample_cycles_ = 0;
-  }
-  published_anomalies_ = 0;
-}
 
 }  // namespace ap::prof

@@ -127,19 +127,6 @@ class Profiler final : public actor::ActorObserver,
   /// counting kernel and excludes graph reading and validation).
   void epoch_begin();
   void epoch_end();
-  [[nodiscard]] bool epoch_active() const;
-
-  /// RAII epoch guard.
-  class Epoch {
-   public:
-    explicit Epoch(Profiler& p) : p_(p) { p_.epoch_begin(); }
-    ~Epoch() { p_.epoch_end(); }
-    Epoch(const Epoch&) = delete;
-    Epoch& operator=(const Epoch&) = delete;
-
-   private:
-    Profiler& p_;
-  };
 
   // ---- ActorObserver ------------------------------------------------------
   void on_send(int mb, int dst_pe, std::size_t bytes,
@@ -252,8 +239,6 @@ class Profiler final : public actor::ActorObserver,
   [[nodiscard]] const shmem::Topology& topo() const { return topo_; }
 
   // ---- live metrics (Config::metrics) -------------------------------------
-  /// The registry backing the live metrics (bound once the world is known).
-  [[nodiscard]] const metrics::Registry& registry() const { return registry_; }
   /// Ring of periodic fleet snapshots taken by the scheduler tick hook.
   [[nodiscard]] const metrics::SampleRing& metric_samples() const {
     return ring_;
@@ -299,9 +284,6 @@ class Profiler final : public actor::ActorObserver,
   /// streaming is off. write_all() pushes final file bodies through it so
   /// a pushed run converges to the on-disk bytes.
   [[nodiscard]] serve::Publisher* publisher() const { return publisher_.get(); }
-
-  /// Drop all collected data (between experiments).
-  void clear();
 
  private:
   enum class Region { Main, Proc, Comm };

@@ -740,12 +740,6 @@ void lz_expand(std::string_view comp, std::size_t raw_len, std::string& out) {
 
 }  // namespace
 
-std::string lz_decompress(std::string_view comp, std::size_t raw_len) {
-  std::string out;
-  lz_expand(comp, raw_len, out);
-  return out;
-}
-
 // ---- container re-framing --------------------------------------------------
 
 std::string compress_trace(std::string_view body) {
@@ -771,35 +765,6 @@ std::string compress_trace(std::string_view body) {
       out.push_back(static_cast<char>(kBlockStored));
       out.append(f.sections);
     }
-    if ((h.flags & kFlagCrc) != 0)
-      put_u32le(out, crc32(out.data() + start, out.size() - start));
-  }
-  return out;
-}
-
-std::string decompress_trace(std::string_view body) {
-  Cursor c{body};
-  if (body.size() < 8 || body.substr(0, 4) != kAptMagic)
-    c.fail("bad .apt magic");
-  if (!is_compressed_trace(body)) return std::string(body);
-  const AptHeader h = read_header(c);
-  std::string out =
-      header(static_cast<BinKind>(h.kind), h.ncols, h.aux, kAptVersion,
-             static_cast<std::uint8_t>(h.flags & ~kFlagCompressed));
-  out.reserve(body.size() * 2);
-  std::string lz;  // reused across blocks
-  while (!c.done()) {
-    const Frame f = read_frame(c, h);
-    check_crc(body, h, f, c.block);
-    std::string_view raw = f.sections;
-    if (f.flag == kBlockLz) {
-      expand_block(f, c.block, lz);
-      raw = lz;
-    }
-    const std::size_t start = out.size();
-    out.push_back('B');
-    put_varint(out, f.nrows);
-    out.append(raw);
     if ((h.flags & kFlagCrc) != 0)
       put_u32le(out, crc32(out.data() + start, out.size() - start));
   }

@@ -57,28 +57,19 @@ inline constexpr std::uint8_t kAptVersionCompressed = 2;
 
 /// Re-frame a version-1 .apt body into the version-2 compressed container:
 /// each block's column sections are LZ-compressed (kept stored when
-/// compression would not shrink them). Lossless: decompress_trace() gives
-/// back the input byte-identically, and all decoders read both versions.
-/// Passing an already-compressed body returns it unchanged.
+/// compression would not shrink them). Lossless: every decoder reads both
+/// versions to the same rows. Passing an already-compressed body returns
+/// it unchanged.
 [[nodiscard]] std::string compress_trace(std::string_view body);
-
-/// Inverse of compress_trace(): version-2 -> version-1, byte-identical to
-/// the original uncompressed encoding. Version-1 input is returned
-/// unchanged. Throws BinaryParseError on damage.
-[[nodiscard]] std::string decompress_trace(std::string_view body);
 
 /// CRC-32 (IEEE — the .apt block checksum) over a byte buffer. Exposed
 /// for the push-ingest framing and tests.
 [[nodiscard]] std::uint32_t crc32_bytes(std::string_view data);
 
 /// The dependency-free LZ byte codec behind the version-2 container
-/// (greedy hash-chain LZ77, 64 KiB window, LZ4-style token stream).
-/// Exposed for tests and benches.
+/// (greedy hash-chain LZ77, 64 KiB window, LZ4-style token stream). The
+/// decoders expand its blocks in place.
 [[nodiscard]] std::string lz_compress(std::string_view raw);
-/// Throws std::runtime_error when `comp` is corrupt or does not expand to
-/// exactly `raw_len` bytes.
-[[nodiscard]] std::string lz_decompress(std::string_view comp,
-                                        std::size_t raw_len);
 
 /// Binary decode failure. line_no() carries the 1-based block index (0 for
 /// the file header); offset() the absolute byte offset of the damage.

@@ -56,12 +56,6 @@ bool Csr::has_entry(Vertex u, Vertex v) const {
   return std::binary_search(nb.begin(), nb.end(), v);
 }
 
-std::size_t Csr::max_degree() const {
-  std::size_t m = 0;
-  for (Vertex v = 0; v < num_vertices(); ++v) m = std::max(m, degree(v));
-  return m;
-}
-
 std::int64_t count_triangles_serial(const Csr& lower) {
   std::int64_t count = 0;
   for (Vertex i = 0; i < lower.num_vertices(); ++i) {

@@ -45,8 +45,6 @@ class Csr {
   }
   [[nodiscard]] const std::vector<Vertex>& col_idx() const { return col_idx_; }
 
-  [[nodiscard]] std::size_t max_degree() const;
-
  private:
   std::vector<std::size_t> row_ptr_{0};
   std::vector<Vertex> col_idx_;

@@ -9,15 +9,6 @@ Distribution::Distribution(int p) : p_(p) {
   if (p <= 0) throw std::invalid_argument("Distribution: ranks must be > 0");
 }
 
-std::vector<Vertex> Distribution::rows_of(int rank, Vertex n) const {
-  if (rank < 0 || rank >= p_)
-    throw std::out_of_range("Distribution::rows_of: rank out of range");
-  std::vector<Vertex> rows;
-  for (Vertex v = 0; v < n; ++v)
-    if (owner(v) == rank) rows.push_back(v);
-  return rows;
-}
-
 BlockDistribution::BlockDistribution(int p, Vertex n)
     : Distribution(p), n_(n), per_rank_((n + p - 1) / p) {
   if (n <= 0) throw std::invalid_argument("BlockDistribution: empty graph");

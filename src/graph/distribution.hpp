@@ -27,9 +27,6 @@ class Distribution {
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] int num_ranks() const { return p_; }
 
-  /// Rows owned by `rank` (materialized; fine at the scales we run).
-  [[nodiscard]] std::vector<Vertex> rows_of(int rank, Vertex n) const;
-
  protected:
   explicit Distribution(int p);
   int p_;

@@ -114,30 +114,10 @@ void Registry::observe(int pe, HistogramId id, std::uint64_t value) {
   cell_add(h.sum, value);
 }
 
-std::uint64_t Registry::value(int pe, CounterId id) const {
-  check_bound(pe);
-  return cell_get(slabs_[static_cast<std::size_t>(pe)]
-                      .counters[static_cast<std::size_t>(id.i)]);
-}
-
 std::int64_t Registry::value(int pe, GaugeId id) const {
   check_bound(pe);
   return cell_get(slabs_[static_cast<std::size_t>(pe)]
                       .gauges[static_cast<std::size_t>(id.i)]);
-}
-
-const HistogramData& Registry::data(int pe, HistogramId id) const {
-  check_bound(pe);
-  return slabs_[static_cast<std::size_t>(pe)]
-      .hists[static_cast<std::size_t>(id.i)];
-}
-
-std::vector<std::string> Registry::scalar_names() const {
-  std::vector<std::string> out;
-  out.reserve(num_scalars());
-  for (const Desc& d : counters_) out.push_back(d.name);
-  for (const Desc& d : gauges_) out.push_back(d.name);
-  return out;
 }
 
 void Registry::snapshot_scalars(std::int64_t* out) const {
@@ -146,14 +126,6 @@ void Registry::snapshot_scalars(std::int64_t* out) const {
     for (const std::uint64_t& v : s.counters)
       out[k++] = static_cast<std::int64_t>(cell_get(v));
     for (const std::int64_t& v : s.gauges) out[k++] = cell_get(v);
-  }
-}
-
-void Registry::reset_values() {
-  for (PeSlab& s : slabs_) {
-    s.counters.assign(counters_.size(), 0);
-    s.gauges.assign(gauges_.size(), 0);
-    s.hists.assign(hists_.size(), HistogramData{});
   }
 }
 

@@ -77,22 +77,16 @@ class Registry {
   void observe(int pe, HistogramId id, std::uint64_t value);
 
   // ---- reads ----------------------------------------------------------------
-  [[nodiscard]] std::uint64_t value(int pe, CounterId id) const;
   [[nodiscard]] std::int64_t value(int pe, GaugeId id) const;
-  [[nodiscard]] const HistogramData& data(int pe, HistogramId id) const;
 
   /// Scalar series = all counters then all gauges, in registration order.
   /// This is the row layout the sampler snapshots.
   [[nodiscard]] std::size_t num_scalars() const {
     return counters_.size() + gauges_.size();
   }
-  [[nodiscard]] std::vector<std::string> scalar_names() const;
   /// Copy every PE's scalar series into `out` (num_pes * num_scalars
   /// values, PE-major). `out` must be preallocated by the caller.
   void snapshot_scalars(std::int64_t* out) const;
-
-  /// Zero all values (keeps registrations); used between experiments.
-  void reset_values();
 
   // ---- exposition -----------------------------------------------------------
   /// Prometheus text format 0.0.4, one time series per PE (`pe` label).

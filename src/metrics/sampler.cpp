@@ -53,11 +53,6 @@ std::int64_t SampleRing::value(std::size_t i, int pe, std::size_t s) const {
   return v.row[static_cast<std::size_t>(pe) * num_series_ + s];
 }
 
-void SampleRing::clear() {
-  size_ = head_ = 0;
-  overwritten_ = 0;
-}
-
 // ---------------------------------------------------------------- detector
 
 std::string_view to_string(AnomalyKind k) {

@@ -53,8 +53,6 @@ class SampleRing {
   [[nodiscard]] std::int64_t value(std::size_t i, int pe,
                                    std::size_t s) const;
 
-  void clear();
-
  private:
   int num_pes_ = 0;
   std::size_t num_series_ = 0;
@@ -105,10 +103,6 @@ class AnomalyLog {
   }
   [[nodiscard]] const std::vector<Anomaly>& items() const { return items_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
-  void clear() {
-    items_.clear();
-    dropped_ = 0;
-  }
 
  private:
   std::size_t cap_;

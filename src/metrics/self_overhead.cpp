@@ -58,8 +58,4 @@ std::uint64_t OverheadMeter::grand_total() const {
   return t;
 }
 
-void OverheadMeter::reset() {
-  for (auto& row : cells_) row.fill(0);
-}
-
 }  // namespace ap::metrics

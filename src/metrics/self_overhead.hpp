@@ -60,8 +60,6 @@ class OverheadMeter {
   /// Sum over every PE and the fleet slot.
   [[nodiscard]] std::uint64_t grand_total() const;
 
-  void reset();
-
   /// RAII cost scope. The PE is read at *destruction* (callbacks may
   /// early-return before a PE context exists; the dtor charges wherever
   /// the call actually ran). A null meter makes the scope free.

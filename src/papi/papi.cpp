@@ -1,9 +1,9 @@
 #include "papi/cycles.hpp"
 #include "papi/papi.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,19 +13,8 @@ namespace ap::papi {
 
 namespace {
 
-struct EventSet {
-  bool live = false;     // created and not destroyed
-  bool running = false;  // between start() and stop()
-  int n = 0;
-  std::array<Event, kMaxEventsPerSet> events{};
-  std::array<std::uint64_t, kMaxEventsPerSet> started_at{};
-  std::array<std::uint64_t, kMaxEventsPerSet> accumulated{};
-};
-
 struct PeCounters {
   Counters raw{};
-  std::vector<EventSet> sets;
-  int running_sets = 0;  // concurrent-event limit spans sets
   // Sub-miss residues (1/1024 units) so per-call integer rounding does not
   // swallow miss rates when callers account one access at a time.
   std::uint64_t l1_residue = 0;
@@ -144,14 +133,6 @@ void add(Counters& raw, const Counters& amount, std::uint64_t n = 1) {
 bool g_shared_clock = false;
 std::atomic<std::uint64_t> g_fleet_max{0};
 
-/// How many of `total` concurrently running events exist on this PE.
-int total_running_events(const PeCounters& pc) {
-  int n = 0;
-  for (const EventSet& s : pc.sets)
-    if (s.live && s.running) n += s.n;
-  return n;
-}
-
 /// Charge `n` identical operations in one call. Every per-event amount is
 /// the single-call rounded value multiplied by n, so one charge_n(n, ...)
 /// is byte-identical to n charge(...) calls — the property the runtime's
@@ -192,14 +173,6 @@ std::string_view name(Event e) {
   return "PAPI_UNKNOWN";
 }
 
-std::optional<Event> parse(std::string_view s) {
-  for (int i = 0; i < kNumEvents; ++i) {
-    const Event e = static_cast<Event>(i);
-    if (name(e) == s) return e;
-  }
-  return std::nullopt;
-}
-
 const CostModel& cost_model() { return g_model; }
 
 void set_cost_model(const CostModel& m) {
@@ -208,11 +181,6 @@ void set_cost_model(const CostModel& m) {
         "sim-PAPI: CostModel::ins_per_payload_byte_den must be > 0");
   g_model = m;
   g_derived = Derived(m);
-}
-
-void account(Event e, std::uint64_t n) {
-  if (e == Event::kCount) return;
-  at(pe_counters().raw, e) += n;
 }
 
 void account_message_construct_n(std::size_t bytes, std::uint64_t n) {
@@ -328,161 +296,6 @@ void reset_all() {
   pes.resize(1);
   refresh_view(pes);
   g_fleet_max.store(0, std::memory_order_relaxed);
-}
-
-int library_init() { return PAPI_OK; }
-
-int create_eventset(int* set) {
-  if (set == nullptr) return PAPI_EINVAL;
-  PeCounters& pc = pe_counters();
-  for (std::size_t i = 0; i < pc.sets.size(); ++i) {
-    if (!pc.sets[i].live) {
-      pc.sets[i] = EventSet{};
-      pc.sets[i].live = true;
-      *set = static_cast<int>(i);
-      return PAPI_OK;
-    }
-  }
-  pc.sets.push_back(EventSet{});
-  pc.sets.back().live = true;
-  *set = static_cast<int>(pc.sets.size() - 1);
-  return PAPI_OK;
-}
-
-namespace {
-EventSet* live_set(int set) {
-  PeCounters& pc = pe_counters();
-  if (set < 0 || static_cast<std::size_t>(set) >= pc.sets.size())
-    return nullptr;
-  EventSet& s = pc.sets[static_cast<std::size_t>(set)];
-  return s.live ? &s : nullptr;
-}
-}  // namespace
-
-int add_event(int set, Event e) {
-  EventSet* s = live_set(set);
-  if (s == nullptr) return PAPI_EINVAL;
-  if (s->running) return PAPI_EISRUN;
-  if (e == Event::kCount) return PAPI_ENOEVNT;
-  if (s->n >= kMaxEventsPerSet) return PAPI_ECNFLCT;
-  for (int i = 0; i < s->n; ++i)
-    if (s->events[static_cast<std::size_t>(i)] == e) return PAPI_ECNFLCT;
-  s->events[static_cast<std::size_t>(s->n++)] = e;
-  return PAPI_OK;
-}
-
-int num_events(int set) {
-  EventSet* s = live_set(set);
-  return s == nullptr ? PAPI_EINVAL : s->n;
-}
-
-int start(int set) {
-  EventSet* s = live_set(set);
-  if (s == nullptr) return PAPI_EINVAL;
-  if (s->running) return PAPI_EISRUN;
-  PeCounters& pc = pe_counters();
-  // Model the hardware limitation the paper cites: at most four events can
-  // be counted concurrently on one PE, across all of its event sets.
-  if (total_running_events(pc) + s->n > kMaxEventsPerSet) return PAPI_ECNFLCT;
-  for (int i = 0; i < s->n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    s->started_at[idx] = pc.raw[static_cast<std::size_t>(s->events[idx])];
-    s->accumulated[idx] = 0;
-  }
-  s->running = true;
-  ++pc.running_sets;
-  return PAPI_OK;
-}
-
-namespace {
-void fold_running(EventSet& s, PeCounters& pc) {
-  for (int i = 0; i < s.n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const std::uint64_t now = pc.raw[static_cast<std::size_t>(s.events[idx])];
-    s.accumulated[idx] += now - s.started_at[idx];
-    s.started_at[idx] = now;
-  }
-}
-}  // namespace
-
-int stop(int set, long long* values) {
-  EventSet* s = live_set(set);
-  if (s == nullptr) return PAPI_EINVAL;
-  if (!s->running) return PAPI_ENOTRUN;
-  PeCounters& pc = pe_counters();
-  fold_running(*s, pc);
-  s->running = false;
-  --pc.running_sets;
-  if (values != nullptr)
-    for (int i = 0; i < s->n; ++i)
-      values[i] = static_cast<long long>(
-          s->accumulated[static_cast<std::size_t>(i)]);
-  return PAPI_OK;
-}
-
-int read(int set, long long* values) {
-  EventSet* s = live_set(set);
-  if (s == nullptr) return PAPI_EINVAL;
-  if (values == nullptr) return PAPI_EINVAL;
-  if (s->running) fold_running(*s, pe_counters());
-  for (int i = 0; i < s->n; ++i)
-    values[i] =
-        static_cast<long long>(s->accumulated[static_cast<std::size_t>(i)]);
-  return PAPI_OK;
-}
-
-int reset(int set) {
-  EventSet* s = live_set(set);
-  if (s == nullptr) return PAPI_EINVAL;
-  PeCounters& pc = pe_counters();
-  for (int i = 0; i < s->n; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    s->accumulated[idx] = 0;
-    s->started_at[idx] = pc.raw[static_cast<std::size_t>(s->events[idx])];
-  }
-  return PAPI_OK;
-}
-
-int cleanup_eventset(int set) {
-  EventSet* s = live_set(set);
-  if (s == nullptr) return PAPI_EINVAL;
-  if (s->running) return PAPI_EISRUN;
-  s->n = 0;
-  return PAPI_OK;
-}
-
-int destroy_eventset(int* set) {
-  if (set == nullptr) return PAPI_EINVAL;
-  EventSet* s = live_set(*set);
-  if (s == nullptr) return PAPI_EINVAL;
-  if (s->running) return PAPI_EISRUN;
-  s->live = false;
-  *set = -1;
-  return PAPI_OK;
-}
-
-ScopedCounting::ScopedCounting(std::initializer_list<Event> events) {
-  if (create_eventset(&set_) != PAPI_OK)
-    throw std::runtime_error("sim-PAPI: create_eventset failed");
-  for (Event e : events) {
-    if (add_event(set_, e) != PAPI_OK)
-      throw std::runtime_error("sim-PAPI: add_event failed (too many events?)");
-    ++n_;
-  }
-  if (start(set_) != PAPI_OK)
-    throw std::runtime_error("sim-PAPI: start failed (4-event limit?)");
-}
-
-ScopedCounting::~ScopedCounting() {
-  long long dummy[kMaxEventsPerSet] = {};
-  (void)stop(set_, dummy);
-  (void)destroy_eventset(&set_);
-}
-
-std::array<long long, kMaxEventsPerSet> ScopedCounting::values() const {
-  std::array<long long, kMaxEventsPerSet> out{};
-  (void)read(set_, out.data());
-  return out;
 }
 
 }  // namespace ap::papi

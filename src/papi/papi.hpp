@@ -3,18 +3,17 @@
 // The paper reads real PAPI counters (PAPI_TOT_INS, PAPI_LST_INS, ...)
 // around the MAIN and PROC segments of an HClib-Actor program. This box has
 // no PAPI and no perf counters exposed, so — per the substitution rule in
-// DESIGN.md — we provide the same *API surface* (event sets, a maximum of
-// four concurrently-recorded events, start/stop/read/accum/reset) backed by
-// a deterministic software cost model. The runtime and the applications
-// feed the model through the account_* functions; every counter is
-// per-PE. Absolute values are model units; relative per-PE shapes (what
-// Figures 10–11 plot) are preserved because the model is linear in the
-// work each PE actually performs.
+// DESIGN.md — we keep PAPI's event names and its four-event limit, backed
+// by a deterministic software cost model. The runtime and the applications
+// feed the model through the account_* functions; every counter is per-PE,
+// and the profiler reads a PE's counters() directly at segment boundaries.
+// Absolute values are model units; relative per-PE shapes (what Figures
+// 10–11 plot) are preserved because the model is linear in the work each
+// PE actually performs.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace ap::papi {
@@ -41,8 +40,6 @@ using Counters =
 
 /// "PAPI_TOT_INS"-style canonical name.
 std::string_view name(Event e);
-/// Parse a canonical name; nullopt for unknown events.
-std::optional<Event> parse(std::string_view name);
 
 // ---------------------------------------------------------------------------
 // Software cost model. All account_* calls charge the *current PE* (the PE
@@ -135,9 +132,6 @@ class Reciprocal {
   bool add_ = false;
 };
 
-/// Raw accounting: add `n` to one event of the current PE.
-void account(Event e, std::uint64_t n);
-
 /// A message of `bytes` payload is marshalled and appended to a mailbox.
 void account_message_construct(std::size_t bytes);
 /// A received message of `bytes` payload is handled by user code.
@@ -186,54 +180,12 @@ std::uint64_t counter_value(Event e);
 /// needs several (the clock and the recorded PAPI events). Read it before
 /// the next papi call: a PE's first charge may move the table.
 const Counters& counters();
-/// Zero every counter of every PE and drop all event sets (between runs).
+/// Zero every counter of every PE (between runs).
 void reset_all();
 
-// ---------------------------------------------------------------------------
-// PAPI-compatible event-set API (per PE, like PAPI's per-thread sets).
-// Return codes follow PAPI conventions: 0 == PAPI_OK, negative == error.
-// ---------------------------------------------------------------------------
-
-inline constexpr int PAPI_OK = 0;
-inline constexpr int PAPI_EINVAL = -1;
-inline constexpr int PAPI_ECNFLCT = -11;
-inline constexpr int PAPI_EISRUN = -10;
-inline constexpr int PAPI_ENOTRUN = -9;
-inline constexpr int PAPI_ENOEVNT = -7;
-
-/// Hardware limit the paper calls out: at most four concurrent events.
+/// Hardware limit the paper calls out: at most four concurrently recorded
+/// events. It sizes Config::papi_events and the PAPI trace's counter
+/// columns.
 inline constexpr int kMaxEventsPerSet = 4;
-
-int library_init();
-/// Create an event set for the current PE; writes its handle into *set.
-int create_eventset(int* set);
-int add_event(int set, Event e);
-int num_events(int set);
-int start(int set);
-/// Stop counting; if `values` non-null, writes one long long per added
-/// event, in insertion order.
-int stop(int set, long long* values);
-/// Read without stopping.
-int read(int set, long long* values);
-/// Zero the running deltas.
-int reset(int set);
-int cleanup_eventset(int set);
-int destroy_eventset(int* set);
-
-/// RAII convenience: counts the given events for the lifetime of the guard.
-class ScopedCounting {
- public:
-  explicit ScopedCounting(std::initializer_list<Event> events);
-  ~ScopedCounting();
-  ScopedCounting(const ScopedCounting&) = delete;
-  ScopedCounting& operator=(const ScopedCounting&) = delete;
-
-  /// Values so far (ordered as the constructor's list).
-  [[nodiscard]] std::array<long long, kMaxEventsPerSet> values() const;
-
- private:
-  int set_ = -1;
-  int n_ = 0;
-};
 
 }  // namespace ap::papi

@@ -47,15 +47,6 @@ int threads_from_env() {
 
 }  // namespace
 
-const char* to_string(Backend b) {
-  switch (b) {
-    case Backend::fiber: return "fiber";
-    case Backend::threads: return "threads";
-    case Backend::auto_: break;
-  }
-  return "auto";
-}
-
 Backend resolve_backend(Backend requested) {
   if (requested != Backend::auto_) return requested;
   return backend_from_env();

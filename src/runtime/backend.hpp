@@ -26,8 +26,6 @@ enum class Backend {
   threads,  ///< PEs multiplexed over real OS worker threads
 };
 
-[[nodiscard]] const char* to_string(Backend b);
-
 /// Resolve an auto_ request against ACTORPROF_BACKEND (strict parse:
 /// exactly "fiber" or "threads"; anything else throws
 /// std::invalid_argument). Never returns auto_.

@@ -31,11 +31,11 @@ namespace ap::rt {
 class TreeBarrier {
  public:
   explicit TreeBarrier(int participants, int fan_in = 4)
-      : participants_(participants), fan_in_(fan_in < 2 ? 2 : fan_in) {
+      : fan_in_(fan_in < 2 ? 2 : fan_in) {
     // Level 0 holds the leaves; build parents until one root remains.
     int level_begin = 0;
-    int level_count = (participants_ + fan_in_ - 1) / fan_in_;
-    append_level(level_count, participants_);
+    int level_count = (participants + fan_in_ - 1) / fan_in_;
+    append_level(level_count, participants);
     while (level_count > 1) {
       const int parent_count = (level_count + fan_in_ - 1) / fan_in_;
       const int parent_begin = static_cast<int>(nodes_.size());
@@ -82,7 +82,6 @@ class TreeBarrier {
   /// climbing and ultimately publishing the generation at the root. A
   /// kill can therefore never strand the survivors of an open round.
   void deactivate(int pe) {
-    --participants_;
     int n = pe / fan_in_;
     bool removing = true;  // first shrink expected; then climb as arrival
     while (n >= 0) {
@@ -114,8 +113,6 @@ class TreeBarrier {
     }
   }
 
-  [[nodiscard]] int participants() const { return participants_; }
-
  private:
   struct Node {
     std::atomic<int> arrived{0};
@@ -132,7 +129,6 @@ class TreeBarrier {
     }
   }
 
-  int participants_;
   int fan_in_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::atomic<std::uint64_t> gen_{0};

@@ -262,6 +262,4 @@ void Fiber::yield() {
 #endif
 }
 
-Fiber* Fiber::current() { return g_current_fiber; }
-
 }  // namespace ap::rt

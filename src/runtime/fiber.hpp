@@ -70,10 +70,6 @@ class Fiber {
   /// whoever called resume(). Undefined behaviour if no fiber is running.
   static void yield();
 
-  /// The fiber currently executing on this thread, or nullptr when running
-  /// in the scheduler/main context.
-  static Fiber* current();
-
   [[nodiscard]] State state() const {
     return state_.load(std::memory_order_relaxed);
   }

@@ -15,7 +15,7 @@ thread_local std::vector<std::vector<FinishScope*>> g_scopes;
 std::vector<FinishScope*>& scopes_for_current_pe() {
   const int pe = rt::my_pe();
   if (pe < 0)
-    throw std::logic_error("hclib: finish/async used outside an SPMD launch");
+    throw std::logic_error("hclib: finish used outside an SPMD launch");
   if (g_scopes.size() <= static_cast<std::size_t>(pe))
     g_scopes.resize(static_cast<std::size_t>(pe) + 1);
   return g_scopes[static_cast<std::size_t>(pe)];
@@ -36,23 +36,12 @@ FinishScope* FinishScope::current() {
   return stack.empty() ? nullptr : stack.back();
 }
 
-void FinishScope::add_task(std::function<void()> task) {
-  tasks_.push_back(std::move(task));
-}
-
 void FinishScope::register_pump(std::function<bool()> pump) {
   pumps_.push_back(std::move(pump));
 }
 
 bool FinishScope::step() {
-  // Run every task currently queued (tasks may spawn more tasks; those run
-  // in a later round, preserving HClib's help-first interleaving).
-  while (!tasks_.empty()) {
-    std::function<void()> task = std::move(tasks_.front());
-    tasks_.pop_front();
-    task();
-  }
-  bool quiescent = tasks_.empty();
+  bool quiescent = true;
   for (std::size_t i = 0; i < pumps_.size();) {
     if (pumps_[i]()) {
       pumps_.erase(pumps_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -61,7 +50,7 @@ bool FinishScope::step() {
       ++i;
     }
   }
-  return quiescent && tasks_.empty();
+  return quiescent;
 }
 
 void FinishScope::await() {
@@ -72,22 +61,6 @@ void finish(const std::function<void()>& body) {
   FinishScope scope;
   body();
   scope.await();
-}
-
-void async(std::function<void()> task) {
-  FinishScope* scope = FinishScope::current();
-  if (scope == nullptr)
-    throw std::logic_error("hclib::async called outside a finish scope");
-  scope->add_task(std::move(task));
-}
-
-void yield() {
-  FinishScope* scope = FinishScope::current();
-  if (scope != nullptr) {
-    // Opportunistically make local progress before handing off the core.
-    // (One round only; await() owns the full quiescence loop.)
-  }
-  rt::yield();
 }
 
 }  // namespace ap::hclib

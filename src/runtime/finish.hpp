@@ -1,16 +1,15 @@
-// Mini-HClib: the `finish`/`async` subset of the Habanero C/C++ library
-// that HClib-Actor relies on.
+// Mini-HClib: the `finish` scope of the Habanero C/C++ library that
+// HClib-Actor relies on.
 //
-// Each PE is single-threaded (paper §II-A), so tasks spawned with async()
-// execute on the spawning PE, interleaved cooperatively. finish(body) runs
-// `body`, then blocks until (a) every task transitively spawned inside the
-// scope has completed and (b) every registered "pump" (a long-running
-// worker such as a Selector's conveyor-progress loop) reports completion.
-// While waiting, the PE yields so other PEs can progress — this is where
-// the FA-BSP interleaving of MAIN / PROC / COMM happens.
+// HClib-Actor uses finish only to delimit the communication epoch: each PE
+// is single-threaded (paper §II-A), and the work inside a scope is its
+// registered "pumps" (long-running workers such as a Selector's
+// conveyor-progress loop). finish(body) runs `body`, then blocks until
+// every pump registered inside the scope reports completion. While
+// waiting, the PE yields so other PEs can progress — this is where the
+// FA-BSP interleaving of MAIN / PROC / COMM happens.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -25,17 +24,13 @@ class FinishScope {
   FinishScope(const FinishScope&) = delete;
   FinishScope& operator=(const FinishScope&) = delete;
 
-  /// Queue a task on this scope; it runs on the owning PE before the scope
-  /// completes.
-  void add_task(std::function<void()> task);
-
   /// Register a cooperative worker. `pump` is called repeatedly during the
   /// scope's quiescence loop; it must return true once the worker is done
   /// (e.g. the Selector's conveyors have fully terminated).
   void register_pump(std::function<bool()> pump);
 
-  /// Run queued tasks and pumps until everything is quiescent. Yields to
-  /// other PEs between rounds.
+  /// Run the pumps until every one is done. Yields to other PEs between
+  /// rounds.
   void await();
 
   /// Innermost finish scope on the PE currently executing, or nullptr.
@@ -45,19 +40,11 @@ class FinishScope {
   bool step();  // one round; returns true if fully quiescent
 
   int pe_;
-  std::deque<std::function<void()>> tasks_;
   std::vector<std::function<bool()>> pumps_;
 };
 
-/// HClib-style structured parallelism: run `body`, then wait for quiescence
-/// of all tasks/workers created within.
+/// HClib-style structured parallelism: run `body`, then wait until every
+/// worker registered within it is done.
 void finish(const std::function<void()>& body);
-
-/// Spawn an asynchronous task in the innermost finish scope of this PE.
-/// Must be called inside a finish().
-void async(std::function<void()> task);
-
-/// Cooperatively yield, first running one pending local task if any.
-void yield();
 
 }  // namespace ap::hclib

@@ -41,8 +41,6 @@ TickHook set_tick_hook(TickHook hook) {
   return prev;
 }
 
-const TickHook& tick_hook() { return g_tick_hook; }
-
 Scheduler::Scheduler(LaunchConfig cfg, std::function<void(int)> body)
     : cfg_(cfg), body_(std::move(body)) {
   if (cfg_.num_pes <= 0)
@@ -315,13 +313,6 @@ int n_pes() {
   Scheduler* s = Scheduler::instance();
   if (s == nullptr) throw std::logic_error("n_pes() outside an SPMD launch");
   return s->num_pes();
-}
-
-const LaunchConfig& launch_config() {
-  Scheduler* s = Scheduler::instance();
-  if (s == nullptr)
-    throw std::logic_error("launch_config() outside an SPMD launch");
-  return s->config();
 }
 
 bool in_spmd_region() {

@@ -46,14 +46,6 @@ struct LaunchConfig {
   /// Worker threads for Backend::threads; 0 defers to ACTORPROF_THREADS,
   /// then hardware concurrency. Always clamped to [1, num_pes].
   int num_threads = 0;
-
-  [[nodiscard]] int effective_pes_per_node() const {
-    return pes_per_node > 0 ? pes_per_node : num_pes;
-  }
-  [[nodiscard]] int num_nodes() const {
-    const int ppn = effective_pes_per_node();
-    return (num_pes + ppn - 1) / ppn;
-  }
 };
 
 /// Thrown when every unfinished PE is blocked on a predicate that cannot
@@ -77,7 +69,6 @@ class Scheduler {
   /// rethrows the first exception escaping any PE body.
   void run();
 
-  [[nodiscard]] const LaunchConfig& config() const { return cfg_; }
   [[nodiscard]] int num_pes() const { return cfg_.num_pes; }
 
   /// Rank of the PE currently executing on this thread; -1 outside any PE
@@ -206,7 +197,6 @@ extern constinit thread_local int g_current_pe;
 /// launch.
 inline int my_pe() { return detail::g_current_pe; }
 int n_pes();
-const LaunchConfig& launch_config();
 bool in_spmd_region();
 
 /// Cooperative scheduling primitives for substrate layers.
@@ -223,7 +213,6 @@ void wait_until(std::function<bool()> pred);
 /// worker 0 after each of its sweeps — install it before launch.
 using TickHook = std::function<void()>;
 TickHook set_tick_hook(TickHook hook);
-const TickHook& tick_hook();
 
 /// See Scheduler::collective.
 template <class T, class Factory>

@@ -79,7 +79,6 @@ class TraceService {
   [[nodiscard]] std::uint64_t version() const { return version_; }
   [[nodiscard]] const ap::prof::io::TraceDir& trace() const { return trace_; }
   [[nodiscard]] int num_pes() const { return num_pes_; }
-  [[nodiscard]] bool push_mode() const { return push_mode_; }
   /// "file" or "push" — how this run's bytes arrive (the /runs listing).
   [[nodiscard]] const char* source() const {
     return push_mode_ ? "push" : "file";

@@ -13,9 +13,7 @@
 // callbacks never overlap.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 
 namespace ap::shmem {
 
@@ -41,7 +39,7 @@ class RmaObserver {
   virtual void on_barrier() = 0;
   virtual void on_atomic(int target_pe) = 0;
   /// The calling PE arrived at a collective round (barrier_all, sync_all,
-  /// reductions, broadcast) and is about to block until release. Fires
+  /// reductions) and is about to block until release. Fires
   /// *before* the PE waits — this is the superstep boundary the profiler
   /// stamps. Default no-op so existing observers keep compiling.
   virtual void on_collective_arrive() {}
@@ -104,39 +102,5 @@ class RmaObserver {
 /// nullptr disables.
 void set_rma_observer(RmaObserver* obs);
 RmaObserver* rma_observer();
-
-/// Convenience observer that counts calls (per instance) with relaxed atomic
-/// adds, as every worker may count at once; read the totals after a launch.
-class CountingRmaObserver final : public RmaObserver {
- public:
-  void on_put(int, std::size_t bytes) override {
-    add(puts, 1);
-    add(put_bytes, bytes);
-  }
-  void on_put_nbi(int, std::size_t bytes) override {
-    add(nbi_puts, 1);
-    add(nbi_bytes, bytes);
-  }
-  void on_get(int, std::size_t bytes) override {
-    add(gets, 1);
-    add(get_bytes, bytes);
-  }
-  void on_quiet(std::size_t outstanding) override {
-    add(quiets, 1);
-    add(completed_by_quiet, outstanding);
-  }
-  void on_barrier() override { add(barriers, 1); }
-  void on_atomic(int) override { add(atomics, 1); }
-
-  std::uint64_t puts = 0, nbi_puts = 0, gets = 0, quiets = 0, barriers = 0,
-                atomics = 0;
-  std::uint64_t put_bytes = 0, nbi_bytes = 0, get_bytes = 0,
-                completed_by_quiet = 0;
-
- private:
-  static void add(std::uint64_t& c, std::uint64_t n) {
-    std::atomic_ref<std::uint64_t>(c).fetch_add(n, std::memory_order_relaxed);
-  }
-};
 
 }  // namespace ap::shmem

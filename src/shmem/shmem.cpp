@@ -26,7 +26,7 @@ struct PendingPut {
   std::size_t nbytes;
 };
 
-/// Shared state for data-carrying collectives (reduce/broadcast — and any
+/// Shared state for data-carrying collectives (reductions — and any
 /// round fault injection may have to complete on a dying PE's behalf). All
 /// such collectives are rounds of this one object; OpenSHMEM already
 /// requires identical collective call order on every PE, so a single
@@ -56,7 +56,6 @@ struct World {
     for (int i = 0; i < cfg.num_pes; ++i)
       heaps.emplace_back(cfg.symm_heap_bytes);
     pending.resize(static_cast<std::size_t>(cfg.num_pes));
-    stats.resize(static_cast<std::size_t>(cfg.num_pes));
     alive.assign(static_cast<std::size_t>(cfg.num_pes), 1);
     live = cfg.num_pes;
   }
@@ -64,7 +63,6 @@ struct World {
   Topology topo;
   std::vector<SymmetricHeap> heaps;
   std::vector<std::vector<PendingPut>> pending;  // per source PE
-  std::vector<PeStats> stats;
   std::vector<char> alive;  // fault injection can kill PEs mid-run
   int live = 0;
   CollectiveState coll;
@@ -97,30 +95,10 @@ SymmetricHeap& my_heap() {
   return world().heaps[static_cast<std::size_t>(require_pe())];
 }
 
-PeStats& my_stats() {
-  return world().stats[static_cast<std::size_t>(require_pe())];
-}
-
-/// Single-writer counter bump: each PeStats row is only ever written by the
-/// worker running that PE, but total_stats() reads every row from whatever
-/// thread calls it, so the accesses must be atomic. Relaxed load+store (not
-/// an RMW) keeps this two plain movs on x86 — zero cost on the fiber
-/// backend's hot paths.
-void bump(std::uint64_t& counter, std::uint64_t delta = 1) {
-  std::atomic_ref<std::uint64_t> a(counter);
-  a.store(a.load(std::memory_order_relaxed) + delta,
-          std::memory_order_relaxed);
-}
-
-std::uint64_t read_stat(const std::uint64_t& counter) {
-  return std::atomic_ref<const std::uint64_t>(counter).load(
-      std::memory_order_relaxed);
-}
-
 /// An 8-byte aligned transfer is the substrate's word-sized signalling
-/// unit (conveyor publication/ack counters, put_signal flags, wait_until
-/// ivars). Those become release stores / acquire loads so the plain bytes
-/// written before the flag are ordered for the PE that polls it — on x86
+/// unit (conveyor publication/ack counters, wait_until ivars). Those
+/// become release stores / acquire loads so the plain bytes written
+/// before the flag are ordered for the PE that polls it — on x86
 /// both compile to the same movs the fiber backend always did.
 bool word_aligned(const void* p) {
   return (reinterpret_cast<std::uintptr_t>(p) & 7u) == 0;
@@ -394,9 +372,6 @@ void run(const rt::LaunchConfig& cfg, const std::function<void()>& body) {
 int my_pe() { return require_pe(); }
 int n_pes() { return world().topo.num_pes(); }
 const Topology& topology() { return world().topo; }
-int node_of(int pe) { return world().topo.node_of(pe); }
-int local_rank(int pe) { return world().topo.local_rank(pe); }
-int n_nodes() { return world().topo.num_nodes(); }
 
 void* symm_malloc(std::size_t bytes) {
   // allocate() guarantees the block reads as zero without touching virgin
@@ -434,7 +409,7 @@ void put(void* dest, const void* src, std::size_t nbytes, int pe,
   unsigned char* remote = translate(dest, pe);
   if (nbytes == 8 && word_aligned(remote)) {
     // Word-sized symmetric put = a release store: the signalling idiom
-    // (conveyor publication counters, put_signal flags). Publishes every
+    // (conveyor publication counters, wait_until flags). Publishes every
     // plain byte this PE wrote before it to whoever acquire-reads it.
     std::uint64_t v;
     std::memcpy(&v, src, sizeof v);
@@ -443,9 +418,6 @@ void put(void* dest, const void* src, std::size_t nbytes, int pe,
   } else {
     std::memcpy(remote, src, nbytes);
   }
-  PeStats& s = my_stats();
-  bump(s.puts);
-  bump(s.put_bytes, nbytes);
   if (RmaObserver* o = rma_observer()) {
     o->on_put(pe, nbytes);
     if (o->wants_conformance_events())
@@ -467,9 +439,6 @@ void get(void* dest, const void* src, std::size_t nbytes, int pe,
   } else {
     std::memcpy(dest, remote, nbytes);
   }
-  PeStats& s = my_stats();
-  bump(s.gets);
-  bump(s.get_bytes, nbytes);
   if (RmaObserver* o = rma_observer()) {
     o->on_get(pe, nbytes);
     if (o->wants_conformance_events())
@@ -488,9 +457,6 @@ void putmem_nbi(void* dest, const void* src, std::size_t nbytes, int pe,
     throw std::out_of_range("putmem_nbi: target PE out of range");
   w.pending[static_cast<std::size_t>(me)].push_back(
       PendingPut{pe, off, src, nbytes});
-  PeStats& s = my_stats();
-  bump(s.nbi_puts);
-  bump(s.nbi_put_bytes, nbytes);
   if (RmaObserver* o = rma_observer()) {
     o->on_put_nbi(pe, nbytes);
     if (o->wants_conformance_events())
@@ -508,23 +474,11 @@ void quiet() {
     apply_pending_scheduled(me, sched);
   else
     apply_pending(me);
-  bump(my_stats().quiets);
   if (RmaObserver* o = rma_observer()) o->on_quiet(outstanding);
 }
 
-void fence() { quiet(); }
-
 std::size_t pending_nbi_puts() {
   return world().pending[static_cast<std::size_t>(require_pe())].size();
-}
-
-void put_signal(void* dest, const void* src, std::size_t nbytes,
-                std::int64_t* sig_addr, std::int64_t signal, int pe,
-                std::source_location loc) {
-  // Our blocking put is immediately visible, so data-then-signal ordering
-  // holds trivially (real implementations fence between the two).
-  put(dest, src, nbytes, pe, loc);
-  put(sig_addr, &signal, sizeof signal, pe, loc);
 }
 
 void wait_until(std::int64_t* ivar, Cmp cmp, std::int64_t value) {
@@ -556,7 +510,6 @@ void wait_until(std::int64_t* ivar, Cmp cmp, std::int64_t value) {
 std::int64_t atomic_fetch_add(std::int64_t* target, std::int64_t value, int pe,
                               std::source_location loc) {
   auto* remote = reinterpret_cast<std::int64_t*>(translate(target, pe));
-  bump(my_stats().atomics);
   if (RmaObserver* o = rma_observer()) {
     o->on_atomic(pe);
     if (o->wants_conformance_events())
@@ -564,51 +517,6 @@ std::int64_t atomic_fetch_add(std::int64_t* target, std::int64_t value, int pe,
   }
   return std::atomic_ref<std::int64_t>(*remote).fetch_add(
       value, std::memory_order_acq_rel);
-}
-
-void atomic_add(std::int64_t* target, std::int64_t value, int pe,
-                std::source_location loc) {
-  (void)atomic_fetch_add(target, value, pe, loc);
-}
-
-void atomic_inc(std::int64_t* target, int pe, std::source_location loc) {
-  atomic_add(target, 1, pe, loc);
-}
-
-std::int64_t atomic_fetch(const std::int64_t* target, int pe,
-                          std::source_location loc) {
-  const auto* remote = reinterpret_cast<const std::int64_t*>(
-      translate(const_cast<std::int64_t*>(target), pe));
-  bump(my_stats().atomics);
-  if (RmaObserver* co = conformance_observer())
-    co->on_atomic_range(pe, my_heap().offset_of(target), to_callsite(loc));
-  return std::atomic_ref<const std::int64_t>(*remote).load(
-      std::memory_order_acquire);
-}
-
-void atomic_set(std::int64_t* target, std::int64_t value, int pe,
-                std::source_location loc) {
-  auto* remote = reinterpret_cast<std::int64_t*>(translate(target, pe));
-  bump(my_stats().atomics);
-  if (RmaObserver* co = conformance_observer())
-    co->on_atomic_range(pe, my_heap().offset_of(target), to_callsite(loc));
-  std::atomic_ref<std::int64_t>(*remote).store(value,
-                                               std::memory_order_release);
-}
-
-std::int64_t atomic_compare_swap(std::int64_t* target, std::int64_t cond,
-                                 std::int64_t value, int pe,
-                                 std::source_location loc) {
-  auto* remote = reinterpret_cast<std::int64_t*>(translate(target, pe));
-  bump(my_stats().atomics);
-  if (RmaObserver* co = conformance_observer())
-    co->on_atomic_range(pe, my_heap().offset_of(target), to_callsite(loc));
-  // compare_exchange_strong leaves the observed old value in `expected`
-  // whether or not the swap happened — exactly shmem's return contract.
-  std::int64_t expected = cond;
-  std::atomic_ref<std::int64_t>(*remote).compare_exchange_strong(
-      expected, value, std::memory_order_acq_rel, std::memory_order_acquire);
-  return expected;
 }
 
 void annotate_store(void* addr, std::size_t nbytes, int pe,
@@ -636,14 +544,10 @@ void barrier_all() {
   if (fi::active()) fi_on_barrier();  // kill/straggle point (may throw)
   quiet();  // shmem_barrier_all completes outstanding puts first
   collective_round(nullptr, 0, nullptr, 0, nullptr);
-  bump(my_stats().barriers);
   if (RmaObserver* o = rma_observer()) o->on_barrier();
 }
 
-void sync_all() {
-  collective_round(nullptr, 0, nullptr, 0, nullptr);
-  bump(my_stats().barriers);
-}
+void sync_all() { collective_round(nullptr, 0, nullptr, 0, nullptr); }
 
 std::int64_t sum_reduce(std::int64_t value) {
   return reduce_impl<std::int64_t>(
@@ -656,61 +560,9 @@ std::int64_t max_reduce(std::int64_t value) {
       INT64_MIN);
 }
 
-std::int64_t min_reduce(std::int64_t value) {
-  return reduce_impl<std::int64_t>(
-      value, [](std::int64_t a, std::int64_t b) { return a < b ? a : b; },
-      INT64_MAX);
-}
-
 double sum_reduce(double value) {
   return reduce_impl<double>(
       value, [](double a, double b) { return a + b; }, 0.0);
-}
-
-void broadcast(void* buf, std::size_t nbytes, int root) {
-  World& w = world();
-  CollectiveState& c = w.coll;
-  const int me = require_pe();
-  const int n = w.topo.num_pes();
-  if (root < 0 || root >= n)
-    throw std::out_of_range("broadcast: root out of range");
-  // broadcast runs its own inline round, so it is a superstep boundary too.
-  if (RmaObserver* o = rma_observer()) o->on_collective_arrive();
-  std::unique_lock<std::mutex> lk(w.coll_mu);
-  const std::uint64_t g = c.gen.load(std::memory_order_relaxed);
-  if (me == root) {
-    // The root publishes into the round's result slot before arriving, so
-    // the bytes are there by the time the generation advances.
-    auto& slot = c.result[g % 2];
-    slot.resize(nbytes);
-    std::memcpy(slot.data(), buf, nbytes);
-  }
-  if (++c.arrived >= w.live) {
-    complete_round(w);
-    lk.unlock();
-  } else {
-    lk.unlock();
-    rt::wait_until(
-        [&c, g] { return c.gen.load(std::memory_order_acquire) != g; });
-  }
-  const auto& slot = c.result[g % 2];
-  if (slot.size() < nbytes)
-    throw std::logic_error("broadcast: PEs disagree on message size");
-  std::memcpy(buf, slot.data(), nbytes);
-}
-
-void alltoall64(std::int64_t* dest, const std::int64_t* source,
-                std::size_t nelems) {
-  World& w = world();
-  const int me = require_pe();
-  const int n = w.topo.num_pes();
-  for (int j = 0; j < n; ++j) {
-    // My j-th source block lands in PE j's dest at block index `me`.
-    put(dest + static_cast<std::size_t>(me) * nelems,
-        source + static_cast<std::size_t>(j) * nelems,
-        nelems * sizeof(std::int64_t), j);
-  }
-  barrier_all();
 }
 
 bool pe_alive(int pe) {
@@ -721,34 +573,5 @@ bool pe_alive(int pe) {
 }
 
 int live_pes() { return world().live; }
-
-std::vector<int> dead_pes() {
-  World& w = world();
-  std::vector<int> out;
-  for (int pe = 0; pe < w.topo.num_pes(); ++pe)
-    if (!w.alive[static_cast<std::size_t>(pe)]) out.push_back(pe);
-  return out;
-}
-
-const PeStats& stats() {
-  return world().stats[static_cast<std::size_t>(require_pe())];
-}
-
-PeStats total_stats() {
-  World& w = world();
-  PeStats t;
-  for (const PeStats& s : w.stats) {
-    t.puts += read_stat(s.puts);
-    t.put_bytes += read_stat(s.put_bytes);
-    t.nbi_puts += read_stat(s.nbi_puts);
-    t.nbi_put_bytes += read_stat(s.nbi_put_bytes);
-    t.gets += read_stat(s.gets);
-    t.get_bytes += read_stat(s.get_bytes);
-    t.quiets += read_stat(s.quiets);
-    t.barriers += read_stat(s.barriers);
-    t.atomics += read_stat(s.atomics);
-  }
-  return t;
-}
 
 }  // namespace ap::shmem

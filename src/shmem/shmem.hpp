@@ -1,13 +1,15 @@
 // minishmem: an in-process OpenSHMEM-compatible substrate.
 //
 // This is the simulated "cluster" layer described in DESIGN.md. It provides
-// the subset of OpenSHMEM 1.4/1.5 that Conveyors and HClib-Actor use:
-// symmetric allocation, blocking and non-blocking puts, quiet/fence,
-// shmem_ptr (intra-node direct load/store), atomics, barriers and
-// reductions. Non-blocking puts are *staged*: the data only becomes visible
-// at the target after the initiating PE calls quiet() (or a routine that
-// implies it). This is a legal OpenSHMEM behaviour and it is exactly the
-// property ActorProf's physical trace depends on — see paper §III-C.
+// the subset of OpenSHMEM 1.4/1.5 that Conveyors, HClib-Actor and the
+// bundled apps use: symmetric allocation, blocking and non-blocking puts,
+// quiet, shmem_ptr (intra-node direct load/store), a fetch-add atomic,
+// barriers and reductions — plus get, sync_all and wait_until, which the
+// BSP conformance checker's tests drive. Non-blocking puts are *staged*:
+// the data only becomes visible at the target after the initiating PE
+// calls quiet() (or a routine that implies it). This is a legal OpenSHMEM
+// behaviour and it is exactly the property ActorProf's physical trace
+// depends on — see paper §III-C.
 //
 // Usage:
 //   ap::shmem::run(cfg, [] {
@@ -22,27 +24,12 @@
 #include <cstdint>
 #include <functional>
 #include <source_location>
-#include <vector>
 
 #include "runtime/scheduler.hpp"
 #include "shmem/symmetric_heap.hpp"
 #include "shmem/topology.hpp"
 
 namespace ap::shmem {
-
-/// Per-PE communication statistics maintained by the substrate itself
-/// (independent of ActorProf; used by tests and micro-benchmarks).
-struct PeStats {
-  std::uint64_t puts = 0;
-  std::uint64_t put_bytes = 0;
-  std::uint64_t nbi_puts = 0;
-  std::uint64_t nbi_put_bytes = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t get_bytes = 0;
-  std::uint64_t quiets = 0;
-  std::uint64_t barriers = 0;
-  std::uint64_t atomics = 0;
-};
 
 /// Run `body` as an SPMD program with a live minishmem world.
 /// Equivalent to shmem_init()/shmem_finalize() around every PE's body.
@@ -52,10 +39,6 @@ void run(const rt::LaunchConfig& cfg, const std::function<void()>& body);
 int my_pe();
 int n_pes();
 const Topology& topology();
-/// Node that hosts `pe` and the rank of `pe` within that node.
-int node_of(int pe);
-int local_rank(int pe);
-int n_nodes();
 
 /// ---- Fault-injection liveness (docs/FAULT_INJECTION.md) -------------------
 /// A PE killed by the fault-injection layer is marked dead: it stops
@@ -64,7 +47,6 @@ int n_nodes();
 /// unless an ACTORPROF_FI_KILL_PE plan fired.
 bool pe_alive(int pe);
 int live_pes();
-std::vector<int> dead_pes();
 
 /// ---- Symmetric memory -----------------------------------------------------
 /// Collective in the OpenSHMEM sense: every PE must perform the same
@@ -103,17 +85,8 @@ void putmem_nbi(void* dest, const void* src, std::size_t nbytes, int pe,
                 std::source_location loc = std::source_location::current());
 /// Complete all outstanding non-blocking puts from this PE.
 void quiet();
-/// Order puts from this PE to each destination (our model: implies quiet).
-void fence();
 /// Number of this PE's staged-but-incomplete nbi puts (testing aid).
 std::size_t pending_nbi_puts();
-
-/// shmem_put_signal (OpenSHMEM 1.5): deliver `nbytes` to `dest` on `pe`,
-/// then set the 8-byte `sig_addr` there to `signal` — both visible
-/// together at the target. The receiver pairs this with wait_until.
-void put_signal(void* dest, const void* src, std::size_t nbytes,
-                std::int64_t* sig_addr, std::int64_t signal, int pe,
-                std::source_location loc = std::source_location::current());
 
 /// Comparison operators for wait_until (shmem_wait_until).
 enum class Cmp { eq, ne, gt, ge, lt, le };
@@ -125,18 +98,6 @@ void wait_until(std::int64_t* ivar, Cmp cmp, std::int64_t value);
 /// ---- Atomics (target-side, any PE) ----------------------------------------
 std::int64_t atomic_fetch_add(
     std::int64_t* target, std::int64_t value, int pe,
-    std::source_location loc = std::source_location::current());
-void atomic_add(std::int64_t* target, std::int64_t value, int pe,
-                std::source_location loc = std::source_location::current());
-void atomic_inc(std::int64_t* target, int pe,
-                std::source_location loc = std::source_location::current());
-std::int64_t atomic_fetch(
-    const std::int64_t* target, int pe,
-    std::source_location loc = std::source_location::current());
-void atomic_set(std::int64_t* target, std::int64_t value, int pe,
-                std::source_location loc = std::source_location::current());
-std::int64_t atomic_compare_swap(
-    std::int64_t* target, std::int64_t cond, std::int64_t value, int pe,
     std::source_location loc = std::source_location::current());
 
 /// ---- Conformance annotations (docs/CHECKING.md) ---------------------------
@@ -163,18 +124,7 @@ void barrier_all();  // implies quiet()
 void sync_all();     // synchronization only, no quiet
 std::int64_t sum_reduce(std::int64_t value);
 std::int64_t max_reduce(std::int64_t value);
-std::int64_t min_reduce(std::int64_t value);
 double sum_reduce(double value);
-/// Root's buffer contents are copied into every PE's `buf`.
-void broadcast(void* buf, std::size_t nbytes, int root);
-/// Classic alltoall64: `dest`/`source` are symmetric, nelems per pair.
-void alltoall64(std::int64_t* dest, const std::int64_t* source,
-                std::size_t nelems);
-
-/// Per-PE statistics of the calling PE.
-const PeStats& stats();
-/// Aggregate statistics across all PEs (callable inside run()).
-PeStats total_stats();
 
 /// RAII helper for a symmetric array of trivially-copyable T. Safe to
 /// destroy after run() returned (or while a fault-injected PE unwinds past

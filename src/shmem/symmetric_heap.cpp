@@ -59,27 +59,9 @@ SymmetricHeap::SymmetricHeap(SymmetricHeap&& other) noexcept
       mmapped_(other.mmapped_),
       touched_(other.touched_),
       free_blocks_(std::move(other.free_blocks_)),
-      allocated_(std::move(other.allocated_)),
-      in_use_(other.in_use_) {
+      allocated_(std::move(other.allocated_)) {
   other.arena_ = nullptr;
   other.capacity_ = 0;
-  other.in_use_ = 0;
-}
-
-SymmetricHeap& SymmetricHeap::operator=(SymmetricHeap&& other) noexcept {
-  if (this == &other) return *this;
-  release_arena();
-  capacity_ = other.capacity_;
-  arena_ = other.arena_;
-  mmapped_ = other.mmapped_;
-  touched_ = other.touched_;
-  free_blocks_ = std::move(other.free_blocks_);
-  allocated_ = std::move(other.allocated_);
-  in_use_ = other.in_use_;
-  other.arena_ = nullptr;
-  other.capacity_ = 0;
-  other.in_use_ = 0;
-  return *this;
 }
 
 void* SymmetricHeap::allocate(std::size_t bytes) {
@@ -92,7 +74,6 @@ void* SymmetricHeap::allocate(std::size_t bytes) {
     free_blocks_.erase(it);
     if (size > need) free_blocks_.emplace(offset + need, size - need);
     allocated_.emplace(offset, need);
-    in_use_ += need;
     // Zero only the recycled prefix; bytes past the high-water mark have
     // never been written and read as zero straight from the kernel.
     if (offset < touched_)
@@ -115,7 +96,6 @@ void SymmetricHeap::deallocate(void* p) {
   std::size_t block_off = it->first;
   std::size_t block_size = it->second;
   allocated_.erase(it);
-  in_use_ -= block_size;
 
   // Coalesce with the following free block.
   auto next = free_blocks_.lower_bound(block_off);

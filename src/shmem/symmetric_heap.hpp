@@ -34,7 +34,6 @@ class SymmetricHeap {
   SymmetricHeap(const SymmetricHeap&) = delete;
   SymmetricHeap& operator=(const SymmetricHeap&) = delete;
   SymmetricHeap(SymmetricHeap&& other) noexcept;
-  SymmetricHeap& operator=(SymmetricHeap&& other) noexcept;
 
   /// Allocate `bytes` (rounded up to kAlignment); throws std::bad_alloc when
   /// the arena is exhausted. Zero-size allocations get a distinct non-null
@@ -49,16 +48,6 @@ class SymmetricHeap {
   void deallocate(void* p);
 
   [[nodiscard]] unsigned char* base() { return arena_; }
-  [[nodiscard]] const unsigned char* base() const { return arena_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t bytes_in_use() const { return in_use_; }
-  [[nodiscard]] std::size_t live_allocations() const {
-    return allocated_.size();
-  }
-  /// High-water mark of bytes ever handed out: everything at or above this
-  /// offset is untouched (demand-zero) arena. Exposed for memory-at-scale
-  /// tests.
-  [[nodiscard]] std::size_t touched_bytes() const { return touched_; }
 
   /// True if `p` points into this arena (not necessarily to a block start).
   [[nodiscard]] bool contains(const void* p) const;
@@ -76,7 +65,6 @@ class SymmetricHeap {
   std::size_t touched_ = 0;
   std::map<std::size_t, std::size_t> free_blocks_;  // offset -> size
   std::map<std::size_t, std::size_t> allocated_;    // offset -> size
-  std::size_t in_use_ = 0;
 };
 
 }  // namespace ap::shmem

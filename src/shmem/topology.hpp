@@ -36,11 +36,6 @@ class Topology {
     check_pe(pe);
     return pe % pes_per_node_;
   }
-  [[nodiscard]] int pe_at(int node, int local_rank) const {
-    const int pe = node * pes_per_node_ + local_rank;
-    check_pe(pe);
-    return pe;
-  }
   [[nodiscard]] bool same_node(int a, int b) const {
     return node_of(a) == node_of(b);
   }

@@ -265,11 +265,6 @@ std::string quartile_line(const prof::QuartileStats& q) {
   return os.str();
 }
 
-std::string render_violin(const std::vector<std::uint64_t>& samples,
-                          const ViolinOptions& opts) {
-  return render_violins({""}, {samples}, opts);
-}
-
 std::string render_violins(
     const std::vector<std::string>& labels,
     const std::vector<std::vector<std::uint64_t>>& sample_sets,

@@ -83,13 +83,9 @@ struct ViolinOptions {
   int rows = 16;    // vertical resolution
 };
 
-/// Quartile violin of one sample set: density silhouette, median dot,
-/// quartile band — the information content of the paper's Fig. 5/7.
-std::string render_violin(const std::vector<std::uint64_t>& samples,
-                          const ViolinOptions& opts = {});
-
-/// Several violins side by side with labels (e.g. sends vs recvs,
-/// Cyclic vs Range).
+/// Quartile violins side by side with labels (e.g. sends vs recvs, Cyclic
+/// vs Range): per sample set a density silhouette, median dot and quartile
+/// band — the information content of the paper's Fig. 5/7.
 std::string render_violins(
     const std::vector<std::string>& labels,
     const std::vector<std::vector<std::uint64_t>>& sample_sets,

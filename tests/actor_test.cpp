@@ -2,6 +2,7 @@
 // finish integration, dependent-mailbox chaining, and the observer seam.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <numeric>
@@ -294,9 +295,10 @@ TEST(Selector, HandlerMaySendToAnotherSelector) {
 
 // ---------------------------------------------------------- observer seam
 
+/// Atomic counts: under the threads backend every worker calls in at once.
 struct CountingActorObserver : actor::ActorObserver {
-  int sends = 0, handler_begins = 0, handler_ends = 0;
-  int comm_begins = 0, comm_ends = 0;
+  std::atomic<int> sends = 0, handler_begins = 0, handler_ends = 0;
+  std::atomic<int> comm_begins = 0, comm_ends = 0;
   void on_send(int, int, std::size_t, std::uint64_t) override { ++sends; }
   void on_handler_begin(int, int, std::size_t, std::uint64_t) override {
     ++handler_begins;

@@ -61,18 +61,6 @@ TEST(CommMatrix, LowerTriangularDetection) {
   EXPECT_FALSE(m.is_lower_triangular());
 }
 
-TEST(CommMatrix, PlusEquals) {
-  CommMatrix a(2), b(2);
-  a.add(0, 1, 2);
-  b.add(0, 1, 3);
-  b.add(1, 0, 1);
-  a += b;
-  EXPECT_EQ(a.at(0, 1), 5u);
-  EXPECT_EQ(a.at(1, 0), 1u);
-  CommMatrix c(3);
-  EXPECT_THROW(a += c, std::invalid_argument);
-}
-
 TEST(SparseCommMatrix, MirrorsDenseSemantics) {
   SparseCommMatrix s(5);
   CommMatrix d(5);
@@ -85,28 +73,12 @@ TEST(SparseCommMatrix, MirrorsDenseSemantics) {
   put(4, 0, 9);
   put(3, 3, 1);
   EXPECT_EQ(s.total(), d.total());
-  EXPECT_EQ(s.max_cell(), d.max_cell());
   EXPECT_EQ(s.row_sums(), d.row_sums());
   EXPECT_EQ(s.col_sums(), d.col_sums());
   EXPECT_EQ(s.nonzero_cells(), 3u);
   EXPECT_EQ(s.at(0, 1), 7u);
   EXPECT_EQ(s.at(1, 0), 0u);  // absent cell reads as zero
   EXPECT_EQ(s.dense(), d);
-  EXPECT_TRUE(SparseCommMatrix(3).is_lower_triangular());
-  EXPECT_FALSE(s.is_lower_triangular());  // (0,1) is above the diagonal
-  SparseCommMatrix lower(4);
-  lower.add(3, 1, 2);
-  lower.add(2, 2, 2);
-  EXPECT_TRUE(lower.is_lower_triangular());
-
-  SparseCommMatrix other(5);
-  other.add(0, 1, 1);
-  other.add(2, 2, 4);
-  s += other;
-  EXPECT_EQ(s.at(0, 1), 8u);
-  EXPECT_EQ(s.at(2, 2), 4u);
-  SparseCommMatrix wrong(6);
-  EXPECT_THROW(s += wrong, std::invalid_argument);
 }
 
 TEST(SparseCommMatrix, BucketedMatchesDenseBucketing) {
@@ -308,6 +280,64 @@ TEST(Profiler, PapiTotalsReflectWorkImbalance) {
                std::invalid_argument);
 }
 
+// The paper's limit of four concurrently recorded PAPI events
+// (papi::kMaxEventsPerSet) is the size of Config::papi_events: four
+// configured events give four counter columns in PEi_PAPI.*, named and
+// ordered as configured, in both trace formats.
+TEST(Profiler, FourPapiEventsWriteFourCounterColumns) {
+  using ap::papi::Event;
+  const ap::testutil::TestTmpDir tmp;
+  Config c = all_on();
+  c.papi_events = {Event::TOT_INS, Event::LST_INS, Event::L1_DCM,
+                   Event::BR_MSP};
+  static_assert(std::tuple_size_v<decltype(c.papi_events)> ==
+                ap::papi::kMaxEventsPerSet);
+  ASSERT_EQ(c.num_papi_events(), 4);
+  Profiler prof(c);
+  shmem::run(cfg_of(2, 2), [] {
+    ap::actor::Actor<std::int64_t> a;
+    a.mb[0].process = [](std::int64_t, int) {
+      ap::papi::account_random_access(std::size_t{1} << 20, 64);
+    };
+    auto* p = dynamic_cast<Profiler*>(ap::actor::actor_observer());
+    p->epoch_begin();
+    ap::hclib::finish([&] {
+      a.start();
+      for (int i = 0; i < 100; ++i) a.send(1, 1 - shmem::my_pe());
+      a.done(0);
+    });
+    p->epoch_end();
+  });
+  const std::vector<PapiSegmentRecord> rows = prof.papi_segments(0);
+  ASSERT_FALSE(rows.empty());
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::uint64_t sum = 0;
+    for (const PapiSegmentRecord& r : rows) sum += r.counters[k];
+    EXPECT_GT(sum, 0u) << "counter column " << k;
+  }
+
+  for (const TraceFormat format : {TraceFormat::csv, TraceFormat::binary}) {
+    const char* name = format == TraceFormat::binary ? "binary" : "csv";
+    c.trace_format = format;
+    c.trace_dir = tmp / name;
+    io::write_all(prof, c);
+    const io::TraceDir t = io::load_trace_dir(c.trace_dir, 2);
+    EXPECT_EQ(t.papi.at(0), rows) << name;
+  }
+  std::ifstream csv(tmp / "csv" / "PE0_PAPI.csv");
+  std::string header;
+  ASSERT_TRUE(std::getline(csv, header));
+  std::size_t at = 0;
+  for (const Event e : c.papi_events) {
+    const std::size_t pos = header.find(ap::papi::name(e), at);
+    ASSERT_NE(pos, std::string::npos) << header;
+    at = pos;
+  }
+  EXPECT_EQ(header.find("PAPI_", at + 1 + ap::papi::name(Event::BR_MSP).size()),
+            std::string::npos)
+      << "exactly four counter columns: " << header;
+}
+
 TEST(Profiler, PapiSegmentsSeparateMainAndProc) {
   Profiler prof(all_on());
   shmem::run(cfg_of(2, 2), [] {
@@ -405,7 +435,6 @@ TEST(Profiler, EpochMisuseThrows) {
     EXPECT_THROW(p->epoch_begin(), std::logic_error);
     p->epoch_end();
     EXPECT_THROW(p->epoch_end(), std::logic_error);
-    p->clear();
   });
 }
 
@@ -539,11 +568,12 @@ std::pair<std::vector<LogicalSendRecord>, std::size_t> kept_sends(
   std::vector<LogicalSendRecord> records = view.records();
   EXPECT_EQ(view.size(), records.size());
   for (const TraceFormat format : {TraceFormat::csv, TraceFormat::binary}) {
+    const char* name = format == TraceFormat::binary ? "binary" : "csv";
     c.trace_format = format;
-    c.trace_dir = tmp / to_string(format);
+    c.trace_dir = tmp / name;
     io::write_all(prof, c);
     const io::TraceDir t = io::load_trace_dir(c.trace_dir, 4);
-    EXPECT_EQ(t.logical.at(0).records(), records) << to_string(format);
+    EXPECT_EQ(t.logical.at(0).records(), records) << name;
   }
   return {std::move(records), view.runs().size()};
 }

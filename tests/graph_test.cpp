@@ -14,6 +14,12 @@ namespace {
 
 using namespace ap::graph;
 
+std::size_t max_degree(const Csr& g) {
+  std::size_t m = 0;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) m = std::max(m, g.degree(v));
+  return m;
+}
+
 RmatParams small_params(int scale = 8, std::uint64_t seed = 1) {
   RmatParams p;
   p.scale = scale;
@@ -61,7 +67,7 @@ TEST(Rmat, PowerLawSkew) {
   const Csr g = Csr::from_edges(Vertex{1} << p.scale, edges, false);
   const double mean = static_cast<double>(g.num_entries()) /
                       static_cast<double>(g.num_vertices());
-  EXPECT_GT(static_cast<double>(g.max_degree()), 8.0 * mean);
+  EXPECT_GT(static_cast<double>(max_degree(g)), 8.0 * mean);
 }
 
 TEST(Rmat, UniformParamsAreNotSkewed) {
@@ -72,7 +78,7 @@ TEST(Rmat, UniformParamsAreNotSkewed) {
   const Csr g = Csr::from_edges(Vertex{1} << p.scale, edges, false);
   const double mean = static_cast<double>(g.num_entries()) /
                       static_cast<double>(g.num_vertices());
-  EXPECT_LT(static_cast<double>(g.max_degree()), 4.0 * mean);
+  EXPECT_LT(static_cast<double>(max_degree(g)), 4.0 * mean);
 }
 
 TEST(Rmat, RejectsBadParams) {
@@ -181,8 +187,8 @@ TEST(Distribution, CyclicOwnership) {
   EXPECT_EQ(d.owner(0), 0);
   EXPECT_EQ(d.owner(5), 1);
   EXPECT_EQ(d.owner(7), 3);
-  const auto rows = d.rows_of(2, 10);
-  EXPECT_EQ(rows, (std::vector<Vertex>{2, 6}));
+  EXPECT_EQ(d.owner(2), 2);
+  EXPECT_EQ(d.owner(6), 2);
 }
 
 TEST(Distribution, CyclicBalancesVertices) {
@@ -212,7 +218,7 @@ TEST(Distribution, RangeBalancesNnz) {
     // Every rank within 2x of the perfect share (power-law graphs cannot
     // be split perfectly at row granularity, but gross balance must hold).
     EXPECT_LT(d.nnz_of(r), 2 * total / static_cast<std::size_t>(p) +
-                               L.max_degree());
+                               max_degree(L));
   }
   // nnz partition covers everything.
   std::size_t sum = 0;

@@ -153,19 +153,22 @@ TEST(Registry, CounterGaugeHistogramRoundTrip) {
   r.observe(0, h, 9);
   r.observe(0, h, 9);
 
-  EXPECT_EQ(r.value(0, c), 5u);
-  EXPECT_EQ(r.value(1, c), 0u);
-  EXPECT_EQ(r.value(2, c), 7u);
+  // Scalars per PE: the counter, then the gauge.
+  std::vector<std::int64_t> row(2 * 3);
+  r.snapshot_scalars(row.data());
+  EXPECT_EQ(row, (std::vector<std::int64_t>{5, 0, 0, -3, 7, 0}));
   EXPECT_EQ(r.value(1, g), -3);
-  const metrics::HistogramData& d = r.data(0, h);
-  EXPECT_EQ(d.count, 3u);
-  EXPECT_EQ(d.sum, 18u);
-  EXPECT_EQ(d.buckets[0], 1u);                          // the zero
-  EXPECT_EQ(d.buckets[metrics::histogram_bucket(9)], 2u);  // the nines
+  // PE 0's histogram: the zero in bucket 0, the two nines in bucket 4.
+  ASSERT_EQ(metrics::histogram_bucket(9), 4);
+  std::stringstream json;
+  r.write_json(json);
+  EXPECT_NE(json.str().find(R"({"count":3,"sum":18,"buckets":[1,0,0,0,2,0,)"),
+            std::string::npos)
+      << json.str();
 
-  r.reset_values();
-  EXPECT_EQ(r.value(2, c), 0u);
-  EXPECT_EQ(r.data(0, h).count, 0u);
+  r.bind(3);  // rebinding zeroes every value
+  r.snapshot_scalars(row.data());
+  EXPECT_EQ(row, std::vector<std::int64_t>(2 * 3, 0));
 }
 
 TEST(Registry, HistogramBucketsAreLog2) {
@@ -196,16 +199,18 @@ TEST(Registry, UpdatesRejectedBeforeBindAndOutOfRange) {
 
 TEST(Registry, ScalarLayoutIsCountersThenGauges) {
   metrics::Registry r;
-  r.add_counter("t_a_total", "a");
-  r.add_gauge("t_g", "g");
-  r.add_counter("t_b_total", "b");
+  const auto a = r.add_counter("t_a_total", "a");
+  const auto g = r.add_gauge("t_g", "g");
+  const auto b = r.add_counter("t_b_total", "b");
   r.bind(2);
-  const std::vector<std::string> names = r.scalar_names();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "t_a_total");
-  EXPECT_EQ(names[1], "t_b_total");
-  EXPECT_EQ(names[2], "t_g");
-  EXPECT_EQ(r.num_scalars(), 3u);
+  ASSERT_EQ(r.num_scalars(), 3u);
+  r.add(0, a, 1);
+  r.add(0, b, 2);
+  r.set(0, g, 3);
+  r.add(1, b, 5);
+  std::vector<std::int64_t> row(2 * 3);
+  r.snapshot_scalars(row.data());
+  EXPECT_EQ(row, (std::vector<std::int64_t>{1, 2, 3, 0, 5, 0}));
 }
 
 TEST(Registry, PrometheusExposition) {
@@ -261,8 +266,9 @@ TEST(SampleRing, OverwritesOldestWhenFull) {
   EXPECT_EQ(ring.at(2).t_cycles, 5u);
   EXPECT_EQ(ring.value(0, 0, 0), 30);
   EXPECT_EQ(ring.value(2, 1, 0), 51);
-  ring.clear();
+  ring.bind(2, 1, 3);  // rebinding empties the ring
   EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.overwritten(), 0u);
 }
 
 // ---------------------------------------------------------------- detector
@@ -292,9 +298,6 @@ TEST(Detector, AnomalyLogSaturates) {
   }
   EXPECT_EQ(log.items().size(), 2u);
   EXPECT_EQ(log.dropped(), 3u);
-  log.clear();
-  EXPECT_EQ(log.items().size(), 0u);
-  EXPECT_EQ(log.dropped(), 0u);
 }
 
 // ------------------------------------------------------------ OverheadMeter
@@ -312,7 +315,7 @@ TEST(OverheadMeter, BucketsPerPePlusFleetSlot) {
   EXPECT_EQ(m.total(1), 20u);
   EXPECT_EQ(m.total(metrics::OverheadMeter::kGlobalSlot), 6u);
   EXPECT_EQ(m.grand_total(), 36u);
-  m.reset();
+  m.bind(2);  // rebinding zeroes every bucket
   EXPECT_EQ(m.grand_total(), 0u);
 }
 

@@ -1,9 +1,11 @@
 // Tests for sim-PAPI: event naming, the cost model, per-PE isolation, and
-// the PAPI-compatible event-set API (including the 4-event limit).
+// the counter deltas the profiler takes around its segments.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "papi/cycles.hpp"
@@ -21,21 +23,24 @@ class PapiTest : public ::testing::Test {
   void TearDown() override { papi::reset_all(); }
 };
 
-TEST_F(PapiTest, NamesRoundTrip) {
+TEST_F(PapiTest, NamesAreCanonicalAndDistinct) {
+  std::set<std::string_view> seen;
   for (int i = 0; i < papi::kNumEvents; ++i) {
-    const Event e = static_cast<Event>(i);
-    const auto parsed = papi::parse(papi::name(e));
-    ASSERT_TRUE(parsed.has_value()) << papi::name(e);
-    EXPECT_EQ(*parsed, e);
+    const std::string_view n = papi::name(static_cast<Event>(i));
+    EXPECT_TRUE(n.starts_with("PAPI_")) << n;
+    EXPECT_NE(n, "PAPI_UNKNOWN");
+    EXPECT_TRUE(seen.insert(n).second) << n;
   }
-  EXPECT_FALSE(papi::parse("PAPI_NOPE").has_value());
   EXPECT_EQ(papi::name(Event::TOT_INS), "PAPI_TOT_INS");
+  EXPECT_EQ(papi::name(Event::kCount), "PAPI_UNKNOWN");
 }
 
 TEST_F(PapiTest, AccountRawCounter) {
   EXPECT_EQ(papi::counter_value(Event::TOT_INS), 0u);
-  papi::account(Event::TOT_INS, 100);
+  papi::account_loop_iters(25);  // 4 instructions and 1 load per iteration
   EXPECT_EQ(papi::counter_value(Event::TOT_INS), 100u);
+  EXPECT_EQ(papi::counter_value(Event::LD_INS), 25u);
+  EXPECT_EQ(papi::counters()[static_cast<std::size_t>(Event::TOT_INS)], 100u);
 }
 
 TEST_F(PapiTest, MessageConstructChargesInstructionsAndStores) {
@@ -103,145 +108,55 @@ TEST_F(PapiTest, CountersArePerPe) {
               per_pe[0] * static_cast<std::uint64_t>(i + 1));
 }
 
-// ----------------------------------------------------------- event sets
+// ------------------------------------------------------- counter deltas
+// The profiler reads counters() at segment boundaries and records the
+// difference, without starting or stopping anything.
 
-TEST_F(PapiTest, EventSetLifecycle) {
-  EXPECT_EQ(papi::library_init(), papi::PAPI_OK);
-  int set = -1;
-  ASSERT_EQ(papi::create_eventset(&set), papi::PAPI_OK);
-  EXPECT_EQ(papi::add_event(set, Event::TOT_INS), papi::PAPI_OK);
-  EXPECT_EQ(papi::add_event(set, Event::LST_INS), papi::PAPI_OK);
-  EXPECT_EQ(papi::num_events(set), 2);
-  ASSERT_EQ(papi::start(set), papi::PAPI_OK);
-  papi::account_message_construct(8);
-  long long vals[2] = {};
-  ASSERT_EQ(papi::stop(set, vals), papi::PAPI_OK);
-  EXPECT_GT(vals[0], 0);
-  EXPECT_GT(vals[1], 0);
-  EXPECT_EQ(papi::destroy_eventset(&set), papi::PAPI_OK);
-  EXPECT_EQ(set, -1);
+/// `e`'s count now minus its count in `before`.
+std::uint64_t delta(const papi::Counters& before, Event e) {
+  const auto i = static_cast<std::size_t>(e);
+  return papi::counters()[i] - before[i];
 }
 
 TEST_F(PapiTest, StartStopDeltaExcludesOutsideWork) {
-  papi::account_message_construct(8);  // before counting
-  int set = -1;
-  ASSERT_EQ(papi::create_eventset(&set), papi::PAPI_OK);
-  ASSERT_EQ(papi::add_event(set, Event::TOT_INS), papi::PAPI_OK);
-  ASSERT_EQ(papi::start(set), papi::PAPI_OK);
-  long long vals[1] = {};
-  ASSERT_EQ(papi::stop(set, vals), papi::PAPI_OK);
-  EXPECT_EQ(vals[0], 0);  // nothing happened while counting
-  ASSERT_EQ(papi::destroy_eventset(&set), papi::PAPI_OK);
+  papi::account_message_construct(8);  // before the segment opens
+  const papi::Counters open = papi::counters();
+  EXPECT_EQ(delta(open, Event::TOT_INS), 0u);  // nothing happened inside
+  papi::account_message_construct(8);
+  const papi::Counters close = papi::counters();
+  papi::account_message_construct(8);  // after the segment closed
+  const auto i = static_cast<std::size_t>(Event::TOT_INS);
+  EXPECT_EQ(close[i] - open[i], open[i]);  // exactly the one charge inside
 }
 
 TEST_F(PapiTest, ReadWithoutStopping) {
-  int set = -1;
-  ASSERT_EQ(papi::create_eventset(&set), papi::PAPI_OK);
-  ASSERT_EQ(papi::add_event(set, Event::TOT_INS), papi::PAPI_OK);
-  ASSERT_EQ(papi::start(set), papi::PAPI_OK);
-  papi::account(Event::TOT_INS, 5);
-  long long v = 0;
-  ASSERT_EQ(papi::read(set, &v), papi::PAPI_OK);
-  EXPECT_EQ(v, 5);
-  papi::account(Event::TOT_INS, 5);
-  ASSERT_EQ(papi::read(set, &v), papi::PAPI_OK);
-  EXPECT_EQ(v, 10);
-  ASSERT_EQ(papi::stop(set, &v), papi::PAPI_OK);
-  EXPECT_EQ(v, 10);
-  ASSERT_EQ(papi::destroy_eventset(&set), papi::PAPI_OK);
+  const papi::Counters open = papi::counters();
+  papi::account_loop_iters(5);
+  EXPECT_EQ(delta(open, Event::LD_INS), 5u);
+  papi::account_loop_iters(5);
+  EXPECT_EQ(delta(open, Event::LD_INS), 10u);
 }
 
 TEST_F(PapiTest, ResetZeroesRunningDelta) {
-  int set = -1;
-  ASSERT_EQ(papi::create_eventset(&set), papi::PAPI_OK);
-  ASSERT_EQ(papi::add_event(set, Event::TOT_INS), papi::PAPI_OK);
-  ASSERT_EQ(papi::start(set), papi::PAPI_OK);
-  papi::account(Event::TOT_INS, 7);
-  ASSERT_EQ(papi::reset(set), papi::PAPI_OK);
-  long long v = -1;
-  ASSERT_EQ(papi::read(set, &v), papi::PAPI_OK);
-  EXPECT_EQ(v, 0);
-  ASSERT_EQ(papi::stop(set, &v), papi::PAPI_OK);
-  ASSERT_EQ(papi::destroy_eventset(&set), papi::PAPI_OK);
+  papi::account_loop_iters(7);
+  papi::reset_all();
+  EXPECT_EQ(papi::counters(), papi::Counters{});
+  const papi::Counters open = papi::counters();
+  papi::account_loop_iters(7);
+  EXPECT_EQ(delta(open, Event::LD_INS), 7u);
 }
 
-TEST_F(PapiTest, FourEventLimitEnforced) {
-  int set = -1;
-  ASSERT_EQ(papi::create_eventset(&set), papi::PAPI_OK);
-  EXPECT_EQ(papi::add_event(set, Event::TOT_INS), papi::PAPI_OK);
-  EXPECT_EQ(papi::add_event(set, Event::LST_INS), papi::PAPI_OK);
-  EXPECT_EQ(papi::add_event(set, Event::L1_DCM), papi::PAPI_OK);
-  EXPECT_EQ(papi::add_event(set, Event::BR_MSP), papi::PAPI_OK);
-  // The fifth concurrent event is what real PAPI hardware refuses.
-  EXPECT_EQ(papi::add_event(set, Event::TOT_CYC), papi::PAPI_ECNFLCT);
-  ASSERT_EQ(papi::destroy_eventset(&set), papi::PAPI_OK);
-}
-
-TEST_F(PapiTest, FourEventLimitSpansSets) {
-  int s1 = -1, s2 = -1;
-  ASSERT_EQ(papi::create_eventset(&s1), papi::PAPI_OK);
-  ASSERT_EQ(papi::create_eventset(&s2), papi::PAPI_OK);
-  for (Event e : {Event::TOT_INS, Event::LST_INS, Event::L1_DCM})
-    ASSERT_EQ(papi::add_event(s1, e), papi::PAPI_OK);
-  for (Event e : {Event::BR_MSP, Event::TOT_CYC})
-    ASSERT_EQ(papi::add_event(s2, e), papi::PAPI_OK);
-  ASSERT_EQ(papi::start(s1), papi::PAPI_OK);
-  EXPECT_EQ(papi::start(s2), papi::PAPI_ECNFLCT);  // 3 + 2 > 4
-  long long vals[4];
-  ASSERT_EQ(papi::stop(s1, vals), papi::PAPI_OK);
-  EXPECT_EQ(papi::start(s2), papi::PAPI_OK);  // fine once s1 stopped
-  ASSERT_EQ(papi::stop(s2, vals), papi::PAPI_OK);
-  papi::destroy_eventset(&s1);
-  papi::destroy_eventset(&s2);
-}
-
-TEST_F(PapiTest, ApiMisuseReturnsErrors) {
-  EXPECT_EQ(papi::create_eventset(nullptr), papi::PAPI_EINVAL);
-  EXPECT_EQ(papi::add_event(99, Event::TOT_INS), papi::PAPI_EINVAL);
-  EXPECT_EQ(papi::start(99), papi::PAPI_EINVAL);
-  int set = -1;
-  ASSERT_EQ(papi::create_eventset(&set), papi::PAPI_OK);
-  long long v;
-  EXPECT_EQ(papi::stop(set, &v), papi::PAPI_ENOTRUN);
-  ASSERT_EQ(papi::add_event(set, Event::TOT_INS), papi::PAPI_OK);
-  EXPECT_EQ(papi::add_event(set, Event::TOT_INS), papi::PAPI_ECNFLCT);
-  ASSERT_EQ(papi::start(set), papi::PAPI_OK);
-  EXPECT_EQ(papi::start(set), papi::PAPI_EISRUN);
-  EXPECT_EQ(papi::add_event(set, Event::LST_INS), papi::PAPI_EISRUN);
-  EXPECT_EQ(papi::destroy_eventset(&set), papi::PAPI_EISRUN);
-  ASSERT_EQ(papi::stop(set, &v), papi::PAPI_OK);
-  ASSERT_EQ(papi::destroy_eventset(&set), papi::PAPI_OK);
-  EXPECT_EQ(papi::destroy_eventset(&set), papi::PAPI_EINVAL);
-}
-
-TEST_F(PapiTest, ScopedCountingGuard) {
-  {
-    papi::ScopedCounting guard{Event::TOT_INS, Event::SR_INS};
-    papi::account_message_construct(8);
-    const auto vals = guard.values();
-    EXPECT_GT(vals[0], 0);
-    EXPECT_GT(vals[1], 0);
-  }
-  // Guard released its slots: four new events may start.
-  papi::ScopedCounting guard{Event::TOT_INS, Event::LST_INS, Event::L1_DCM,
-                             Event::BR_MSP};
-}
-
+// A delta across a yield counts only the reading PE's work.
 TEST_F(PapiTest, EventSetsArePerPe) {
   ap::rt::LaunchConfig cfg;
   cfg.num_pes = 2;
   ap::rt::launch(cfg, [] {
-    int set = -1;
-    ASSERT_EQ(papi::create_eventset(&set), papi::PAPI_OK);
-    ASSERT_EQ(papi::add_event(set, Event::TOT_INS), papi::PAPI_OK);
-    ASSERT_EQ(papi::start(set), papi::PAPI_OK);
+    const papi::Counters open = papi::counters();
     // Each PE does a different amount of work.
-    for (int i = 0; i <= ap::rt::my_pe(); ++i) papi::account(Event::TOT_INS, 10);
+    for (int i = 0; i <= ap::rt::my_pe(); ++i) papi::account_loop_iters(10);
     ap::rt::yield();  // interleave with the other PE
-    long long v = 0;
-    ASSERT_EQ(papi::stop(set, &v), papi::PAPI_OK);
-    EXPECT_EQ(v, 10 * (ap::rt::my_pe() + 1));
-    papi::destroy_eventset(&set);
+    EXPECT_EQ(delta(open, Event::LD_INS),
+              10u * static_cast<std::uint64_t>(ap::rt::my_pe() + 1));
   });
 }
 

@@ -2,6 +2,7 @@
 // non-blocking put semantics), atomics and collectives.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -41,7 +42,8 @@ TEST(Topology, TwoNodeLayout) {
   EXPECT_EQ(t.node_of(16), 1);
   EXPECT_EQ(t.local_rank(16), 0);
   EXPECT_EQ(t.local_rank(31), 15);
-  EXPECT_EQ(t.pe_at(1, 3), 19);
+  EXPECT_EQ(t.node_of(19), 1);
+  EXPECT_EQ(t.local_rank(19), 3);
   EXPECT_FALSE(t.same_node(15, 16));
 }
 
@@ -70,7 +72,9 @@ TEST(SymmetricHeap, AllocatesAlignedDistinctBlocks) {
             0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % shmem::SymmetricHeap::kAlignment,
             0u);
-  EXPECT_EQ(h.live_allocations(), 2u);
+  // Both are live blocks of their own.
+  EXPECT_NO_THROW(h.deallocate(a));
+  EXPECT_NO_THROW(h.deallocate(b));
 }
 
 TEST(SymmetricHeap, IdenticalSequencesGiveIdenticalOffsets) {
@@ -98,7 +102,6 @@ TEST(SymmetricHeap, CoalescingAllowsFullSizeRealloc) {
   h.deallocate(b);
   h.deallocate(a);
   h.deallocate(c);
-  EXPECT_EQ(h.bytes_in_use(), 0u);
   EXPECT_NO_THROW(h.allocate(4096));  // only possible if fully coalesced
 }
 
@@ -128,9 +131,10 @@ TEST(SymmetricHeap, ZeroSizeAllocationsAreDistinct) {
 TEST(Shmem, WorldQueries) {
   shmem::run(cfg_of(8, 4), [] {
     EXPECT_EQ(shmem::n_pes(), 8);
-    EXPECT_EQ(shmem::n_nodes(), 2);
-    EXPECT_EQ(shmem::node_of(shmem::my_pe()), shmem::my_pe() / 4);
-    EXPECT_EQ(shmem::local_rank(shmem::my_pe()), shmem::my_pe() % 4);
+    const shmem::Topology& t = shmem::topology();
+    EXPECT_EQ(t.num_nodes(), 2);
+    EXPECT_EQ(t.node_of(shmem::my_pe()), shmem::my_pe() / 4);
+    EXPECT_EQ(t.local_rank(shmem::my_pe()), shmem::my_pe() % 4);
   });
 }
 
@@ -289,37 +293,11 @@ TEST(Shmem, AtomicFetchAddAccumulatesAcrossPes) {
   shmem::run(cfg_of(8), [] {
     shmem::SymmArray<std::int64_t> c(1);
     shmem::barrier_all();
-    for (int i = 0; i < 10; ++i) shmem::atomic_inc(&c[0], 0);
+    for (int i = 0; i < 10; ++i) shmem::atomic_fetch_add(&c[0], 1, 0);
     shmem::barrier_all();
     if (shmem::my_pe() == 0) {
       EXPECT_EQ(c[0], 80);
     }
-  });
-}
-
-TEST(Shmem, AtomicCompareSwap) {
-  shmem::run(cfg_of(2), [] {
-    shmem::SymmArray<std::int64_t> c(1);
-    shmem::barrier_all();
-    if (shmem::my_pe() == 1) {
-      EXPECT_EQ(shmem::atomic_compare_swap(&c[0], 0, 42, 0), 0);
-      EXPECT_EQ(shmem::atomic_compare_swap(&c[0], 0, 99, 0), 42);
-    }
-    shmem::barrier_all();
-    if (shmem::my_pe() == 0) {
-      EXPECT_EQ(c[0], 42);
-    }
-  });
-}
-
-TEST(Shmem, AtomicFetchAndSet) {
-  shmem::run(cfg_of(2), [] {
-    shmem::SymmArray<std::int64_t> c(1);
-    shmem::barrier_all();
-    if (shmem::my_pe() == 0) shmem::atomic_set(&c[0], 1234, 1);
-    shmem::barrier_all();
-    EXPECT_EQ(shmem::atomic_fetch(&c[0], 1), 1234);
-    shmem::barrier_all();
   });
 }
 
@@ -335,7 +313,9 @@ TEST(Shmem, SumReduce) {
 TEST(Shmem, MaxMinReduce) {
   shmem::run(cfg_of(5), [] {
     EXPECT_EQ(shmem::max_reduce(static_cast<std::int64_t>(shmem::my_pe() * 3)), 12);
-    EXPECT_EQ(shmem::min_reduce(static_cast<std::int64_t>(shmem::my_pe() - 2)), -2);
+    // A minimum is the negated maximum of the negated values.
+    EXPECT_EQ(
+        -shmem::max_reduce(static_cast<std::int64_t>(2 - shmem::my_pe())), -2);
   });
 }
 
@@ -350,47 +330,6 @@ TEST(Shmem, RepeatedReductionsStaySynchronized) {
     for (int r = 0; r < 100; ++r) {
       EXPECT_EQ(shmem::sum_reduce(static_cast<std::int64_t>(r)), 4 * r);
     }
-  });
-}
-
-TEST(Shmem, Broadcast) {
-  shmem::run(cfg_of(8), [] {
-    long v = (shmem::my_pe() == 3) ? 777 : 0;
-    shmem::broadcast(&v, sizeof v, 3);
-    EXPECT_EQ(v, 777);
-  });
-}
-
-TEST(Shmem, Alltoall64) {
-  shmem::run(cfg_of(4), [] {
-    const int n = shmem::n_pes();
-    const int me = shmem::my_pe();
-    shmem::SymmArray<std::int64_t> src(static_cast<size_t>(n));
-    shmem::SymmArray<std::int64_t> dst(static_cast<size_t>(n));
-    for (int j = 0; j < n; ++j) src[static_cast<size_t>(j)] = me * 100 + j;
-    shmem::barrier_all();
-    shmem::alltoall64(dst.data(), src.data(), 1);
-    for (int i = 0; i < n; ++i)
-      EXPECT_EQ(dst[static_cast<size_t>(i)], i * 100 + me);
-  });
-}
-
-TEST(Shmem, StatsCountOperations) {
-  shmem::run(cfg_of(2), [] {
-    shmem::SymmArray<long> a(1);
-    shmem::barrier_all();
-    const long v = 1;
-    shmem::put(&a[0], &v, sizeof v, 1 - shmem::my_pe());
-    shmem::putmem_nbi(&a[0], &v, sizeof v, 1 - shmem::my_pe());
-    shmem::quiet();
-    shmem::barrier_all();
-    EXPECT_EQ(shmem::stats().puts, 1u);
-    EXPECT_EQ(shmem::stats().nbi_puts, 1u);
-    EXPECT_GE(shmem::stats().quiets, 1u);
-    const shmem::PeStats t = shmem::total_stats();
-    EXPECT_EQ(t.puts, 2u);
-    EXPECT_EQ(t.put_bytes, 2 * sizeof(long));
-    shmem::barrier_all();
   });
 }
 
@@ -426,11 +365,45 @@ INSTANTIATE_TEST_SUITE_P(
 
 namespace {
 
+/// Counts calls (per instance) with relaxed atomic adds, as every worker
+/// may count at once; read the totals after a launch.
+class CountingRmaObserver final : public shmem::RmaObserver {
+ public:
+  void on_put(int, std::size_t bytes) override {
+    add(puts, 1);
+    add(put_bytes, bytes);
+  }
+  void on_put_nbi(int, std::size_t bytes) override {
+    add(nbi_puts, 1);
+    add(nbi_bytes, bytes);
+  }
+  void on_get(int, std::size_t bytes) override {
+    add(gets, 1);
+    add(get_bytes, bytes);
+  }
+  void on_quiet(std::size_t outstanding) override {
+    add(quiets, 1);
+    add(completed_by_quiet, outstanding);
+  }
+  void on_barrier() override { add(barriers, 1); }
+  void on_atomic(int) override { add(atomics, 1); }
+
+  std::uint64_t puts = 0, nbi_puts = 0, gets = 0, quiets = 0, barriers = 0,
+                atomics = 0;
+  std::uint64_t put_bytes = 0, nbi_bytes = 0, get_bytes = 0,
+                completed_by_quiet = 0;
+
+ private:
+  static void add(std::uint64_t& c, std::uint64_t n) {
+    std::atomic_ref<std::uint64_t>(c).fetch_add(n, std::memory_order_relaxed);
+  }
+};
+
 TEST(RmaObserver, CapturesNonBlockingRoutines) {
   // The §V-B gap: score-p/TAU/CrayPat/VTune cannot capture putmem_nbi.
   // Our profiling interface must see every one of them plus the quiet
   // that completes them.
-  shmem::CountingRmaObserver obs;
+  CountingRmaObserver obs;
   shmem::set_rma_observer(&obs);
   shmem::run(cfg_of(2), [] {
     shmem::SymmArray<long> a(8);
@@ -443,7 +416,7 @@ TEST(RmaObserver, CapturesNonBlockingRoutines) {
     shmem::put(&a[7], &v, sizeof v, 1 - shmem::my_pe());
     long out;
     shmem::get(&out, &a[7], sizeof out, 1 - shmem::my_pe());
-    shmem::atomic_inc(&a[6], 1 - shmem::my_pe());
+    shmem::atomic_fetch_add(&a[6], 1, 1 - shmem::my_pe());
     shmem::barrier_all();
   });
   shmem::set_rma_observer(nullptr);
@@ -457,10 +430,32 @@ TEST(RmaObserver, CapturesNonBlockingRoutines) {
   EXPECT_GE(obs.barriers, 4u);
 }
 
+TEST(Shmem, StatsCountOperations) {
+  // The substrate reports every operation through the profiling interface:
+  // one put, one nbi put and its quiet per PE.
+  CountingRmaObserver obs;
+  shmem::set_rma_observer(&obs);
+  shmem::run(cfg_of(2), [] {
+    shmem::SymmArray<long> a(1);
+    shmem::barrier_all();
+    const long v = 1;
+    shmem::put(&a[0], &v, sizeof v, 1 - shmem::my_pe());
+    shmem::putmem_nbi(&a[0], &v, sizeof v, 1 - shmem::my_pe());
+    shmem::quiet();
+    shmem::barrier_all();
+  });
+  shmem::set_rma_observer(nullptr);
+  EXPECT_EQ(obs.puts, 2u);
+  EXPECT_EQ(obs.put_bytes, 2 * sizeof(long));
+  EXPECT_EQ(obs.nbi_puts, 2u);
+  EXPECT_EQ(obs.completed_by_quiet, 2u);
+  EXPECT_GE(obs.quiets, 2u);
+}
+
 TEST(RmaObserver, SeesConveyorTrafficWithoutConveyorInstrumentation) {
   // A tool built only on the SHMEM profiling interface can account for
   // Conveyors traffic: every inter-node buffer shows up as a putmem_nbi.
-  shmem::CountingRmaObserver obs;
+  CountingRmaObserver obs;
   shmem::set_rma_observer(&obs);
   shmem::run(cfg_of(4, 2), [] {
     auto c = ap::convey::Conveyor::create(ap::convey::Options{
@@ -486,28 +481,9 @@ TEST(RmaObserver, SeesConveyorTrafficWithoutConveyorInstrumentation) {
 
 }  // namespace
 
-// ------------------------------------------ put_signal / wait_until (1.5)
+// --------------------------------------------------- wait_until (1.5)
 
 namespace {
-
-TEST(Shmem15, PutSignalThenWaitUntil) {
-  shmem::run(cfg_of(2), [] {
-    shmem::SymmArray<long> data(8);
-    shmem::SymmArray<std::int64_t> flag(1);
-    shmem::barrier_all();
-    if (shmem::my_pe() == 0) {
-      long payload[8];
-      for (int i = 0; i < 8; ++i) payload[i] = 100 + i;
-      shmem::put_signal(data.data(), payload, sizeof payload, &flag[0], 1, 1);
-    } else {
-      shmem::wait_until(&flag[0], shmem::Cmp::eq, 1);
-      // Signal visibility implies data visibility.
-      for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(data[static_cast<std::size_t>(i)], 100 + i);
-    }
-    shmem::barrier_all();
-  });
-}
 
 TEST(Shmem15, WaitUntilComparisons) {
   shmem::run(cfg_of(2), [] {
@@ -515,8 +491,8 @@ TEST(Shmem15, WaitUntilComparisons) {
     shmem::barrier_all();
     if (shmem::my_pe() == 0) {
       ap::rt::yield();  // let PE1 block first
-      shmem::atomic_set(&v[0], 41, 1);
-      shmem::atomic_set(&v[0], 42, 1);
+      // A word-sized put is a release store of the whole word.
+      for (const std::int64_t x : {41, 42}) shmem::put(&v[0], &x, sizeof x, 1);
     } else {
       shmem::wait_until(&v[0], shmem::Cmp::ge, 42);
       EXPECT_GE(v[0], 42);

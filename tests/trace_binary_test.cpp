@@ -690,30 +690,28 @@ TEST(TraceBinaryDir, AggregatorsSkipPesBeyondNumPes) {
 // ------------------------------------------------------------ compression
 
 TEST(TraceCompress, LzRoundTripsRandomAndRepetitiveBuffers) {
-  SplitMix64 rng(99);
-  // Empty, tiny, incompressible-random, and highly repetitive buffers.
-  std::vector<std::string> bufs;
-  bufs.emplace_back();
-  bufs.emplace_back("x");
-  {
-    std::string random;
-    for (int i = 0; i < 100000; ++i)
-      random.push_back(static_cast<char>(rng.next_below(256)));
-    bufs.push_back(std::move(random));
+  // Empty, tiny, random and highly repetitive traces: the compressed
+  // container decodes to the same rows as the plain one.
+  using Rows = std::vector<ap::prof::LogicalSendRecord>;
+  Rows repetitive;  // a 7-row pattern, repeated
+  for (int i = 0; i < 5000; ++i)
+    repetitive.push_back({i % 2, i % 7, (i + 1) % 2, (3 * i) % 7,
+                          static_cast<std::uint32_t>(8 << (i % 7))});
+  for (const Rows& recs :
+       {Rows{}, random_logical(1, 98), random_logical(3 * kBlockRows + 17, 99),
+        repetitive}) {
+    const std::string v1 = io::encode(recs);
+    const std::string v2 = io::compress_trace(v1);
+    Rows from_v1, from_v2;
+    io::read_into(v1, from_v1);
+    io::read_into(v2, from_v2);
+    EXPECT_EQ(from_v1, recs) << recs.size() << " rows";
+    EXPECT_EQ(from_v2, recs) << recs.size() << " rows";
   }
-  {
-    std::string rep;
-    for (int i = 0; i < 5000; ++i) rep += "superstep barrier ";
-    bufs.push_back(std::move(rep));
-  }
-  for (const std::string& raw : bufs) {
-    const std::string comp = io::lz_compress(raw);
-    EXPECT_EQ(io::lz_decompress(comp, raw.size()), raw)
-        << "raw size " << raw.size();
-  }
-  // The repetitive buffer must actually shrink — the codec earns its keep
+  // The repetitive trace must actually shrink — the codec earns its keep
   // on delta-encoded integer columns, which look just like this.
-  EXPECT_LT(io::lz_compress(bufs.back()).size(), bufs.back().size() / 4);
+  const std::string plain = io::encode(repetitive);
+  EXPECT_LT(io::compress_trace(plain).size(), plain.size() / 4);
 }
 
 TEST(TraceCompress, CompressTraceRoundTripsByteIdentical) {
@@ -725,10 +723,8 @@ TEST(TraceCompress, CompressTraceRoundTripsByteIdentical) {
   EXPECT_EQ(static_cast<std::uint8_t>(v2[4]), io::kAptVersionCompressed);
   EXPECT_LT(v2.size(), v1.size()) << "delta columns must compress";
 
-  // v2 -> v1 is byte-identical, and compressing twice is a no-op.
-  EXPECT_EQ(io::decompress_trace(v2), v1);
+  // Compressing twice is a no-op.
   EXPECT_EQ(io::compress_trace(v2), v2);
-  EXPECT_EQ(io::decompress_trace(v1), v1);
 
   // The decoders accept both containers and yield the same rows.
   std::vector<ap::prof::LogicalSendRecord> from_v1, from_v2;
@@ -819,8 +815,6 @@ TEST(TraceCompress, WriteAllWithCompressionLoadsIdentically) {
   }
   ASSERT_FALSE(io::is_compressed_trace(plain_shard));
   ASSERT_TRUE(io::is_compressed_trace(comp_shard));
-  EXPECT_EQ(io::decompress_trace(comp_shard), plain_shard)
-      << "the compressed shard must decode to the plain encoding bytes";
 
   const auto a = io::load_trace_dir(plain, 4);
   const auto b = io::load_trace_dir(comp, 4);

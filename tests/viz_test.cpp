@@ -91,7 +91,7 @@ TEST(RenderStacked, RelativeBarsSpanFullWidthAndSegmentsBalance) {
 TEST(RenderViolin, QuartileSummaryPrinted) {
   std::vector<std::uint64_t> samples;
   for (std::uint64_t i = 1; i <= 100; ++i) samples.push_back(i);
-  const std::string s = viz::render_violin(samples);
+  const std::string s = viz::render_violins({""}, {samples});
   EXPECT_NE(s.find("med="), std::string::npos);
   EXPECT_NE(s.find("n=100"), std::string::npos);
   EXPECT_NE(s.find('O'), std::string::npos);  // median marker
@@ -105,7 +105,7 @@ TEST(RenderViolin, MultipleViolinsShareAxis) {
 }
 
 TEST(RenderViolin, EmptySamplesDoNotCrash) {
-  const std::string s = viz::render_violin({});
+  const std::string s = viz::render_violins({""}, {{}});
   EXPECT_FALSE(s.empty());
 }
 
