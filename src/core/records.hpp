@@ -137,8 +137,8 @@ struct PhysicalRecord {
 ///
 /// A superstep is a barrier-to-barrier interval inside an epoch: it opens
 /// at epoch_begin() or at the previous collective arrival and closes when
-/// the PE arrives at the next collective (barrier_all / sync_all / reduce /
-/// broadcast) or at epoch_end(). `barrier_arrive` is the PE's own virtual
+/// the PE arrives at the next collective (barrier_all / sync_all / reduce)
+/// or at epoch_end(). `barrier_arrive` is the PE's own virtual
 /// cycle stamp at arrival; `barrier_release` is the max arrival stamp over
 /// all PEs that reached the same (epoch, step) — a lower bound on the
 /// release under the per-PE busy clock (the analysis layer reconstructs
