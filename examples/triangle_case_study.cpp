@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <vector>
 
 #include "analysis/analysis.hpp"
 #include "apps/triangle.hpp"
@@ -60,6 +61,7 @@ int main(int argc, char** argv) {
     prof::Profiler profiler(pc);
 
     std::int64_t got = 0;
+    std::vector<apps::TriangleResult> per_pe(static_cast<std::size_t>(pes));
     rt::LaunchConfig lc;
     lc.num_pes = pes;
     lc.pes_per_node = ppn;
@@ -67,6 +69,7 @@ int main(int argc, char** argv) {
     shmem::run(lc, [&] {
       const auto dist = graph::make_distribution(kind, shmem::n_pes(), lower);
       const auto r = apps::count_triangles_actor(lower, *dist, &profiler);
+      per_pe[static_cast<std::size_t>(shmem::my_pe())] = r;
       if (shmem::my_pe() == 0) got = r.triangles;
     });
 
@@ -74,6 +77,17 @@ int main(int argc, char** argv) {
     std::printf("triangles: %lld  %s\n", static_cast<long long>(got),
                 got == expected ? "(VALIDATED)" : "(MISMATCH!)");
     if (got != expected) return 1;
+    // The handlers' probes of L, and the share that resumed from the
+    // previous probe of the same row (graph::EntryCursor).
+    std::uint64_t probes = 0, resumed = 0;
+    for (const apps::TriangleResult& r : per_pe) {
+      probes += r.probes;
+      resumed += r.resumed_probes;
+    }
+    std::printf("handler probes: %llu, %.1f%% resumed\n",
+                static_cast<unsigned long long>(probes),
+                probes == 0 ? 0.0 : 100.0 * static_cast<double>(resumed) /
+                                        static_cast<double>(probes));
 
     const auto m = profiler.logical_matrix();
     viz::HeatmapOptions ho;

@@ -89,8 +89,14 @@ class ActorObserver {
   [[nodiscard]] virtual bool wants_flow_ids() const { return false; }
 };
 
+namespace detail {
+/// The installed observer (observer.cpp). Read inline on every send, COMM
+/// region and drained batch; set only outside a launch.
+extern ActorObserver* g_observer;
+}  // namespace detail
+
 void set_actor_observer(ActorObserver* obs);
-ActorObserver* actor_observer();
+inline ActorObserver* actor_observer() { return detail::g_observer; }
 
 /// Next process-wide logical-send flow id (1-based; 0 means "no flow").
 /// Raw ids are only required to be unique — exporters renumber densely, so

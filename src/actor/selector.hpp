@@ -120,6 +120,7 @@ class Selector {
             convey::Conveyor::create(opts_);
     }
     n_pes_ = rt::n_pes();
+    charges_ = papi::message_charges(sizeof(MsgT));
     started_ = true;
     auto* scope = hclib::FinishScope::current();
     if (scope == nullptr)
@@ -148,11 +149,11 @@ class Selector {
 
     std::uint64_t flow = 0;
     if (ActorObserver* o = actor_observer()) {
-      if (st.conveyor->options().carry_flow_ids) flow = next_flow_id();
+      if (opts_.carry_flow_ids) flow = next_flow_id();
       o->on_send(mb_id, dst_pe, sizeof(MsgT), flow);
     }
     if (per_send_charges_)
-      papi::account_message_construct(sizeof(MsgT));
+      papi::account_n(charges_.construct, 1);
     else
       ++pending_constructs_;  // see flush_accounting()
 
@@ -378,11 +379,11 @@ class Selector {
   /// exactly the counters the per-message path had charged by then.
   void flush_accounting() {
     if (pending_constructs_ != 0) {
-      papi::account_message_construct_n(sizeof(MsgT), pending_constructs_);
+      papi::account_n(charges_.construct, pending_constructs_);
       pending_constructs_ = 0;
     }
     if (pending_handles_ != 0) {
-      papi::account_message_handle_n(sizeof(MsgT), pending_handles_);
+      papi::account_n(charges_.handle, pending_handles_);
       pending_handles_ = 0;
     }
   }
@@ -397,7 +398,7 @@ class Selector {
     MailboxState& st = state_[static_cast<std::size_t>(mb_id)];
     if (ActorObserver* o = actor_observer())
       o->on_handler_begin(mb_id, from, sizeof(MsgT), flow);
-    papi::account_message_handle(sizeof(MsgT));
+    papi::account_n(charges_.handle, 1);
     in_dispatch_ = true;
     try {
       mb[static_cast<std::size_t>(mb_id)].process(msg, from);
@@ -418,6 +419,8 @@ class Selector {
   std::array<MailboxState, NMB> state_{};
   bool started_ = false;
   int n_pes_ = 0;  // the launch's PE count, read in start()
+  /// What one send and one handle of a MsgT charge, derived in start().
+  papi::MessageCharges charges_{};
   /// The observer's answers, read once in start() (both false without one).
   bool per_message_ = false;
   bool per_send_charges_ = false;

@@ -23,11 +23,12 @@ class JaccardSelector final : public actor::Selector<2, WedgeQuery> {
  public:
   JaccardSelector(const graph::Csr& lower,
                   std::vector<std::uint32_t>* common)
-      : lower_(lower), common_(common) {
+      : footprint_(lower.num_entries() * sizeof(graph::Vertex)),
+        cursor_(lower),
+        common_(common) {
     mb[0].process = [this](WedgeQuery q, int sender_rank) {
-      papi::account_random_access(lower_.num_entries() * sizeof(graph::Vertex),
-                                  1);
-      if (lower_.has_entry(q.j, q.k)) send(1, q, sender_rank);
+      papi::account_random_access(footprint_, 1);
+      if (cursor_.probe(q.j, q.k)) send(1, q, sender_rank);
     };
     mb[1].process = [this](WedgeQuery q, int) {
       (*common_)[static_cast<std::size_t>(q.reply_slot)]++;
@@ -35,7 +36,8 @@ class JaccardSelector final : public actor::Selector<2, WedgeQuery> {
   }
 
  private:
-  const graph::Csr& lower_;
+  std::size_t footprint_;
+  graph::EntryCursor cursor_;
   std::vector<std::uint32_t>* common_;
 };
 

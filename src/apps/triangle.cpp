@@ -21,20 +21,25 @@ class TriangleActor final : public actor::Actor<EdgeQuery> {
  public:
   TriangleActor(const graph::Csr& lower, std::int64_t* counter,
                 const convey::Options& opts)
-      : actor::Actor<EdgeQuery>(opts), lower_(lower), counter_(counter) {
+      : actor::Actor<EdgeQuery>(opts),
+        footprint_(lower.num_entries() * sizeof(graph::Vertex)),
+        cursor_(lower),
+        counter_(counter) {
     mb[0].process = [this](EdgeQuery q, int sender_rank) {
       (void)sender_rank;
-      // ACTORPROCESS(j, k): if l_jk exists, count one triangle. The binary
-      // search over row j is charged to the cost model as irregular access
-      // over this PE's share of L.
-      papi::account_random_access(lower_.num_entries() * sizeof(graph::Vertex),
-                                  1);
-      if (lower_.has_entry(q.j, q.k)) ++*counter_;
+      // ACTORPROCESS(j, k): if l_jk exists, count one triangle. The probe
+      // of row j is charged to the cost model as one irregular access over
+      // this PE's share of L, whether or not the cursor resumes.
+      papi::account_random_access(footprint_, 1);
+      if (cursor_.probe(q.j, q.k)) ++*counter_;
     };
   }
 
+  [[nodiscard]] const graph::EntryCursor& cursor() const { return cursor_; }
+
  private:
-  const graph::Csr& lower_;
+  std::size_t footprint_;
+  graph::EntryCursor cursor_;
   std::int64_t* counter_;
 };
 
@@ -87,6 +92,8 @@ TriangleResult count_triangles_actor(const graph::Csr& lower,
   r.triangles = shmem::sum_reduce(local_count);
   r.sends = triangle_actor.conveyor(0).stats().pushed;
   r.handled = triangle_actor.handled(0);
+  r.probes = triangle_actor.cursor().probes();
+  r.resumed_probes = triangle_actor.cursor().resumed();
   return r;
 }
 

@@ -27,6 +27,10 @@ struct TriangleResult {
   /// Messages this PE sent / handled (from the actor runtime).
   std::uint64_t sends = 0;
   std::uint64_t handled = 0;
+  /// Handler probes of L on this PE, and how many resumed from the
+  /// previous probe (graph::EntryCursor).
+  std::uint64_t probes = 0;
+  std::uint64_t resumed_probes = 0;
 };
 
 /// Run the triangle-counting kernel on the calling PE (SPMD: every PE must

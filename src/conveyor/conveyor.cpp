@@ -622,7 +622,6 @@ void Conveyor::account_dead_endpoint() {
   g.lost.fetch_add(lost, std::memory_order_relaxed);
 }
 
-const Options& Conveyor::options() const { return group_->opts; }
 const ConveyorStats& Conveyor::stats() const { return self_->stats; }
 
 ConveyorStats Conveyor::total_stats() const {
@@ -930,31 +929,34 @@ void Conveyor::deliver_incoming() {
       // Scan the landing buffer for contiguous runs of records that share
       // a fate — final delivery here, or forwarding toward one next hop —
       // and move each run with a single memcpy instead of per-record
-      // inserts.
+      // inserts. Each run counts its records as it grows (no divide).
       const std::size_t end = static_cast<std::size_t>(len);
       std::size_t off = 0;
       while (off < end) {
         const std::int32_t dst = load_dst(data + off);
         std::size_t run = rec_sz;
+        std::uint64_t records = 1;
         if (fi::active() && dst != e.pe &&
             !shmem::pe_alive(static_cast<int>(dst))) {
           // Forwarding toward a dead destination would park the records in
           // a queue nobody drains; drop the whole run here and account it.
-          while (off + run < end && load_dst(data + off + run) == dst)
+          for (; off + run < end && load_dst(data + off + run) == dst;
+               ++records)
             run += rec_sz;
-          g.lost.fetch_add(run / rec_sz, std::memory_order_relaxed);
+          g.lost.fetch_add(records, std::memory_order_relaxed);
         } else if (dst == e.pe) {
-          while (off + run < end && load_dst(data + off + run) == e.pe)
+          for (; off + run < end && load_dst(data + off + run) == e.pe;
+               ++records)
             run += rec_sz;
           // Final destination: wire records land verbatim in the recv
           // queue (drain skips the header fields).
           std::memcpy(e.recv.append(run, g.outbuf_capacity()), data + off,
                       run);
           bump(e.stats.memcpys);
-          delivered += run / rec_sz;
+          delivered += records;
         } else {
           const std::int32_t hop = e.hop_for(g, dst);
-          while (off + run < end) {
+          for (; off + run < end; ++records) {
             const std::int32_t d2 = load_dst(data + off + run);
             if (d2 == e.pe || e.hop_for(g, d2) != hop) break;
             run += rec_sz;
@@ -965,7 +967,7 @@ void Conveyor::deliver_incoming() {
           OutBuf& ob = e.hop_state(hop).out;
           std::memcpy(ob.append(run, g.outbuf_capacity()), data + off, run);
           bump(e.stats.memcpys);
-          bump(e.stats.forwarded, run / rec_sz);
+          bump(e.stats.forwarded, records);
           while (ob.pending() >= g.payload_capacity()) {
             if (!try_flush(hop)) break;  // opportunistic; advance retries
           }

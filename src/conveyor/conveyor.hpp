@@ -150,7 +150,6 @@ class Conveyor {
   /// no more items. Returns false once the conveyor is globally complete.
   bool advance(bool done);
 
-  [[nodiscard]] const Options& options() const;
   [[nodiscard]] const ConveyorStats& stats() const;
   /// Sum of stats over all PEs (any PE may call). Under the threads
   /// backend the per-endpoint counters are plain single-writer values:

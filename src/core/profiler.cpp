@@ -161,8 +161,7 @@ void Profiler::register_metrics() {
   ids_.s_bytes_in_flight = num_counters + ids_.bytes_in_flight.i;
 }
 
-void Profiler::ensure_world() {
-  if (topo_known_.load(std::memory_order_acquire)) return;
+void Profiler::bind_world() {
   std::lock_guard<std::mutex> lk(world_mu_);
   if (topo_known_.load(std::memory_order_relaxed)) return;
   topo_ = shmem::topology();
@@ -179,7 +178,7 @@ void Profiler::ensure_world() {
     sample_scratch_.assign(
         static_cast<std::size_t>(n) * registry_.num_scalars(), 0);
     detect_scratch_.assign(static_cast<std::size_t>(n), 0.0);
-    have_sample_baseline_ = false;
+    have_sampled_ = false;
     last_sample_cycles_ = 0;
   }
   // A live collector needs the PE count before any shard frame makes
@@ -194,11 +193,8 @@ void Profiler::ensure_world() {
   topo_known_.store(true, std::memory_order_release);
 }
 
-Profiler::PeData& Profiler::pe_data_of(int me) {
-  if (me < 0)
-    throw std::logic_error("Profiler: PE context required (inside shmem::run)");
-  ensure_world();
-  return pes_[static_cast<std::size_t>(me)];
+void Profiler::no_pe_context() {
+  throw std::logic_error("Profiler: PE context required (inside shmem::run)");
 }
 
 const Profiler::PeData& Profiler::pe_data(int pe) const {
@@ -894,15 +890,21 @@ void Profiler::tick() {
   }
   if (!any_in_epoch) return;
 
-  if (!have_sample_baseline_) {
-    have_sample_baseline_ = true;
-    last_sample_cycles_ = t;
-    return;
+  // The first tick that sees a PE in its epoch samples, so a run whose
+  // epochs end before fleet time moves one interval still leaves one (under
+  // the threads backend only worker 0's sweeps tick). Later ticks sample
+  // once fleet time has passed the last sample by the interval: fleet time
+  // falls when the PE holding the maximum leaves the epoch, and sample
+  // times must strictly increase.
+  if (have_sampled_) {
+    const auto interval = static_cast<std::uint64_t>(
+        cfg_.metrics_interval_virtual_ms *
+        static_cast<double>(metrics::kCyclesPerVirtualMs));
+    if (t < last_sample_cycles_ ||
+        t - last_sample_cycles_ < std::max<std::uint64_t>(interval, 1))
+      return;
   }
-  const auto interval = static_cast<std::uint64_t>(
-      cfg_.metrics_interval_virtual_ms *
-      static_cast<double>(metrics::kCyclesPerVirtualMs));
-  if (t - last_sample_cycles_ < std::max<std::uint64_t>(interval, 1)) return;
+  have_sampled_ = true;
   last_sample_cycles_ = t;
 
   // Refresh the derived COMM-share gauge from the fold buckets, then

@@ -399,7 +399,14 @@ class Profiler final : public actor::ActorObserver,
   };
 
   PeData& pe_data() { return pe_data_of(rt::my_pe()); }
-  PeData& pe_data_of(int me);  // me = rt::my_pe(), already resolved
+  /// `me` = rt::my_pe(), already resolved. Inline: every callback that
+  /// touches a PE's data starts here.
+  PeData& pe_data_of(int me) {
+    if (me < 0) [[unlikely]] no_pe_context();
+    ensure_world();
+    return pes_[static_cast<std::size_t>(me)];
+  }
+  [[noreturn]] static void no_pe_context();
   void record_send(int mb, int dst_pe, std::size_t bytes,
                    std::uint64_t flow_id);
   const PeData& pe_data(int pe) const;
@@ -409,7 +416,13 @@ class Profiler final : public actor::ActorObserver,
   /// Fold cycle + PAPI deltas since the last boundary into the buckets of
   /// the current region, then re-stamp.
   void fold(PeData& d);
-  void ensure_world();
+  /// The world setup (bind_world) runs once, on the profiler's first
+  /// callback; after it this is one acquire load, a plain load on x86.
+  void ensure_world() {
+    if (!topo_known_.load(std::memory_order_acquire)) [[unlikely]]
+      bind_world();
+  }
+  void bind_world();
   void register_metrics();
   /// Scheduler tick hook body: sample + detect when the interval elapsed.
   void tick();
@@ -418,7 +431,7 @@ class Profiler final : public actor::ActorObserver,
   /// Derived from cfg_ once: whether any consumer reads sends.
   bool sends_read_ = false;
   shmem::Topology topo_;
-  /// Guards the one-time world setup in ensure_world(): under the threads
+  /// Guards the one-time world setup in bind_world(): under the threads
   /// backend every PE's first observer callback races to initialize. The
   /// flag is the double-checked fast path (acquire pairs with the release
   /// store after setup completes); the mutex serializes the slow path.
@@ -443,7 +456,7 @@ class Profiler final : public actor::ActorObserver,
   /// every worker concurrently, so each one takes this mutex.
   std::mutex checker_mu_;
   std::uint64_t last_sample_cycles_ = 0;
-  bool have_sample_baseline_ = false;
+  bool have_sampled_ = false;
   /// Epoch-boundary checkpointing (Config::crash_safe): epoch_end() calls
   /// since the last mid-run write_all() flush. Atomic: PEs close epochs
   /// concurrently under the threads backend.

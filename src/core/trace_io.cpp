@@ -484,13 +484,26 @@ bool read_file(const std::filesystem::path& p, std::string& out) {
   return true;
 }
 
-std::string read_trace_file(const std::filesystem::path& dir, TraceFile f,
-                            std::string& body) {
+namespace {
+
+/// The first spelling of `f` that `read(name)` reads, .apt first; empty
+/// when neither reads.
+template <class Read>
+std::string read_either_spelling(TraceFile f, Read&& read) {
   for (const bool binary : {true, false}) {
     std::string name = file_name(f, binary);
-    if (read_file(dir / name, body)) return name;
+    if (read(name)) return name;
   }
   return {};
+}
+
+}  // namespace
+
+std::string read_trace_file(const std::filesystem::path& dir, TraceFile f,
+                            std::string& body) {
+  return read_either_spelling(f, [&](const std::string& name) {
+    return read_file(dir / name, body);
+  });
 }
 
 bool write_file_atomic(const std::filesystem::path& dir,
@@ -762,16 +775,28 @@ TraceDir load_trace_dir(const std::filesystem::path& dir, int num_pes,
       t.issues.push_back(FileIssue{actual, e.line_no(), e.what()});
     }
   };
+  // List the directory once and open only the names it holds: a trace
+  // has one spelling of each file, and most kinds are off in most
+  // configs, so trying every name would mostly make failed opens.
+  std::vector<std::string> listed;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec))
+    listed.push_back(entry.path().filename().string());
+  std::sort(listed.begin(), listed.end());
   std::string body;
+  const auto read_listed = [&](const std::string& name) {
+    return std::binary_search(listed.begin(), listed.end(), name) &&
+           read_file(dir / name, body);
+  };
   const auto load_rows = [&](TraceFile f) {
-    const std::string actual = read_trace_file(dir, f, body);
+    const std::string actual = read_either_spelling(f, read_listed);
     load(file_name(f), file_name(f, true), actual, body,
          [&](std::string_view b) { t.read(f, b); });
   };
 
   for (const BinKind k : kRowKinds)
     for (const TraceFile f : trace_files(k, num_pes)) load_rows(f);
-  const bool have_overall = read_file(dir / kOverallFile, body);
+  const bool have_overall = read_listed(kOverallFile);
   load(kOverallFile, kOverallFile, have_overall ? kOverallFile : "", body,
        [&](std::string_view b) { parse_overall_into(b, t.overall); });
   return t;

@@ -9,6 +9,12 @@
 
 namespace ap::fi {
 
+// Plain global: a plan is installed and removed outside a launch (tests,
+// or shmem::run before it creates any worker thread), so thread creation
+// orders the flag for every worker under the threads backend.
+bool detail::g_active = false;
+using detail::g_active;
+
 namespace {
 
 /// SplitMix64 (public-domain constants): one independent stream per PE so
@@ -44,7 +50,6 @@ struct PeStream {
 
 struct State {
   Plan plan;
-  bool active = false;
   int straggler_yields = 0;  // per hook site, derived from the factor
   std::vector<PeStream> pes;
 
@@ -55,7 +60,6 @@ struct State {
 };
 
 State g_state;
-bool g_active = false;
 
 PeStream& stream(int pe) {
   auto& pes = g_state.pes;
@@ -191,17 +195,13 @@ void install(const Plan& plan) {
   g_state.plan = plan;
   g_state.straggler_yields = static_cast<int>(
       std::min(plan.straggler_factor - 1.0, 64.0));
-  g_state.active = true;
   g_active = true;
 }
 
 void uninstall() {
   // Keep the streams and the killed set for post-mortem queries.
-  g_state.active = false;
   g_active = false;
 }
-
-bool active() { return g_active; }
 
 const Plan& plan() {
   if (!g_active) throw std::logic_error("faultinject: no plan installed");

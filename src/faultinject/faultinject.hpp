@@ -88,11 +88,17 @@ struct QuietSchedule {
   int yields = 0;
 };
 
+namespace detail {
+/// Whether a plan is installed (faultinject.cpp). Read inline on every
+/// conveyor flush, advance and delivered run; set only outside a launch.
+extern bool g_active;
+}  // namespace detail
+
 /// Install/remove the active plan. Installing resets the per-PE streams
 /// and the killed set. Not reentrant.
 void install(const Plan& plan);
 void uninstall();
-[[nodiscard]] bool active();
+[[nodiscard]] inline bool active() { return detail::g_active; }
 /// The installed plan. Only valid while active().
 [[nodiscard]] const Plan& plan();
 

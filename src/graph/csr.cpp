@@ -50,10 +50,11 @@ Csr Csr::from_edges(Vertex num_vertices, std::span<const Edge> edges,
   return g;
 }
 
-bool Csr::has_entry(Vertex u, Vertex v) const {
-  if (u < 0 || u >= num_vertices()) return false;
-  const auto nb = neighbors(u);
-  return std::binary_search(nb.begin(), nb.end(), v);
+void EntryCursor::seek(Vertex row, Vertex col) {
+  const auto nb = g_->neighbors(row);
+  row_ = row;
+  end_ = nb.data() + nb.size();
+  pos_ = std::lower_bound(nb.data(), end_, col);
 }
 
 std::int64_t count_triangles_serial(const Csr& lower) {

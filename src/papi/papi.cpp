@@ -81,7 +81,7 @@ constexpr Counters amounts(const CostModel& m, const Reciprocal& per_ipc,
 /// What a model fixes for a whole launch, derived once when it is set: the
 /// two divisors as exact reciprocals, and the complete counter increments
 /// of every charge whose amounts do not depend on its argument (network
-/// cycles that do are added on top).
+/// cycles and cache misses that do are added on top).
 struct Derived {
   Reciprocal per_ipc;           // x / ipc_x16 (16 when the model says 0)
   Reciprocal per_payload_den;   // x / ins_per_payload_byte_den
@@ -90,6 +90,7 @@ struct Derived {
   Counters local_flush{};
   Counters remote_put{};        // + bytes * net_put_cycles_per_byte_x16 / 16
   Counters quiet{};             // + outstanding * net_quiet_cycles_per_put
+  Counters random_access{};     // one access; + its L1/L2 misses
 
   constexpr explicit Derived(const CostModel& m)
       : per_ipc(m.ipc_x16 == 0 ? 16 : m.ipc_x16),
@@ -106,6 +107,7 @@ struct Derived {
     local_flush = fixed(20, 4, 4, 4, 0, m.net_local_flush_cycles);
     remote_put = fixed(40, 6, 6, 6, 1, m.net_put_fixed_cycles);
     quiet = fixed(30, 4, 2, 6, 0, m.net_quiet_fixed_cycles);
+    random_access = fixed(2, 1, 0, 1, 0, 0);
   }
 };
 
@@ -133,26 +135,12 @@ void add(Counters& raw, const Counters& amount, std::uint64_t n = 1) {
 bool g_shared_clock = false;
 std::atomic<std::uint64_t> g_fleet_max{0};
 
-/// Charge `n` identical operations in one call. Every per-event amount is
-/// the single-call rounded value multiplied by n, so one charge_n(n, ...)
-/// is byte-identical to n charge(...) calls — the property the runtime's
-/// once-per-batch accounting depends on. Callers resolve the PE's counters
-/// once. Inlined into each account_* function, so the single-call ones
-/// (n = 1) fold the multiplies away.
-[[gnu::always_inline]] inline void charge_n(
-    Counters& raw, std::uint64_t n, std::uint64_t ins, std::uint64_t loads,
-    std::uint64_t stores, std::uint64_t branches, std::uint64_t l1_dcm,
-    std::uint64_t l2_dcm) {
-  add(raw,
-      amounts(g_model, g_derived.per_ipc, ins, loads, stores, branches, l1_dcm,
-              l2_dcm),
-      n);
-}
-
-void charge(std::uint64_t ins, std::uint64_t loads, std::uint64_t stores,
-            std::uint64_t branches, std::uint64_t l1_dcm,
+/// Charge one operation whose amounts depend on its argument.
+void charge(Counters& raw, std::uint64_t ins, std::uint64_t loads,
+            std::uint64_t stores, std::uint64_t branches, std::uint64_t l1_dcm,
             std::uint64_t l2_dcm) {
-  charge_n(pe_counters().raw, 1, ins, loads, stores, branches, l1_dcm, l2_dcm);
+  add(raw, amounts(g_model, g_derived.per_ipc, ins, loads, stores, branches,
+                   l1_dcm, l2_dcm));
 }
 
 }  // namespace
@@ -183,42 +171,34 @@ void set_cost_model(const CostModel& m) {
   g_derived = Derived(m);
 }
 
-void account_message_construct_n(std::size_t bytes, std::uint64_t n) {
+MessageCharges message_charges(std::size_t bytes) {
   const CostModel& m = g_model;
   const std::uint64_t payload_ins =
       g_derived.per_payload_den.divide(bytes * m.ins_per_payload_byte_num);
-  const std::uint64_t ins = m.ins_per_message_construct + payload_ins;
-  charge_n(pe_counters().raw, n, ins, /*loads=*/2 + bytes / 16,
-           /*stores=*/3 + bytes / 8, m.branches_per_message, /*l1=*/0,
-           /*l2=*/0);
+  MessageCharges c;
+  c.construct = amounts(m, g_derived.per_ipc,
+                        m.ins_per_message_construct + payload_ins,
+                        /*loads=*/2 + bytes / 16, /*stores=*/3 + bytes / 8,
+                        m.branches_per_message, /*l1_dcm=*/0, /*l2_dcm=*/0);
+  c.handle = amounts(m, g_derived.per_ipc,
+                     m.ins_per_message_handle + payload_ins,
+                     /*loads=*/3 + bytes / 8, /*stores=*/1 + bytes / 16,
+                     m.branches_per_message, /*l1_dcm=*/0, /*l2_dcm=*/0);
+  return c;
 }
 
-void account_message_construct(std::size_t bytes) {
-  account_message_construct_n(bytes, 1);
-}
-
-void account_message_handle_n(std::size_t bytes, std::uint64_t n) {
-  const CostModel& m = g_model;
-  const std::uint64_t payload_ins =
-      g_derived.per_payload_den.divide(bytes * m.ins_per_payload_byte_num);
-  const std::uint64_t ins = m.ins_per_message_handle + payload_ins;
-  charge_n(pe_counters().raw, n, ins, /*loads=*/3 + bytes / 8,
-           /*stores=*/1 + bytes / 16, m.branches_per_message, /*l1=*/0,
-           /*l2=*/0);
-}
-
-void account_message_handle(std::size_t bytes) {
-  account_message_handle_n(bytes, 1);
+void account_n(const Counters& increment, std::uint64_t n) {
+  add(pe_counters().raw, increment, n);
 }
 
 void account_buffer_copy(std::size_t bytes) {
   // Vectorized copy: ~1 instruction per 16 bytes each way.
   const std::uint64_t ops = bytes / 16 + 1;
-  charge(2 * ops, ops, ops, 2, bytes / 256, 0);
+  charge(pe_counters().raw, 2 * ops, ops, ops, 2, bytes / 256, 0);
 }
 
 void account_loop_iters(std::uint64_t n) {
-  charge(4 * n, n, 0, n, 0, 0);
+  charge(pe_counters().raw, 4 * n, n, 0, n, 0, 0);
 }
 
 void account_random_access(std::size_t footprint, std::uint64_t n) {
@@ -235,7 +215,18 @@ void account_random_access(std::size_t footprint, std::uint64_t n) {
     l2 = acc / 1024;
     pc.l2_residue = acc % 1024;
   }
-  charge_n(pc.raw, 1, 2 * n, n, 0, n, l1, l2);
+  if (n != 1) {
+    // The branch-miss and cycle roundings are per call, not per access.
+    charge(pc.raw, 2 * n, n, 0, n, l1, l2);
+    return;
+  }
+  // One access (every handler probe): the derived increment plus the
+  // misses this access completed.
+  add(pc.raw, g_derived.random_access);
+  at(pc.raw, Event::L1_DCM) += l1;
+  at(pc.raw, Event::L2_DCM) += l2;
+  at(pc.raw, Event::TOT_CYC) +=
+      l1 * m.l1_penalty_cycles + l2 * m.l2_penalty_cycles;
 }
 
 void account_local_flush(std::size_t bytes) {

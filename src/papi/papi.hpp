@@ -132,16 +132,20 @@ class Reciprocal {
   bool add_ = false;
 };
 
-/// A message of `bytes` payload is marshalled and appended to a mailbox.
-void account_message_construct(std::size_t bytes);
-/// A received message of `bytes` payload is handled by user code.
-void account_message_handle(std::size_t bytes);
-/// Batch forms: `n` messages accounted in one call. Charges are exactly
-/// n times the single-call charge (per-call rounding preserved), so the
-/// runtime's batch-drain path produces byte-identical counters to the
-/// per-item path it replaced.
-void account_message_construct_n(std::size_t bytes, std::uint64_t n);
-void account_message_handle_n(std::size_t bytes, std::uint64_t n);
+/// What one message of `bytes` payload adds to the counters under the
+/// model in force: `construct` when it is marshalled and appended to a
+/// mailbox, `handle` when user code handles it. A Selector derives them
+/// once, in start(), for its message size; a model is only set outside a
+/// launch, so they stay exact for the whole launch.
+struct MessageCharges {
+  Counters construct{};
+  Counters handle{};
+};
+MessageCharges message_charges(std::size_t bytes);
+/// `n` charges of `increment` (a MessageCharges member) on the current PE
+/// in one call: exactly n single charges, so the runtime's batch-drain
+/// path lands the counters one call per message would.
+void account_n(const Counters& increment, std::uint64_t n);
 /// Bulk memcpy of `bytes` (buffer aggregation and delivery).
 void account_buffer_copy(std::size_t bytes);
 /// `n` iterations of scalar loop work.

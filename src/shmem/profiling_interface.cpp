@@ -2,14 +2,11 @@
 
 namespace ap::shmem {
 
-namespace {
 // Plain global (was thread_local): installed on the launching thread
 // before any worker thread exists (threads backend), cleared after they
 // join — thread creation/join orders both transitions.
-RmaObserver* g_rma_observer = nullptr;
-}
+RmaObserver* detail::g_rma_observer = nullptr;
 
-void set_rma_observer(RmaObserver* obs) { g_rma_observer = obs; }
-RmaObserver* rma_observer() { return g_rma_observer; }
+void set_rma_observer(RmaObserver* obs) { detail::g_rma_observer = obs; }
 
 }  // namespace ap::shmem

@@ -98,9 +98,15 @@ class RmaObserver {
   virtual void on_pe_dead(int /*pe*/) {}
 };
 
+namespace detail {
+/// The installed observer (profiling_interface.cpp). Read inline on every
+/// put and quiet; set only outside a launch.
+extern RmaObserver* g_rma_observer;
+}  // namespace detail
+
 /// Install/read the process-wide observer, shared by every worker thread;
 /// nullptr disables.
 void set_rma_observer(RmaObserver* obs);
-RmaObserver* rma_observer();
+inline RmaObserver* rma_observer() { return detail::g_rma_observer; }
 
 }  // namespace ap::shmem

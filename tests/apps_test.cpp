@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "apps/bfs.hpp"
 #include "apps/histogram.hpp"
@@ -223,6 +224,42 @@ TEST(Triangle, RangeAndCyclicAgreeOnBiggerGraph) {
     EXPECT_EQ(count_triangles_actor(L, cyc).triangles, expected);
     EXPECT_EQ(count_triangles_actor(L, rng).triangles, expected);
   });
+}
+
+// The handler probes L through a cursor that resumes from the previous
+// probe of the same row. Per-source FIFO delivery and the senders'
+// ascending inner loops make nearly every probe a resume on the case
+// study's shape (R-MAT 12/16, 16 PEs on 1 node, Cyclic; 96.7% measured).
+TEST(Triangle, CaseStudyProbesResumeFromThePreviousProbe) {
+  RmatParams p;
+  p.scale = 12;
+  p.edge_factor = 16;
+  p.permute_vertices = false;
+  const Csr L = Csr::from_edges(Vertex{1} << p.scale, rmat_edges(p), true);
+  ap::rt::LaunchConfig lc;
+  lc.num_pes = 16;
+  lc.pes_per_node = 16;
+  // Fiber only: the share depends on the order batches are delivered in,
+  // which the threads backend does not fix.
+  lc.backend = ap::rt::Backend::fiber;
+  std::vector<TriangleResult> per_pe(16);
+  shmem::run(lc, [&L, &per_pe] {
+    CyclicDistribution dist(shmem::n_pes());
+    ap::convey::Options opts;
+    opts.buffer_bytes = 1024;
+    per_pe[static_cast<std::size_t>(shmem::my_pe())] =
+        count_triangles_actor(L, dist, opts, nullptr);
+  });
+  std::uint64_t handled = 0, probes = 0, resumed = 0;
+  for (const TriangleResult& r : per_pe) {
+    handled += r.handled;
+    probes += r.probes;
+    resumed += r.resumed_probes;
+  }
+  EXPECT_EQ(per_pe[0].triangles, count_triangles_serial(L));
+  EXPECT_EQ(probes, handled);  // one probe per handled message
+  EXPECT_GE(10 * resumed, 9 * probes)
+      << resumed << " of " << probes << " probes resumed";
 }
 
 // A delivery pass visits only the sources whose doorbell rang, and each

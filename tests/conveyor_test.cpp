@@ -181,7 +181,7 @@ TEST(Conveyor, EveryMessageArrivesExactlyOnce2NodesMesh) {
     o.item_bytes = sizeof(std::int64_t);
     o.buffer_bytes = 128;
     auto c = convey::Conveyor::create(o);
-    EXPECT_EQ(convey::Router::resolve(shmem::topology(), c->options().route),
+    EXPECT_EQ(convey::Router::resolve(shmem::topology(), o.route),
               convey::RouteKind::Mesh2D);
     const int me = shmem::my_pe();
     const int n = shmem::n_pes();

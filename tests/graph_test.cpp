@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
 
@@ -26,6 +27,11 @@ RmatParams small_params(int scale = 8, std::uint64_t seed = 1) {
   p.edge_factor = 8;
   p.seed = seed;
   return p;
+}
+
+/// Whether (u, v) is an entry of `g`, through a fresh cursor.
+bool has_entry(const Csr& g, Vertex u, Vertex v) {
+  return EntryCursor(g).probe(u, v);
 }
 
 TEST(Rmat, DeterministicForSameSeed) {
@@ -102,20 +108,20 @@ TEST(Csr, SymmetricAdjacency) {
   EXPECT_EQ(g.num_entries(), 8u);
   EXPECT_EQ(g.degree(0), 2u);
   EXPECT_EQ(g.degree(1), 3u);
-  EXPECT_TRUE(g.has_entry(0, 2));
-  EXPECT_TRUE(g.has_entry(2, 0));
-  EXPECT_FALSE(g.has_entry(0, 3));
+  EXPECT_TRUE(has_entry(g, 0, 2));
+  EXPECT_TRUE(has_entry(g, 2, 0));
+  EXPECT_FALSE(has_entry(g, 0, 3));
 }
 
 TEST(Csr, LowerTriangularView) {
   const std::vector<Edge> edges{{0, 1}, {2, 0}, {1, 2}, {3, 1}};
   const Csr L = Csr::from_edges(4, edges, true);
   EXPECT_EQ(L.num_entries(), 4u);
-  EXPECT_TRUE(L.has_entry(1, 0));   // from {0,1}
-  EXPECT_FALSE(L.has_entry(0, 1));  // strictly lower
-  EXPECT_TRUE(L.has_entry(2, 0));
-  EXPECT_TRUE(L.has_entry(2, 1));
-  EXPECT_TRUE(L.has_entry(3, 1));
+  EXPECT_TRUE(has_entry(L, 1, 0));   // from {0,1}
+  EXPECT_FALSE(has_entry(L, 0, 1));  // strictly lower
+  EXPECT_TRUE(has_entry(L, 2, 0));
+  EXPECT_TRUE(has_entry(L, 2, 1));
+  EXPECT_TRUE(has_entry(L, 3, 1));
 }
 
 TEST(Csr, NeighborsAreSorted) {
@@ -130,6 +136,101 @@ TEST(Csr, NeighborsAreSorted) {
 TEST(Csr, RejectsOutOfRangeVertices) {
   const std::vector<Edge> edges{{5, 0}};
   EXPECT_THROW(Csr::from_edges(4, edges, true), std::out_of_range);
+}
+
+// ---------------------------------------------------------- entry cursor
+
+/// A cursor answers every probe as a binary search of the probed row
+/// would, whatever order the probes come in.
+TEST(EntryCursor, AnswersEveryProbeLikeABinarySearch) {
+  const Csr L = Csr::from_edges(1 << 8, rmat_edges(small_params(8, 3)), true);
+  const Vertex n = L.num_vertices();
+  const auto expected = [&L, n](Vertex row, Vertex col) {
+    if (row < 0 || row >= n) return false;
+    const auto nb = L.neighbors(row);
+    return std::binary_search(nb.begin(), nb.end(), col);
+  };
+  std::vector<Vertex> empty_rows, long_rows;
+  for (Vertex v = 0; v < n; ++v) {
+    if (L.degree(v) == 0) empty_rows.push_back(v);
+    if (L.degree(v) >= 8) long_rows.push_back(v);
+  }
+  ASSERT_FALSE(empty_rows.empty());
+  ASSERT_FALSE(long_rows.empty());
+
+  EntryCursor c(L);
+  SplitMix64 rng(11);
+  const auto below = [&rng](std::uint64_t bound) {
+    return static_cast<Vertex>(rng.next_below(bound));
+  };
+  Vertex row = long_rows.front(), col = 0;
+  std::uint64_t hits = 0;
+  for (int i = 0; i < 50000; ++i) {
+    switch (rng.next_below(8)) {
+      case 0:  // switch to a long row, at or just before one of its entries
+      case 1: {
+        row = long_rows[static_cast<std::size_t>(below(long_rows.size()))];
+        const auto nb = L.neighbors(row);
+        col = nb[static_cast<std::size_t>(below(nb.size()))] - below(2);
+        break;
+      }
+      case 2:  // ascend the same row onto its next entry, or just past it
+      case 3: {
+        const auto nb = L.neighbors(row);
+        const auto next = std::upper_bound(nb.begin(), nb.end(), col);
+        col = next == nb.end() ? col + 1 : *next + below(2);
+        break;
+      }
+      case 4:  // the same column again, or a smaller one
+        col -= below(3);
+        break;
+      case 5:  // past the end of the row
+        col = L.degree(row) == 0 ? n : L.neighbors(row).back() + 1 + below(3);
+        break;
+      case 6:  // an empty row
+        row = empty_rows[static_cast<std::size_t>(below(empty_rows.size()))];
+        col = below(static_cast<std::uint64_t>(n));
+        break;
+      case 7: {  // a row outside [0, n): the kept row stays
+        const Vertex outside[] = {-1, n, n + 1, -n,
+                                  std::numeric_limits<Vertex>::min(),
+                                  std::numeric_limits<Vertex>::max()};
+        EXPECT_FALSE(c.probe(outside[rng.next_below(6)], col));
+        continue;
+      }
+    }
+    const bool want = expected(row, col);
+    ASSERT_EQ(c.probe(row, col), want) << "probe " << i << ": (" << row
+                                       << ", " << col << ")";
+    hits += want ? 1 : 0;
+  }
+  EXPECT_EQ(c.probes(), 50000u);
+  EXPECT_GT(hits, 1000u);  // the walk finds entries, not only misses
+  EXPECT_GT(c.resumed(), 10000u);
+}
+
+/// An ascending run of m probes on one row resumes m - 1 times: only the
+/// first searches the row.
+TEST(EntryCursor, AnAscendingRunResumesAllButItsFirstProbe) {
+  const Csr L = Csr::from_edges(1 << 8, rmat_edges(small_params(8, 3)), true);
+  Vertex longest = 0;
+  for (Vertex v = 0; v < L.num_vertices(); ++v)
+    if (L.degree(v) > L.degree(longest)) longest = v;
+  const auto nb = L.neighbors(longest);
+  ASSERT_GE(nb.size(), 8u);
+
+  EntryCursor c(L);
+  (void)c.probe(longest == 0 ? 1 : 0, 0);  // another row first
+  const std::uint64_t probes0 = c.probes(), resumed0 = c.resumed();
+  std::uint64_t m = 0;
+  for (const Vertex k : nb) {  // each entry twice, then the column after it
+    for (const Vertex col : {k, k, k + 1}) {
+      EXPECT_EQ(c.probe(longest, col), has_entry(L, longest, col)) << col;
+      ++m;
+    }
+  }
+  EXPECT_EQ(c.probes() - probes0, m);
+  EXPECT_EQ(c.resumed() - resumed0, m - 1);
 }
 
 // ------------------------------------------------- serial triangle count
@@ -173,8 +274,8 @@ TEST(Triangles, MatchesBruteForceOnRandomGraphs) {
     for (Vertex a = 0; a < adj.num_vertices(); ++a)
       for (Vertex b = 0; b < a; ++b)
         for (Vertex c = 0; c < b; ++c)
-          if (adj.has_entry(a, b) && adj.has_entry(b, c) &&
-              adj.has_entry(a, c))
+          if (has_entry(adj, a, b) && has_entry(adj, b, c) &&
+              has_entry(adj, a, c))
             ++brute;
     EXPECT_EQ(count_triangles_serial(L), brute) << "seed " << seed;
   }

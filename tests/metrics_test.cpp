@@ -23,6 +23,7 @@
 #include "metrics/registry.hpp"
 #include "metrics/sampler.hpp"
 #include "metrics/self_overhead.hpp"
+#include "papi/papi.hpp"
 #include "runtime/finish.hpp"
 #include "shmem/shmem.hpp"
 #include "test_tmpdir.hpp"
@@ -535,6 +536,45 @@ TEST(LiveMetrics, SamplerFillsRingAndMetersItsOwnCost) {
   EXPECT_GT(profiler.self_overhead().grand_total(), 0u);
   EXPECT_GE(profiler.queue_depth_series(), 0);
   EXPECT_GE(profiler.bytes_in_flight_series(), 0);
+}
+
+// Fleet time is the largest clock among the PEs still in the epoch, so it
+// falls when the PE holding that maximum leaves. Sample times must still
+// strictly increase: a sample waits until fleet time passes the last one.
+TEST(LiveMetrics, SampleTimesIncreaseWhenTheLeadingPeLeaves) {
+  prof::Profiler profiler(metrics_config());
+  rt::LaunchConfig lc = cfg_of(2, 2);
+  lc.backend = rt::Backend::fiber;  // one tick after each round, PE 0 first
+  shmem::run(lc, [&profiler] {
+    profiler.epoch_begin();
+    rt::yield();  // round 1's tick takes the first sample, at both PEs' 0
+    if (shmem::my_pe() == 0) {
+      papi::account_loop_iters(100000);  // far ahead of PE 1
+      profiler.on_comm_begin();          // folds: the sampler reads the fold
+      profiler.on_comm_end();
+      rt::yield();  // round 2's tick samples PE 0's clock
+    } else {
+      // Rounds 2-4: after round 2, PE 0 has left the epoch and fleet time
+      // is PE 1's lower clock.
+      for (int round = 0; round < 3; ++round) rt::yield();
+    }
+    profiler.epoch_end();
+  });
+  const metrics::SampleRing& ring = profiler.metric_samples();
+  ASSERT_GT(ring.size(), 0u);
+  for (std::size_t i = 1; i < ring.size(); ++i)
+    EXPECT_GT(ring.at(i).t_cycles, ring.at(i - 1).t_cycles) << "sample " << i;
+}
+
+// The first tick that sees a PE in its epoch samples, so a run shorter
+// than one interval still leaves a sample (under the threads backend only
+// worker 0's sweeps tick, and a short run could otherwise end with none).
+TEST(LiveMetrics, FirstTickInAnEpochTakesASample) {
+  prof::Config c = metrics_config();
+  c.metrics_interval_virtual_ms = 1000.0;  // far longer than the run
+  prof::Profiler profiler(c);
+  run_workload(profiler, 2, 2, 20);
+  EXPECT_EQ(profiler.metric_samples().size(), 1u);
 }
 
 TEST(LiveMetrics, RingRespectsConfiguredCapacity) {

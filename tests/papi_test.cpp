@@ -23,6 +23,15 @@ class PapiTest : public ::testing::Test {
   void TearDown() override { papi::reset_all(); }
 };
 
+/// One message construct / handle of `bytes` payload on the current PE,
+/// charged as a Selector charges it.
+void account_message_construct(std::size_t bytes) {
+  papi::account_n(papi::message_charges(bytes).construct, 1);
+}
+void account_message_handle(std::size_t bytes) {
+  papi::account_n(papi::message_charges(bytes).handle, 1);
+}
+
 TEST_F(PapiTest, NamesAreCanonicalAndDistinct) {
   std::set<std::string_view> seen;
   for (int i = 0; i < papi::kNumEvents; ++i) {
@@ -44,7 +53,7 @@ TEST_F(PapiTest, AccountRawCounter) {
 }
 
 TEST_F(PapiTest, MessageConstructChargesInstructionsAndStores) {
-  papi::account_message_construct(8);
+  account_message_construct(8);
   EXPECT_GT(papi::counter_value(Event::TOT_INS), 0u);
   EXPECT_GT(papi::counter_value(Event::SR_INS), 0u);
   EXPECT_EQ(papi::counter_value(Event::LST_INS),
@@ -53,17 +62,17 @@ TEST_F(PapiTest, MessageConstructChargesInstructionsAndStores) {
 }
 
 TEST_F(PapiTest, CostIsLinearInMessageCount) {
-  papi::account_message_construct(8);
+  account_message_construct(8);
   const auto one = papi::counter_value(Event::TOT_INS);
-  for (int i = 0; i < 9; ++i) papi::account_message_construct(8);
+  for (int i = 0; i < 9; ++i) account_message_construct(8);
   EXPECT_EQ(papi::counter_value(Event::TOT_INS), 10 * one);
 }
 
 TEST_F(PapiTest, BiggerPayloadCostsMore) {
-  papi::account_message_construct(8);
+  account_message_construct(8);
   const auto small = papi::counter_value(Event::TOT_INS);
   papi::reset_all();
-  papi::account_message_construct(256);
+  account_message_construct(256);
   EXPECT_GT(papi::counter_value(Event::TOT_INS), small);
 }
 
@@ -79,7 +88,7 @@ TEST_F(PapiTest, RandomAccessMissesDependOnFootprint) {
 
 TEST_F(PapiTest, CyclesGrowWithWork) {
   const auto c0 = papi::counter_value(Event::TOT_CYC);
-  papi::account_message_handle(8);
+  account_message_handle(8);
   EXPECT_GT(papi::counter_value(Event::TOT_CYC), c0);
 }
 
@@ -87,7 +96,7 @@ TEST_F(PapiTest, CostModelIsConfigurable) {
   papi::CostModel m;
   m.ins_per_message_construct = 1000;
   papi::set_cost_model(m);
-  papi::account_message_construct(0);
+  account_message_construct(0);
   EXPECT_GE(papi::counter_value(Event::TOT_INS), 1000u);
   papi::set_cost_model(papi::CostModel{});
 }
@@ -98,7 +107,7 @@ TEST_F(PapiTest, CountersArePerPe) {
   std::vector<std::uint64_t> per_pe(4);
   ap::rt::launch(cfg, [&per_pe] {
     const int me = ap::rt::my_pe();
-    for (int i = 0; i <= me; ++i) papi::account_message_construct(8);
+    for (int i = 0; i <= me; ++i) account_message_construct(8);
     per_pe[static_cast<std::size_t>(me)] =
         papi::counter_value(Event::TOT_INS);
   });
@@ -119,12 +128,12 @@ std::uint64_t delta(const papi::Counters& before, Event e) {
 }
 
 TEST_F(PapiTest, StartStopDeltaExcludesOutsideWork) {
-  papi::account_message_construct(8);  // before the segment opens
+  account_message_construct(8);  // before the segment opens
   const papi::Counters open = papi::counters();
   EXPECT_EQ(delta(open, Event::TOT_INS), 0u);  // nothing happened inside
-  papi::account_message_construct(8);
+  account_message_construct(8);
   const papi::Counters close = papi::counters();
-  papi::account_message_construct(8);  // after the segment closed
+  account_message_construct(8);  // after the segment closed
   const auto i = static_cast<std::size_t>(Event::TOT_INS);
   EXPECT_EQ(close[i] - open[i], open[i]);  // exactly the one charge inside
 }
@@ -165,12 +174,12 @@ TEST_F(PapiTest, EventSetsArePerPe) {
 TEST_F(PapiTest, VirtualCyclesAreDeterministic) {
   papi::set_cycle_source(papi::CycleSource::virtual_);
   const auto a0 = papi::cycles_now();
-  papi::account_message_construct(8);
+  account_message_construct(8);
   const auto a1 = papi::cycles_now();
   EXPECT_GT(a1, a0);
   papi::reset_all();
   const auto b0 = papi::cycles_now();
-  papi::account_message_construct(8);
+  account_message_construct(8);
   const auto b1 = papi::cycles_now();
   EXPECT_EQ(a1 - a0, b1 - b0);
 }
@@ -305,24 +314,32 @@ TEST_F(PapiTest, PrecomputedChargesEqualTheDividingFormulas) {
     m.br_msp_per_1024 = 3 * ipc;
     models.push_back(m);
   }
+  // Every payload size a message can have up to 64 bytes, a few larger.
+  std::vector<std::size_t> message_bytes;
+  for (std::size_t bytes = 0; bytes <= 64; ++bytes)
+    message_bytes.push_back(bytes);
+  for (std::size_t bytes = 65; bytes <= 520; bytes += 13)
+    message_bytes.push_back(bytes);
+  message_bytes.push_back(4096);
   for (const papi::CostModel& m : models) {
     SCOPED_TRACE(m.ipc_x16);
     papi::set_cost_model(m);
-    for (std::size_t bytes = 0; bytes <= 520; bytes += 13) {
+    for (const std::size_t bytes : message_bytes) {
+      const papi::MessageCharges charges = papi::message_charges(bytes);
       for (const std::uint64_t n : {1u, 2u, 37u}) {
         const std::uint64_t payload =
             bytes * m.ins_per_payload_byte_num / m.ins_per_payload_byte_den;
-        EXPECT_EQ(delta_of([&] {
-                    papi::account_message_construct_n(bytes, n);
-                  }),
+        EXPECT_EQ(delta_of([&] { papi::account_n(charges.construct, n); }),
                   slash_charge(m, n, m.ins_per_message_construct + payload,
                                2 + bytes / 16, 3 + bytes / 8,
                                m.branches_per_message, 0, 0, 0));
-        EXPECT_EQ(delta_of([&] { papi::account_message_handle_n(bytes, n); }),
+        EXPECT_EQ(delta_of([&] { papi::account_n(charges.handle, n); }),
                   slash_charge(m, n, m.ins_per_message_handle + payload,
                                3 + bytes / 8, 1 + bytes / 16,
                                m.branches_per_message, 0, 0, 0));
       }
+    }
+    for (std::size_t bytes = 0; bytes <= 520; bytes += 13) {
       const std::uint64_t ops = bytes / 16 + 1;
       EXPECT_EQ(delta_of([&] { papi::account_buffer_copy(bytes); }),
                 slash_charge(m, 1, 2 * ops, ops, ops, 2, bytes / 256, 0, 0));
@@ -346,6 +363,44 @@ TEST_F(PapiTest, PrecomputedChargesEqualTheDividingFormulas) {
               slash_charge(m, 1, 15, 2, 2, 2, 0, 0, m.net_signal_put_cycles));
     EXPECT_EQ(delta_of([] { papi::account_poll(); }),
               slash_charge(m, 1, 12, 4, 0, 4, 0, 0, m.net_poll_cycles));
+  }
+
+  // One access per call (a handler probe) lands a derived increment plus
+  // the misses it completes; the sub-miss residues carry across calls.
+  papi::CostModel tuned;
+  tuned.ipc_x16 = 24;
+  tuned.br_msp_per_1024 = 1100;  // above 1024: one access rounds to a miss
+  tuned.l1_miss_per_1024_beyond_l1 = 333;
+  tuned.l2_miss_per_1024_beyond_l2 = 1500;
+  tuned.l1_penalty_cycles = 9;
+  tuned.l2_penalty_cycles = 71;
+  // Both residues are still 0: every access above stayed inside L1.
+  std::uint64_t l1_residue = 0, l2_residue = 0;
+  for (const papi::CostModel& m : {papi::CostModel{}, tuned}) {
+    SCOPED_TRACE(m.ipc_x16);
+    papi::set_cost_model(m);
+    const std::size_t footprints[] = {m.l1_bytes / 2, m.l1_bytes + 1,
+                                      m.l2_bytes, m.l2_bytes + 1,
+                                      4 * m.l2_bytes};
+    for (const std::size_t footprint : footprints) {
+      SCOPED_TRACE(footprint);
+      for (int call = 0; call < 1000; ++call) {
+        std::uint64_t l1 = 0, l2 = 0;
+        if (footprint > m.l1_bytes) {
+          l1_residue += m.l1_miss_per_1024_beyond_l1;
+          l1 = l1_residue / 1024;
+          l1_residue %= 1024;
+        }
+        if (footprint > m.l2_bytes) {
+          l2_residue += m.l2_miss_per_1024_beyond_l2;
+          l2 = l2_residue / 1024;
+          l2_residue %= 1024;
+        }
+        EXPECT_EQ(delta_of([&] { papi::account_random_access(footprint, 1); }),
+                  slash_charge(m, 1, 2, 1, 0, 1, l1, l2, 0))
+            << "call " << call;
+      }
+    }
   }
   papi::set_cost_model(papi::CostModel{});
 }
